@@ -2,6 +2,7 @@
 and semi-analytic success-probability oracle."""
 
 from .access import (
+    INFEASIBLE,
     SCHEMES,
     DecodeThresholds,
     Outcome,
@@ -9,6 +10,7 @@ from .access import (
     UserOrdering,
     decode_noma,
     decode_oma,
+    gain_thresholds,
     oma_effective_threshold,
     order_users,
     split_power,
@@ -50,7 +52,6 @@ from .engine import (
 )
 from .errors import CanomaError, OracleUnsupportedError, ParameterError
 from .oracle import (
-    INFEASIBLE,
     GainThresholdEvent,
     OracleResult,
     conditional_success_prob,
@@ -98,8 +99,9 @@ __all__ = [
     "oma_effective_threshold",
     "decode_noma",
     "decode_oma",
-    # oracle
     "INFEASIBLE",
+    "gain_thresholds",
+    # oracle
     "GainThresholdEvent",
     "OracleResult",
     "gamma_ccdf",

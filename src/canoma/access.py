@@ -23,12 +23,18 @@ every scheme):
 Duplicate requests are served as independent messages at their own
 position powers; coinciding requests change nothing in the decode
 chain.
+
+Two-vehicle decoding has one rule, :func:`gain_thresholds`: per scenario
+every decode condition reduces to "strong gain >= a and weak gain >= b".
+The Monte Carlo engine and the oracle both evaluate it.  The scalar
+general-N :func:`decode_noma`/:func:`decode_oma` work at SINR level and
+are the independent reference the rule is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from typing import Sequence
 
 import numpy as np
@@ -47,11 +53,14 @@ __all__ = [
     "oma_effective_threshold",
     "decode_noma",
     "decode_oma",
-    "noma_pair_outcomes",
-    "oma_pair_outcomes",
+    "INFEASIBLE",
+    "gain_thresholds",
 ]
 
 SCHEMES = ("canoma", "noma", "oma-cache", "oma")
+
+# Marker for a decode stage no gain value can satisfy.
+INFEASIBLE = inf
 
 # Positions (strongest first) -> vehicle indices.
 UserOrdering = tuple[int, ...]
@@ -297,92 +306,68 @@ def decode_oma(
     return Outcome(tuple(ok))
 
 
-def noma_pair_outcomes(
-    x1,
-    x2,
-    total: float,
-    alpha: float,
-    th1,
-    th2,
-    hit1,
-    hit2,
-    cross_2_holds_1,
-    cross_1_holds_2,
-    cache_aided: bool = True,
-    ordering: str = "by-gain",
+def gain_thresholds(
+    scheme: str,
+    total,
+    alpha,
+    th_s,
+    th_w,
+    hit_s,
+    hit_w,
+    cross_s,
+    cross_w,
     self_hit_power: str = "reallocate",
 ):
-    """Vectorised two-vehicle NOMA decode.
+    """Two-vehicle decode as minimum gains ``(a, b)``: the strong-ordered
+    vehicle succeeds iff its gain is >= a, the weak one iff its gain is >= b.
 
-    Array-in/array-out twin of :func:`decode_noma` for the simulation
-    engine; broadcasting scalars works too.  Returns
-    ``(ok1, ok2, strong_is_1)`` with outcomes indexed by vehicle.
+    Inputs are by ordered position: ``th_s``/``th_w`` are the thresholds
+    of the strong/weak vehicle's requested files, ``hit_s``/``hit_w``
+    their self-cache flags, ``cross_s`` is True when the strong vehicle
+    holds the weak vehicle's file and ``cross_w`` the reverse.  Scalars
+    and broadcastable arrays both work; the results are arrays.  A
+    self-served vehicle gets 0 and a stage no gain can pass gets
+    ``INFEASIBLE``.  Every SINR condition p*X / (q*X + 1) >= theta
+    becomes X >= theta / (p - theta*q) when p > theta*q.
+
+    :func:`decode_noma` and :func:`decode_oma` are the SINR-level
+    reference this reduction is tested against.
     """
+    if scheme not in SCHEMES:
+        raise ParameterError(f"unknown scheme {scheme!r}")
     if self_hit_power not in ("reallocate", "idle"):
         raise ParameterError(f"unknown self-hit power policy {self_hit_power!r}")
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    th1 = np.asarray(th1, dtype=float)
-    th2 = np.asarray(th2, dtype=float)
-    hit1 = np.asarray(hit1, dtype=bool)
-    hit2 = np.asarray(hit2, dtype=bool)
-    c21 = np.asarray(cross_2_holds_1, dtype=bool)
-    c12 = np.asarray(cross_1_holds_2, dtype=bool)
-    if ordering == "by-gain":
-        strong_is_1 = x1 >= x2
-    elif ordering == "fixed":
-        strong_is_1 = np.broadcast_to(True, np.broadcast_shapes(x1.shape, x2.shape))
-    else:
-        raise ParameterError(f"unknown ordering policy {ordering!r}")
+    th_s = np.asarray(th_s, dtype=float)
+    th_w = np.asarray(th_w, dtype=float)
+    hit_s = np.asarray(hit_s, dtype=bool)
+    hit_w = np.asarray(hit_w, dtype=bool)
 
-    xs = np.where(strong_is_1, x1, x2)
-    xw = np.where(strong_is_1, x2, x1)
-    ths = np.where(strong_is_1, th1, th2)
-    thw = np.where(strong_is_1, th2, th1)
-    hs = np.where(strong_is_1, hit1, hit2)
-    hw = np.where(strong_is_1, hit2, hit1)
-    # strong vehicle holds the weak vehicle's file, and vice versa
-    cross_s = np.where(strong_is_1, c12, c21)
-    cross_w = np.where(strong_is_1, c21, c12)
+    # a threshold past the float range (tiny power, zero SIC margin) is
+    # infinite, which is exactly the infeasible marker
+    with np.errstate(divide="ignore", over="ignore"):
+        if scheme in ("oma-cache", "oma"):
+            # equal slices at full power; no interference, so cross flags are moot
+            served = 2.0 - hit_s - hit_w if scheme == "oma-cache" else 2.0
+            a = np.where(hit_s, 0.0, ((1.0 + th_s) ** served - 1.0) / total)
+            b = np.where(hit_w, 0.0, ((1.0 + th_w) ** served - 1.0) / total)
+            return a, b
 
-    p_s = alpha * total
-    p_w = total - p_s
+        p_s = alpha * total
+        p_w = total - p_s
+        margin = p_w - th_w * p_s
+        # the weak message against the strong one as noise: the strong
+        # vehicle's SIC stage and the weak vehicle's plain decode
+        sic = np.where(margin > 0.0, th_w / margin, INFEASIBLE)
+        own_s = th_s / p_s
+        if scheme == "noma":
+            # the BS is cache-blind: both messages are always on the air
+            return np.where(hit_s, 0.0, np.maximum(sic, own_s)), np.where(hit_w, 0.0, sic)
 
-    own_s = p_s * xs >= ths
-    sic_s = p_w * xs >= thw * (p_s * xs + 1.0)
-    plain_s = sic_s & own_s
-    plain_w = p_w * xw >= thw * (p_s * xw + 1.0)
-
-    if cache_aided:
-        none_s = np.where(cross_s, own_s, plain_s)
-        none_w = np.where(cross_w, p_w * xw >= thw, plain_w)
-        # a lone active vehicle decodes interference-free; its power is
-        # the full budget or its own position share, per the policy
-        solo_s = total if self_hit_power == "reallocate" else p_s
-        solo_w = total if self_hit_power == "reallocate" else p_w
-        ok_s = np.where(hs, True, np.where(hw, solo_s * xs >= ths, none_s))
-        ok_w = np.where(hw, True, np.where(hs, solo_w * xw >= thw, none_w))
-    else:
-        ok_s = hs | plain_s
-        ok_w = hw | plain_w
-
-    ok1 = np.where(strong_is_1, ok_s, ok_w)
-    ok2 = np.where(strong_is_1, ok_w, ok_s)
-    return ok1, ok2, strong_is_1
-
-
-def oma_pair_outcomes(x1, x2, total: float, th1, th2, hit1, hit2, cache_exploit: bool = True):
-    """Vectorised two-vehicle OMA decode; returns (ok1, ok2)."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    th1 = np.asarray(th1, dtype=float)
-    th2 = np.asarray(th2, dtype=float)
-    hit1 = np.asarray(hit1, dtype=bool)
-    hit2 = np.asarray(hit2, dtype=bool)
-    if cache_exploit:
-        active = 2.0 - hit1.astype(float) - hit2.astype(float)
-    else:
-        active = np.broadcast_to(2.0, np.broadcast_shapes(hit1.shape, hit2.shape))
-    ok1 = hit1 | (total * x1 >= (1.0 + th1) ** active - 1.0)
-    ok2 = hit2 | (total * x2 >= (1.0 + th2) ** active - 1.0)
-    return ok1, ok2
+        # a lone active vehicle decodes interference-free; its power is the
+        # full budget or its own position share, per the policy
+        solo_s, solo_w = (total, total) if self_hit_power == "reallocate" else (p_s, p_w)
+        a = np.where(cross_s, own_s, np.maximum(sic, own_s))
+        b = np.where(cross_w, th_w / p_w, sic)
+        a = np.where(hit_s, 0.0, np.where(hit_w, th_s / solo_s, a))
+        b = np.where(hit_w, 0.0, np.where(hit_s, th_w / solo_w, b))
+        return a, b

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 
 from . import __version__
@@ -23,7 +24,6 @@ from .engine import (
     METRICS,
     TrialConfig,
     db_to_linear,
-    run_point,
     run_point_multi,
     sweep,
 )
@@ -150,12 +150,12 @@ def _config_from(args, scheme: str) -> TrialConfig:
         raise UsageError(f"--files must be a positive integer, got {args.files}")
     if not (0 <= args.cache <= args.files):
         raise UsageError(f"--cache must lie in 0..{args.files} (files), got {args.cache}")
-    if not (args.zeta > 0):
-        raise UsageError(f"--zeta must be positive, got {args.zeta}")
+    if not (math.isfinite(args.zeta) and args.zeta > 0):
+        raise UsageError(f"--zeta must be positive and finite, got {args.zeta}")
     if not (0.0 < args.alpha < 1.0):
         raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    if not (args.theta > 0):
-        raise UsageError(f"--theta must be positive, got {args.theta}")
+    if not (math.isfinite(args.theta) and args.theta > 0):
+        raise UsageError(f"--theta must be positive and finite, got {args.theta}")
     if args.trials < 1:
         raise UsageError(f"--trials must be a positive integer, got {args.trials}")
     if not (0 <= args.seed < 2**64):
@@ -165,6 +165,10 @@ def _config_from(args, scheme: str) -> TrialConfig:
     base = _parse_link_spec(args.link_spec, "--link-spec")
     link1 = _parse_link_spec(args.link_spec_1, "--link-spec-1") if args.link_spec_1 else base
     link2 = _parse_link_spec(args.link_spec_2, "--link-spec-2") if args.link_spec_2 else base
+    try:
+        rho = db_to_linear(args.snr_db)
+    except ParameterError as exc:
+        raise UsageError(f"--snr-db: {exc}") from None
     return TrialConfig(
         n_trials=args.trials,
         seed=args.seed,
@@ -173,7 +177,7 @@ def _config_from(args, scheme: str) -> TrialConfig:
         zeta=args.zeta,
         cache=args.cache,
         alpha=args.alpha,
-        rho=db_to_linear(args.snr_db),
+        rho=rho,
         thresholds=DecodeThresholds(default=args.theta),
         link_specs=(link1, link2),
         ordering=args.ordering,
@@ -212,31 +216,35 @@ def _write(lines) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _point_row(param: str, value: float, scheme: str, config: TrialConfig, est) -> str:
-    return ",".join(
-        [
-            param,
-            _fmt(value),
-            scheme,
-            config.metric,
-            _fmt(est.p_joint),
-            _fmt(est.p_marg_product),
-            _fmt(est.p1),
-            _fmt(est.p2),
-            _fmt(est.stderr_joint),
-            str(config.n_trials),
-            str(config.seed),
-        ]
-    )
+def _write_table(args, config: TrialConfig, schemes: tuple[str, ...], table) -> None:
+    lines = _manifest(args, config, schemes)
+    lines.append(_HEADER)
+    for row in table.rows:
+        lines.append(
+            ",".join(
+                [
+                    row.param,
+                    _fmt(row.value),
+                    row.scheme,
+                    row.metric,
+                    _fmt(row.p_joint),
+                    _fmt(row.p_marg_product),
+                    _fmt(row.p1),
+                    _fmt(row.p2),
+                    _fmt(row.stderr_joint),
+                    str(row.trials),
+                    str(row.seed),
+                ]
+            )
+        )
+    _write(lines)
 
 
 def _cmd_point(args) -> int:
+    # a point is the one-value SNR sweep at its own configuration
     config = _config_from(args, args.scheme)
-    est = run_point(config, workers=args.workers)
-    lines = _manifest(args, config, (args.scheme,))
-    lines.append(_HEADER)
-    lines.append(_point_row("snr_db", args.snr_db, args.scheme, config, est))
-    _write(lines)
+    table = sweep(config, "snr_db", [args.snr_db], (args.scheme,), workers=args.workers)
+    _write_table(args, config, (args.scheme,), table)
     return 0
 
 
@@ -261,27 +269,7 @@ def _cmd_sweep(args) -> int:
     config = _config_from(args, schemes[0])
     values = _parse_grid(args.grid, args.sweep)
     table = sweep(config, _SWEEP_NAMES[args.sweep], values, schemes, workers=args.workers)
-    lines = _manifest(args, config, schemes)
-    lines.append(_HEADER)
-    for row in table.rows:
-        lines.append(
-            ",".join(
-                [
-                    row.param,
-                    _fmt(row.value),
-                    row.scheme,
-                    row.metric,
-                    _fmt(row.p_joint),
-                    _fmt(row.p_marg_product),
-                    _fmt(row.p1),
-                    _fmt(row.p2),
-                    _fmt(row.stderr_joint),
-                    str(row.trials),
-                    str(row.seed),
-                ]
-            )
-        )
-    _write(lines)
+    _write_table(args, config, schemes, table)
     return 0
 
 

@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .access import SCHEMES, DecodeThresholds, noma_pair_outcomes, oma_pair_outcomes
-from .channel import LinkSpec
-from .content import zipf_profile
+from .access import SCHEMES, DecodeThresholds, gain_thresholds
+from .channel import LinkSpec, sample_link_gain
+from .content import request_from_uniform, zipf_profile
 from .errors import ParameterError
 
 __all__ = [
@@ -55,7 +55,14 @@ _Z95 = 1.959963984540054
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """10^(db/10); raises ParameterError unless that is a positive finite float."""
+    try:
+        linear = 10.0 ** (db / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not (math.isfinite(linear) and linear > 0.0):
+        raise ParameterError(f"{db!r} dB is outside the positive finite linear range")
+    return linear
 
 
 def linear_to_db(linear: float) -> float:
@@ -226,15 +233,19 @@ def _chunk_generator(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chunk))))
 
 
+def _by_position(strong_is_1, v1, v2):
+    """Swap vehicle-indexed values into (strong, weak) position order, or back."""
+    return np.where(strong_is_1, v1, v2), np.where(strong_is_1, v2, v1)
+
+
 def _run_chunk(args):
     (
         seed,
         chunk,
         length,
         link_specs,
-        cdf,
-        cap1,
-        cap2,
+        profile,
+        capacities,
         th_table,
         total,
         alpha,
@@ -245,56 +256,31 @@ def _run_chunk(args):
     ) = args
     rng = _chunk_generator(seed, chunk)
     # Full-size draws keep every trial's variates independent of n_trials.
-    u = rng.random((CHUNK, 2))
-    gains = []
-    for spec in link_specs:
-        x = np.ones(CHUNK)
-        for stage in spec.stages:
-            x *= rng.standard_gamma(stage.m, size=CHUNK) * (stage.omega / stage.m)
-        gains.append(x[:length])
-    x1, x2 = gains
-    t = len(cdf)
-    r1 = np.minimum(np.searchsorted(cdf, u[:length, 0], side="left") + 1, t)
-    r2 = np.minimum(np.searchsorted(cdf, u[:length, 1], side="left") + 1, t)
-    # top-C placement: membership is an index comparison
-    hit1 = r1 <= cap1
-    hit2 = r2 <= cap2
-    cross_2_holds_1 = r1 <= cap2
-    cross_1_holds_2 = r2 <= cap1
-    th1 = th_table[r1 - 1]
-    th2 = th_table[r2 - 1]
+    u = rng.random((CHUNK, 2))[:length]
+    x1, x2 = (sample_link_gain(spec, rng, CHUNK)[:length] for spec in link_specs)
+    r1 = request_from_uniform(profile, u[:, 0])
+    r2 = request_from_uniform(profile, u[:, 1])
     if ordering == "by-gain":
         strong_is_1 = x1 >= x2
     else:
         strong_is_1 = np.ones(length, dtype=bool)
+    xs, xw = _by_position(strong_is_1, x1, x2)
+    rs, rw = _by_position(strong_is_1, r1, r2)
+    cap_s, cap_w = _by_position(strong_is_1, *capacities)
+    # top-C placement: membership is an index comparison
+    hit_s, hit_w = rs <= cap_s, rw <= cap_w
+    cross_s, cross_w = rw <= cap_s, rs <= cap_w
+    th_s, th_w = th_table[rs - 1], th_table[rw - 1]
 
     out = {}
     for scheme in schemes:
-        if scheme == "canoma" or scheme == "noma":
-            ok1, ok2, _ = noma_pair_outcomes(
-                x1,
-                x2,
-                total,
-                alpha,
-                th1,
-                th2,
-                hit1,
-                hit2,
-                cross_2_holds_1,
-                cross_1_holds_2,
-                cache_aided=(scheme == "canoma"),
-                ordering=ordering,
-                self_hit_power=self_hit_power,
-            )
-        else:
-            ok1, ok2 = oma_pair_outcomes(
-                x1, x2, total, th1, th2, hit1, hit2, cache_exploit=(scheme == "oma-cache")
-            )
-        ok_strong = np.where(strong_is_1, ok1, ok2)
-        ok_weak = np.where(strong_is_1, ok2, ok1)
-        joint = ok1 & ok2
-        counts = (int(ok_strong.sum()), int(ok_weak.sum()), int(joint.sum()))
-        outcomes = np.column_stack([ok1, ok2]) if collect else None
+        a, b = gain_thresholds(
+            scheme, total, alpha, th_s, th_w, hit_s, hit_w, cross_s, cross_w, self_hit_power
+        )
+        ok_s = xs >= a
+        ok_w = xw >= b
+        counts = (int(ok_s.sum()), int(ok_w.sum()), int((ok_s & ok_w).sum()))
+        outcomes = np.column_stack(_by_position(strong_is_1, ok_s, ok_w)) if collect else None
         out[scheme] = (counts, outcomes)
     return out
 
@@ -316,7 +302,6 @@ def _simulate(
         if scheme not in SCHEMES:
             raise ParameterError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     profile = zipf_profile(config.files, config.zeta, config.zipf_convention)
-    cap1, cap2 = config.capacities
     th_table = config.thresholds.table(config.files)
     n = config.n_trials
     n_chunks = (n + CHUNK - 1) // CHUNK
@@ -326,9 +311,8 @@ def _simulate(
             c,
             min(CHUNK, n - c * CHUNK),
             config.link_specs,
-            profile.cdf,
-            cap1,
-            cap2,
+            profile,
+            config.capacities,
             th_table,
             config.rho,
             config.alpha,
@@ -415,8 +399,10 @@ def _validate_grid_value(config: TrialConfig, parameter: str, value) -> float:
 
     if parameter == "snr_db":
         v = float(value)
-        if not math.isfinite(v):
-            raise bad("SNR in dB must be finite")
+        try:
+            db_to_linear(v)
+        except ParameterError as exc:
+            raise bad(str(exc)) from None
         return v
     if parameter == "cache_size":
         v = int(value)

@@ -1,11 +1,14 @@
 """Semi-analytic success probabilities for the two-vehicle system.
 
-Every decode event of the access layer reduces, per scenario class, to a
-minimum-gain threshold on each ordered vehicle (or an infeasible
-marker).  Combining the exact scenario-class probabilities with the
+Every decode event reduces, per scenario class, to a minimum-gain
+threshold on each ordered vehicle (or an infeasible marker) by the
+access layer's one rule, :func:`~canoma.access.gain_thresholds`.
+Combining the exact scenario-class probabilities with the
 cascaded-fading CCDF -- evaluated by adaptive quadrature -- gives the
-success probabilities without simulation, which is the independent
-check the Monte Carlo engine is verified against.
+success probabilities without simulation.  The Monte Carlo engine
+applies the same rule to sampled trials, so agreement between the two
+checks the sampling and the content statistics; the rule itself is
+pinned by the SINR-level scalar decoders in the tests.
 
 Under by-gain ordering the two links must be i.i.d.; the joint event
 then follows from the order statistics of two draws:
@@ -26,7 +29,14 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaincc, gammaln, xlogy
 
-from .access import SCHEMES, PowerAllocation, DecodeThresholds, split_power
+from .access import (
+    INFEASIBLE,
+    SCHEMES,
+    DecodeThresholds,
+    PowerAllocation,
+    gain_thresholds,
+    split_power,
+)
 from .channel import LinkSpec
 from .content import place_cache, scenario_distribution, zipf_profile
 from .errors import OracleUnsupportedError, ParameterError
@@ -41,10 +51,6 @@ __all__ = [
     "conditional_success_prob",
     "success_prob",
 ]
-
-# Marker for a decode stage no gain value can satisfy.
-INFEASIBLE = math.inf
-
 
 @dataclass(frozen=True)
 class GainThresholdEvent:
@@ -161,64 +167,35 @@ def reduce_to_gain_event(
     ``scenario`` is either a :class:`~canoma.content.CacheScenario`
     (per-file thresholds resolved through its requests) or a
     :class:`~canoma.content.ScenarioClass` (shared threshold only).
-    ``ordering`` maps positions (strong, weak) to vehicle indices.
-    Every SINR condition p*X / (q*X + 1) >= theta becomes
-    X >= theta / (p - theta*q) when p > theta*q and is infeasible
-    otherwise.
+    ``ordering`` maps positions (strong, weak) to vehicle indices.  The
+    flags and thresholds are resolved here; the reduction itself is
+    :func:`~canoma.access.gain_thresholds`, the same rule the Monte Carlo
+    engine applies per trial.
     """
-    if scheme not in SCHEMES:
-        raise ParameterError(f"unknown scheme {scheme!r}")
     if sorted(ordering) != [0, 1]:
         raise ParameterError(f"ordering must be a permutation of (0, 1), got {ordering!r}")
     if len(alloc.powers) != 2:
         raise ParameterError("gain-event reduction covers exactly two vehicles")
-    if self_hit_power not in ("reallocate", "idle"):
-        raise ParameterError(f"unknown self-hit power policy {self_hit_power!r}")
 
     theta_by_vehicle = _theta_pair(thresholds, scenario)
     s, w = ordering
-    hit_s = scenario.self_hit[s] if hasattr(scenario, "requests") else scenario.self_hit(s)
-    hit_w = scenario.self_hit[w] if hasattr(scenario, "requests") else scenario.self_hit(w)
-    th_s = theta_by_vehicle[s]
-    th_w = theta_by_vehicle[w]
-    total = alloc.total
-    p_s, p_w = alloc.powers
-
-    def sic_threshold() -> float:
-        margin = p_w - th_w * p_s
-        return th_w / margin if margin > 0.0 else INFEASIBLE
-
-    if scheme == "canoma":
-        solo_s = total if self_hit_power == "reallocate" else p_s
-        solo_w = total if self_hit_power == "reallocate" else p_w
-        if hit_s and hit_w:
-            a, b = 0.0, 0.0
-        elif hit_s:
-            a, b = 0.0, th_w / solo_w
-        elif hit_w:
-            a, b = th_s / solo_s, 0.0
-        else:
-            own = th_s / p_s
-            if scenario.cross_cached(w, s):  # strong holds weak's file
-                a = own
-            else:
-                a = max(sic_threshold(), own)
-            if scenario.cross_cached(s, w):  # weak holds strong's file
-                b = th_w / p_w
-            else:
-                b = sic_threshold()
-    elif scheme == "noma":
-        # the BS is cache-blind: both messages are always on the air
-        a = 0.0 if hit_s else max(sic_threshold(), th_s / p_s)
-        b = 0.0 if hit_w else sic_threshold()
-    elif scheme == "oma-cache":
-        served = (not hit_s) + (not hit_w)
-        a = 0.0 if hit_s else ((1.0 + th_s) ** served - 1.0) / total
-        b = 0.0 if hit_w else ((1.0 + th_w) ** served - 1.0) / total
-    else:  # oma
-        a = 0.0 if hit_s else ((1.0 + th_s) ** 2 - 1.0) / total
-        b = 0.0 if hit_w else ((1.0 + th_w) ** 2 - 1.0) / total
-    return GainThresholdEvent(thresholds=(a, b))
+    if hasattr(scenario, "requests"):
+        hit = scenario.self_hit
+    else:
+        hit = (scenario.self_hit(0), scenario.self_hit(1))
+    a, b = gain_thresholds(
+        scheme,
+        alloc.total,
+        alloc.alpha,
+        theta_by_vehicle[s],
+        theta_by_vehicle[w],
+        hit[s],
+        hit[w],
+        scenario.cross_cached(w, s),  # strong holds weak's file
+        scenario.cross_cached(s, w),  # weak holds strong's file
+        self_hit_power,
+    )
+    return GainThresholdEvent(thresholds=(float(a), float(b)))
 
 
 def conditional_success_prob(

@@ -1,18 +1,23 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from canoma import (
+    SCHEMES,
     CacheContents,
     DecodeThresholds,
     ParameterError,
     classify_scenario,
     decode_noma,
     decode_oma,
+    gain_thresholds,
     oma_effective_threshold,
     order_users,
     split_power,
 )
-from canoma.access import noma_pair_outcomes, oma_pair_outcomes
 
 UNIT_THETA = DecodeThresholds()
 
@@ -253,7 +258,62 @@ def closed_form_pair(xs, xw, p_s, p_w, th_s, th_w, cross_s, cross_w):
     return ok_s, ok_w
 
 
+def rule_outcome(scheme, gains, total, alpha, thresholds, scenario, ordering, hit_power):
+    """Per-vehicle outcome of the two-vehicle gain-threshold rule."""
+    s, w = ordering
+    a, b = gain_thresholds(
+        scheme,
+        total,
+        alpha,
+        thresholds.theta_for(scenario.requests[s]),
+        thresholds.theta_for(scenario.requests[w]),
+        scenario.self_hit[s],
+        scenario.self_hit[w],
+        scenario.cross_cached(w, s),
+        scenario.cross_cached(s, w),
+        hit_power,
+    )
+    ok = [False, False]
+    ok[s] = bool(gains[s] >= a)
+    ok[w] = bool(gains[w] >= b)
+    return tuple(ok)
+
+
+def scalar_outcome(scheme, gains, total, alpha, thresholds, scenario, ordering, hit_power):
+    """Per-vehicle outcome of the SINR-level scalar decoders."""
+    if scheme in ("canoma", "noma"):
+        return decode_noma(
+            list(gains), split_power(total, alpha, 2), thresholds, scenario,
+            ordering=ordering, cache_aided=(scheme == "canoma"), self_hit_power=hit_power,
+        ).ok
+    return decode_oma(
+        list(gains), total, thresholds, scenario, cache_exploit=(scheme == "oma-cache")
+    ).ok
+
+
+ULP = Fraction(2) ** -52
+
+
+def near_boundary(gain, conditions):
+    """True when ``gain`` decides some condition p*x >= theta*(q*x + 1)
+    by at most 8 ULPs of the condition's magnitude, computed exactly.
+
+    Inside that band the reduced form x >= theta / (p - theta*q) and the
+    SINR form may round to different verdicts, cancellation in
+    p - theta*q included."""
+    x = Fraction(gain)
+    for p, q, theta in conditions:
+        lhs = Fraction(p) * x
+        rhs = Fraction(theta) * (Fraction(q) * x + 1)
+        if abs(lhs - rhs) <= 8 * ULP * (lhs + rhs):
+            return True
+    return False
+
+
 class TestClosedFormAgreement:
+    """The shared gain-threshold rule against an independent closed form
+    and against the SINR-level scalar decoders."""
+
     def test_batch_decode_matches_closed_form_on_random_inputs(self):
         rng = np.random.Generator(np.random.Philox(99))
         n = 100_000
@@ -261,41 +321,36 @@ class TestClosedFormAgreement:
         x2 = rng.exponential(1.0, n)
         total = 10.0 ** rng.uniform(-0.5, 2.0, n)
         alpha = rng.uniform(0.05, 0.95, n)
-        theta = rng.uniform(0.2, 3.0, n)
+        th1 = rng.uniform(0.2, 3.0, n)
+        th2 = rng.uniform(0.2, 3.0, n)
         c21 = rng.random(n) < 0.5
         c12 = rng.random(n) < 0.5
+        strong_first = x1 >= x2
+        xs, xw = np.where(strong_first, x1, x2), np.where(strong_first, x2, x1)
+        th_s, th_w = np.where(strong_first, th1, th2), np.where(strong_first, th2, th1)
+        cross_s = np.where(strong_first, c12, c21)
+        cross_w = np.where(strong_first, c21, c12)
         ok_s = np.empty(n, dtype=bool)
         ok_w = np.empty(n, dtype=bool)
         for i in range(n):
             p_s = alpha[i] * total[i]
             p_w = total[i] - p_s
-            strong_first = x1[i] >= x2[i]
-            xs, xw = (x1[i], x2[i]) if strong_first else (x2[i], x1[i])
-            cross_s = c12[i] if strong_first else c21[i]
-            cross_w = c21[i] if strong_first else c12[i]
             ok_s[i], ok_w[i] = closed_form_pair(
-                xs, xw, p_s, p_w, theta[i], theta[i], cross_s, cross_w
+                xs[i], xw[i], p_s, p_w, th_s[i], th_w[i], cross_s[i], cross_w[i]
             )
-        got = [
-            noma_pair_outcomes(
-                x1[i], x2[i], total[i], alpha[i], theta[i], theta[i],
-                False, False, c21[i], c12[i],
-            )
-            for i in range(0, n, 997)
-        ]
-        for (g1, g2, strong1), i in zip(got, range(0, n, 997)):
-            strong_first = x1[i] >= x2[i]
-            want_1 = ok_s[i] if strong_first else ok_w[i]
-            want_2 = ok_w[i] if strong_first else ok_s[i]
-            assert bool(g1) == want_1 and bool(g2) == want_2
 
-        ok1, ok2, strong1 = noma_pair_outcomes(
-            x1, x2, total, alpha, theta, theta, False, False, c21, c12
+        a, b = gain_thresholds(
+            "canoma", total, alpha, th_s, th_w, False, False, cross_s, cross_w
         )
-        want_1 = np.where(strong1, ok_s, ok_w)
-        want_2 = np.where(strong1, ok_w, ok_s)
-        np.testing.assert_array_equal(ok1, want_1)
-        np.testing.assert_array_equal(ok2, want_2)
+        np.testing.assert_array_equal(xs >= a, ok_s)
+        np.testing.assert_array_equal(xw >= b, ok_w)
+        # scalar arguments broadcast to the same rule
+        for i in range(0, n, 997):
+            a_i, b_i = gain_thresholds(
+                "canoma", total[i], alpha[i], th_s[i], th_w[i], False, False,
+                cross_s[i], cross_w[i],
+            )
+            assert (bool(xs[i] >= a_i), bool(xw[i] >= b_i)) == (ok_s[i], ok_w[i])
 
     def test_scalar_decode_matches_batch(self):
         rng = np.random.Generator(np.random.Philox(7))
@@ -305,25 +360,58 @@ class TestClosedFormAgreement:
             alpha = float(rng.uniform(0.05, 0.95))
             hits = tuple(rng.random(2) < 0.3)
             cross = tuple(rng.random(2) < 0.5)
-            cache_aided = bool(rng.random() < 0.7)
             hit_power = "idle" if rng.random() < 0.3 else "reallocate"
+            thresholds = DecodeThresholds(
+                1.0, ((4, float(rng.uniform(0.2, 3.0))), (5, float(rng.uniform(0.2, 3.0))))
+            )
             scenario = scenario_with(self_hit=hits, cross=cross)
-            alloc = split_power(total, alpha, 2)
-            scalar = decode_noma(
-                list(x), alloc, UNIT_THETA, scenario,
-                cache_aided=cache_aided, self_hit_power=hit_power,
-            )
-            b1, b2, _ = noma_pair_outcomes(
-                x[0], x[1], total, alpha, 1.0, 1.0, hits[0], hits[1],
-                cross[0], cross[1], cache_aided=cache_aided, self_hit_power=hit_power,
-            )
-            assert scalar.ok == (bool(b1), bool(b2))
-            exploit = bool(rng.random() < 0.5)
-            scalar_oma = decode_oma(list(x), total, UNIT_THETA, scenario, cache_exploit=exploit)
-            o1, o2 = oma_pair_outcomes(
-                x[0], x[1], total, 1.0, 1.0, hits[0], hits[1], cache_exploit=exploit
-            )
-            assert scalar_oma.ok == (bool(o1), bool(o2))
+            ordering = order_users(x)
+            for scheme in SCHEMES:
+                args = (scheme, x, total, alpha, thresholds, scenario, ordering, hit_power)
+                assert rule_outcome(*args) == scalar_outcome(*args), args
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(
+        gains=st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)),
+        total=st.floats(1e-2, 1e3),
+        alpha=st.floats(0.01, 0.99),
+        thetas=st.tuples(st.floats(1e-3, 1e2), st.floats(1e-3, 1e2)),
+        hits=st.tuples(st.booleans(), st.booleans()),
+        cross=st.tuples(st.booleans(), st.booleans()),
+        ordering=st.sampled_from([(0, 1), (1, 0)]),
+        scheme=st.sampled_from(SCHEMES),
+        hit_power=st.sampled_from(["reallocate", "idle"]),
+    )
+    def test_rule_matches_scalar_decoder_property(
+        self, gains, total, alpha, thetas, hits, cross, ordering, scheme, hit_power
+    ):
+        """Property: ``gain >= threshold`` from the rule equals the SINR-level
+        decoder for random gains, flags, per-vehicle thresholds, alpha,
+        total power, ordering, scheme and power policy.
+
+        The only draws excluded are those whose gain lies within 8 ULPs of
+        a decode boundary (see :func:`near_boundary`), where the two
+        algebraically equal forms may round differently."""
+        p_s = alpha * total
+        p_w = total - p_s
+        conditions = []
+        for theta in thetas:
+            conditions.append((p_w, p_s, theta))  # SIC stage, plain weak decode
+            conditions += [(p, 0.0, theta) for p in (p_s, p_w, total)]  # interference-free
+            conditions += [
+                (total, 0.0, oma_effective_threshold(theta, share)) for share in (0.5, 1.0)
+            ]
+        assume(not any(near_boundary(g, conditions) for g in gains))
+        thresholds = DecodeThresholds(1.0, ((4, thetas[0]), (5, thetas[1])))
+        scenario = scenario_with(self_hit=hits, cross=cross)
+        args = (scheme, gains, total, alpha, thresholds, scenario, ordering, hit_power)
+        assert rule_outcome(*args) == scalar_outcome(*args)
+
+    def test_rejects_unknown_scheme_and_policy(self):
+        with pytest.raises(ParameterError):
+            gain_thresholds("tdma", 10.0, 0.2, 1.0, 1.0, False, False, False, False)
+        with pytest.raises(ParameterError):
+            gain_thresholds("canoma", 10.0, 0.2, 1.0, 1.0, False, False, False, False, "waste")
 
 
 class TestDecodeInvariants:

@@ -60,7 +60,9 @@ class TestPoint:
     @pytest.mark.parametrize(
         "flag,value",
         [("--zeta", "0"), ("--files", "0"), ("--theta", "-1"), ("--trials", "0"),
-         ("--cache", "99"), ("--seed", "-4"), ("--workers", "0")],
+         ("--cache", "99"), ("--seed", "-4"), ("--workers", "0"),
+         ("--snr-db", "4000"), ("--snr-db", "-4000"), ("--snr-db", "nan"),
+         ("--zeta", "inf"), ("--theta", "inf")],
     )
     def test_other_validation_failures(self, flag, value):
         code, _, err = run_cli(["point", flag, value])
@@ -118,10 +120,14 @@ class TestSweep:
         assert code == 2
         assert "'x'" in err
 
-    def test_out_of_range_grid_value(self):
-        code, _, err = run_cli(["sweep", "--sweep", "cache", "--grid", "0,12", *BASE])
+    @pytest.mark.parametrize(
+        "sweep,grid,bad",
+        [("cache", "0,12", "12"), ("snr_db", "0,4000", "4000"), ("snr_db", "0,-4000", "-4000")],
+    )
+    def test_out_of_range_grid_value(self, sweep, grid, bad):
+        code, _, err = run_cli(["sweep", "--sweep", sweep, "--grid", grid, *BASE])
         assert code == 2
-        assert "12" in err
+        assert bad in err
 
     def test_missing_sweep_flag_is_usage_error(self):
         code, _, _ = run_cli(["sweep", "--grid", "1,2", *BASE])

@@ -13,6 +13,7 @@ from canoma import (
     db_to_linear,
     decode_noma,
     decode_oma,
+    order_users,
     run_point,
     run_point_multi,
     split_power,
@@ -172,9 +173,20 @@ class TestEngineMatchesScalarPath:
     per-stage gammas) and pushes every trial through classify + decode.
     """
 
-    def test_all_schemes_elementwise(self):
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {},
+            {"thresholds": DecodeThresholds(1.0, ((1, 0.5), (3, 2.0)))},
+            {"cache": (2, 5)},
+            {"ordering": "fixed"},
+            {"self_hit_power": "idle"},
+        ],
+        ids=["default", "overrides", "unequal-caches", "fixed", "idle"],
+    )
+    def test_all_schemes_elementwise(self, over):
         n = 1500
-        cfg = config(n_trials=n, cache=3, seed=23)
+        cfg = config(**{"n_trials": n, "cache": 3, "seed": 23, **over})
         rng = _chunk_generator(cfg.seed, 0)
         u = rng.random((CHUNK, 2))
         gains = []
@@ -198,9 +210,15 @@ class TestEngineMatchesScalarPath:
         for t in range(n):
             trial_gains = [float(gains[0][t]), float(gains[1][t])]
             scenario = classify_scenario((int(r1[t]), int(r2[t])), caches)
+            ordering = order_users(trial_gains, cfg.ordering)
             want = {
-                "canoma": decode_noma(trial_gains, alloc, cfg.thresholds, scenario, cache_aided=True),
-                "noma": decode_noma(trial_gains, alloc, cfg.thresholds, scenario, cache_aided=False),
+                "canoma": decode_noma(
+                    trial_gains, alloc, cfg.thresholds, scenario, ordering,
+                    cache_aided=True, self_hit_power=cfg.self_hit_power,
+                ),
+                "noma": decode_noma(
+                    trial_gains, alloc, cfg.thresholds, scenario, ordering, cache_aided=False
+                ),
                 "oma-cache": decode_oma(trial_gains, cfg.rho, cfg.thresholds, scenario, cache_exploit=True),
                 "oma": decode_oma(trial_gains, cfg.rho, cfg.thresholds, scenario, cache_exploit=False),
             }
