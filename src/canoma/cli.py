@@ -12,9 +12,9 @@ Exit codes: 0 success, 1 internal error, 2 usage or validation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
-import math
 import sys
 
 from . import __version__
@@ -23,6 +23,7 @@ from .channel import LinkSpec
 from .engine import (
     METRICS,
     TrialConfig,
+    _config_at,
     db_to_linear,
     run_point_multi,
     sweep,
@@ -41,6 +42,16 @@ _SWEEP_NAMES = {
     "cache": "cache_size",
     "zeta": "zeta",
     "files": "catalog_t",
+}
+
+# TrialConfig field -> the flag that sets it
+_FIELD_FLAGS = {
+    "n_trials": "--trials",
+    "seed": "--seed",
+    "files": "--files",
+    "zeta": "--zeta",
+    "cache": "--cache",
+    "alpha": "--alpha",
 }
 
 # criterion grid for a bare `oracle-check`
@@ -145,31 +156,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _blame(flag: str, build, *args):
+    """``build(*args)``, with any ParameterError blamed on ``flag``."""
+    try:
+        return build(*args)
+    except ParameterError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
 def _config_from(args, scheme: str) -> TrialConfig:
-    if not (args.files >= 1):
-        raise UsageError(f"--files must be a positive integer, got {args.files}")
-    if not (0 <= args.cache <= args.files):
-        raise UsageError(f"--cache must lie in 0..{args.files} (files), got {args.cache}")
-    if not (math.isfinite(args.zeta) and args.zeta > 0):
-        raise UsageError(f"--zeta must be positive and finite, got {args.zeta}")
-    if not (0.0 < args.alpha < 1.0):
-        raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    if not (math.isfinite(args.theta) and args.theta > 0):
-        raise UsageError(f"--theta must be positive and finite, got {args.theta}")
-    if args.trials < 1:
-        raise UsageError(f"--trials must be a positive integer, got {args.trials}")
-    if not (0 <= args.seed < 2**64):
-        raise UsageError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
     if args.workers < 1:
         raise UsageError(f"--workers must be a positive integer, got {args.workers}")
     base = _parse_link_spec(args.link_spec, "--link-spec")
     link1 = _parse_link_spec(args.link_spec_1, "--link-spec-1") if args.link_spec_1 else base
     link2 = _parse_link_spec(args.link_spec_2, "--link-spec-2") if args.link_spec_2 else base
-    try:
-        rho = db_to_linear(args.snr_db)
-    except ParameterError as exc:
-        raise UsageError(f"--snr-db: {exc}") from None
-    return TrialConfig(
+    config = TrialConfig(
         n_trials=args.trials,
         seed=args.seed,
         scheme=scheme,
@@ -177,12 +178,19 @@ def _config_from(args, scheme: str) -> TrialConfig:
         zeta=args.zeta,
         cache=args.cache,
         alpha=args.alpha,
-        rho=rho,
-        thresholds=DecodeThresholds(default=args.theta),
+        rho=_blame("--snr-db", db_to_linear, args.snr_db),
+        thresholds=_blame("--theta", DecodeThresholds, args.theta),
         link_specs=(link1, link2),
         ordering=args.ordering,
         metric=args.metric,
     )
+    try:
+        config.validate()
+    except ParameterError as exc:
+        if exc.field not in _FIELD_FLAGS:
+            raise
+        raise UsageError(f"{_FIELD_FLAGS[exc.field]}: {exc}") from None
+    return config
 
 
 def _manifest(args, config: TrialConfig, schemes: tuple[str, ...]) -> list[str]:
@@ -255,10 +263,7 @@ def _parse_grid(text: str, cli_param: str) -> list:
     values = []
     for item in raw:
         try:
-            if cli_param in ("cache", "files"):
-                values.append(int(item))
-            else:
-                values.append(float(item))
+            values.append(int(item) if item.lstrip("+-").isdigit() else float(item))
         except ValueError:
             raise UsageError(f"--grid value {item!r} is not valid for sweep {cli_param}") from None
     return values
@@ -274,7 +279,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _check_points(args):
-    """Resolve the oracle-check point list: (files, cache, zeta, snr_db)."""
+    """Resolve the oracle-check schemes and the configurations to check."""
     explicit = any(
         v is not None
         for v in (args.snr_db, args.zeta, args.files, args.cache, args.scheme, args.schemes)
@@ -285,48 +290,39 @@ def _check_points(args):
         schemes = (args.scheme,)
     else:
         schemes = SCHEMES
-    if not explicit and args.sweep is None:
-        points = [
-            (files, cache, zeta, snr)
-            for snr in _DEFAULT_CHECK_SNR_DB
-            for zeta in _DEFAULT_CHECK_ZETA
-            for files, cache in _DEFAULT_CHECK_FILES_CACHE
-        ]
-        return points, schemes
+    if args.sweep is not None and args.grid is None:
+        raise UsageError("--sweep needs --grid")
+    if args.grid is not None and args.sweep is None:
+        raise UsageError("--grid needs --sweep")
 
     args.snr_db = 10.0 if args.snr_db is None else args.snr_db
     args.zeta = 0.8 if args.zeta is None else args.zeta
     args.files = 10 if args.files is None else args.files
     args.cache = 0 if args.cache is None else args.cache
+    base = _config_from(args, schemes[0])
     if args.sweep is not None:
-        if args.grid is None:
-            raise UsageError("--sweep needs --grid")
+        parameter = _SWEEP_NAMES[args.sweep]
         values = _parse_grid(args.grid, args.sweep)
-        points = []
-        for v in values:
-            point = {
-                "snr_db": (args.files, args.cache, args.zeta, float(v)),
-                "zeta": (args.files, args.cache, float(v), args.snr_db),
-                "files": (int(v), args.cache, args.zeta, args.snr_db),
-                "cache": (args.files, int(v), args.zeta, args.snr_db),
-            }[args.sweep]
-            points.append(point)
-        return points, schemes
-    return [(args.files, args.cache, args.zeta, args.snr_db)], schemes
+        return [_config_at(base, parameter, v) for v in values], schemes
+    if explicit:
+        return [base], schemes
+    configs = [_config_at(base, "snr_db", snr) for snr in _DEFAULT_CHECK_SNR_DB]
+    configs = [_config_at(c, "zeta", zeta) for c in configs for zeta in _DEFAULT_CHECK_ZETA]
+    configs = [
+        _config_at(_config_at(c, "catalog_t", files), "cache_size", cache)
+        for c in configs
+        for files, cache in _DEFAULT_CHECK_FILES_CACHE
+    ]
+    return configs, schemes
 
 
 def _cmd_oracle_check(args) -> int:
-    points, schemes = _check_points(args)
-    lines = None
+    configs, schemes = _check_points(args)
+    if args.oracle_alpha is not None:  # refused before any trial runs
+        _blame("--oracle-alpha", dataclasses.replace(configs[0], alpha=args.oracle_alpha).validate)
     all_ok = True
     rows = []
-    base_config = None
-    for files, cache, zeta, snr_db in points:
-        ns = argparse.Namespace(**vars(args))
-        ns.files, ns.cache, ns.zeta, ns.snr_db = files, cache, zeta, snr_db
-        config = _config_from(ns, schemes[0])
-        if base_config is None:
-            base_config = config
+    for config in configs:
         estimates = run_point_multi(config, schemes, workers=args.workers)
         for scheme in schemes:
             est = estimates[scheme]
@@ -353,10 +349,10 @@ def _cmd_oracle_check(args) -> int:
                 rows.append(
                     ",".join(
                         [
-                            _fmt(snr_db),
-                            _fmt(zeta),
-                            str(files),
-                            str(cache),
+                            _fmt(config.snr_db),
+                            _fmt(config.zeta),
+                            str(config.files),
+                            str(config.cache),
                             scheme,
                             metric,
                             _fmt(p_mc),
@@ -367,7 +363,7 @@ def _cmd_oracle_check(args) -> int:
                         ]
                     )
                 )
-    lines = _manifest(args, base_config, tuple(schemes))
+    lines = _manifest(args, configs[0], tuple(schemes))
     lines.append(_ORACLE_HEADER)
     lines.extend(rows)
     _write(lines)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -46,7 +47,6 @@ __all__ = [
 
 CHUNK = 1 << 16
 METRICS = ("marg-product", "joint")
-SWEEP_PARAMETERS = ("snr_db", "cache_size", "zeta", "catalog_t")
 ORDERING_POLICIES = ("by-gain", "fixed")
 
 DEFAULT_LINK_SPEC = LinkSpec.from_pairs([(1.0, 1.0), (2.0, 2.0)])
@@ -105,39 +105,35 @@ class TrialConfig:
         return linear_to_db(self.rho)
 
     def validate(self) -> None:
+        def bad(name: str, requirement: str) -> ParameterError:
+            return ParameterError(f"{name} must {requirement}, got {getattr(self, name)!r}", name)
+
         if not isinstance(self.n_trials, int) or self.n_trials < 1:
-            raise ParameterError(f"n_trials must be a positive integer, got {self.n_trials!r}")
+            raise bad("n_trials", "be a positive integer")
         if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+            raise bad("seed", "be a 64-bit unsigned integer")
         if self.scheme not in SCHEMES:
-            raise ParameterError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            raise bad("scheme", f"be one of {SCHEMES}")
         if not isinstance(self.files, int) or self.files < 1:
-            raise ParameterError(f"files must be a positive integer, got {self.files!r}")
+            raise bad("files", "be a positive integer")
         if not (math.isfinite(self.zeta) and self.zeta > 0):
-            raise ParameterError(f"zeta must be positive, got {self.zeta!r}")
-        for c in self.capacities:
-            if not isinstance(c, int) or not (0 <= c <= self.files):
-                raise ParameterError(
-                    f"cache capacity must lie in 0..{self.files}, got {c!r}"
-                )
+            raise bad("zeta", "be positive")
+        if not all(isinstance(c, int) and 0 <= c <= self.files for c in self.capacities):
+            raise bad("cache", f"lie in 0..{self.files}")
         if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
-            raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+            raise bad("alpha", "lie in (0, 1)")
         if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ParameterError(f"rho must be positive, got {self.rho!r}")
+            raise bad("rho", "be positive")
         if self.ordering not in ORDERING_POLICIES:
-            raise ParameterError(
-                f"ordering must be one of {ORDERING_POLICIES}, got {self.ordering!r}"
-            )
+            raise bad("ordering", f"be one of {ORDERING_POLICIES}")
         if self.metric not in METRICS:
-            raise ParameterError(f"metric must be one of {METRICS}, got {self.metric!r}")
+            raise bad("metric", f"be one of {METRICS}")
         if len(self.link_specs) != 2 or not all(isinstance(s, LinkSpec) for s in self.link_specs):
-            raise ParameterError("link_specs must be a pair of LinkSpec")
+            raise bad("link_specs", "be a pair of LinkSpec")
         if self.zipf_convention not in ("reciprocal", "direct"):
-            raise ParameterError(f"unknown zipf convention {self.zipf_convention!r}")
+            raise bad("zipf_convention", "be 'reciprocal' or 'direct'")
         if self.self_hit_power not in ("reallocate", "idle"):
-            raise ParameterError(
-                f"self_hit_power must be 'reallocate' or 'idle', got {self.self_hit_power!r}"
-            )
+            raise bad("self_hit_power", "be 'reallocate' or 'idle'")
 
 
 @dataclass(frozen=True)
@@ -285,6 +281,12 @@ def _run_chunk(args):
     return out
 
 
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _simulate(
     config: TrialConfig,
     schemes: Sequence[str],
@@ -323,10 +325,12 @@ def _simulate(
         )
         for c in range(n_chunks)
     ]
-    if workers <= 1 or n_chunks == 1:
+    # more processes than chunks or CPUs only adds fork cost
+    pool_size = min(workers, n_chunks, _available_cpus())
+    if pool_size <= 1:
         chunk_results = [_run_chunk(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             chunk_results = list(pool.map(_run_chunk, tasks))
 
     results = {}
@@ -381,46 +385,36 @@ def run_point_multi(
     return out
 
 
+def _integral(value) -> int:
+    v = int(value)
+    if v != value:
+        raise ParameterError("must be an integer")
+    return v
+
+
+# sweep parameter -> (TrialConfig field, grid value -> field value)
+_SWEEP_FIELDS = {
+    "snr_db": ("rho", lambda v: db_to_linear(float(v))),
+    "cache_size": ("cache", _integral),
+    "zeta": ("zeta", float),
+    "catalog_t": ("files", _integral),
+}
+SWEEP_PARAMETERS = tuple(_SWEEP_FIELDS)
+
+
 def _config_at(config: TrialConfig, parameter: str, value) -> TrialConfig:
-    if parameter == "snr_db":
-        return dataclasses.replace(config, rho=db_to_linear(float(value)))
-    if parameter == "cache_size":
-        return dataclasses.replace(config, cache=int(value))
-    if parameter == "zeta":
-        return dataclasses.replace(config, zeta=float(value))
-    if parameter == "catalog_t":
-        return dataclasses.replace(config, files=int(value))
-    raise ParameterError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}")
-
-
-def _validate_grid_value(config: TrialConfig, parameter: str, value) -> float:
-    def bad(reason: str):
-        return ParameterError(f"grid value {value!r} invalid for {parameter}: {reason}")
-
-    if parameter == "snr_db":
-        v = float(value)
-        try:
-            db_to_linear(v)
-        except ParameterError as exc:
-            raise bad(str(exc)) from None
-        return v
-    if parameter == "cache_size":
-        v = int(value)
-        if v != value or not (0 <= v <= config.files):
-            raise bad(f"cache capacity must be an integer in 0..{config.files}")
-        return float(v)
-    if parameter == "zeta":
-        v = float(value)
-        if not (math.isfinite(v) and v > 0):
-            raise bad("zeta must be positive")
-        return v
-    if parameter == "catalog_t":
-        v = int(value)
-        cmax = max(config.capacities)
-        if v != value or v < 1 or v < cmax:
-            raise bad(f"catalog size must be an integer >= max(1, cache {cmax})")
-        return float(v)
-    raise ParameterError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}")
+    """``config`` with ``parameter`` set to the grid value, validated."""
+    if parameter not in _SWEEP_FIELDS:
+        raise ParameterError(
+            f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}"
+        )
+    name, convert = _SWEEP_FIELDS[parameter]
+    try:
+        cfg = dataclasses.replace(config, **{name: convert(value)})
+        cfg.validate()
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"grid value {value!r} invalid for {parameter}: {exc}") from None
+    return cfg
 
 
 def sweep(
@@ -442,18 +436,17 @@ def sweep(
     schemes = tuple(schemes)
     if not schemes:
         raise ParameterError("at least one scheme is required")
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ParameterError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    grid = list(grid)
-    if not grid:
+    # every grid value is checked before any trial runs
+    configs = {}
+    for value in grid:
+        configs[float(value)] = _config_at(config, parameter, value)
+    if not configs:
         raise ParameterError("sweep grid must not be empty")
-    values = sorted({_validate_grid_value(config, parameter, v) for v in grid})
+    values = sorted(configs)
 
     rows = []
     for value in values:
-        cfg = _config_at(config, parameter, value)
-        estimates = run_point_multi(cfg, schemes, workers=workers)
+        estimates = run_point_multi(configs[value], schemes, workers=workers)
         for scheme in sorted(schemes):
             est = estimates[scheme]
             rows.append(

@@ -6,7 +6,12 @@ class CanomaError(Exception):
 
 
 class ParameterError(CanomaError, ValueError):
-    """A parameter is outside its documented domain."""
+    """A parameter is outside its documented domain; ``field`` names the
+    ``TrialConfig`` field to blame, if any."""
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 class OracleUnsupportedError(CanomaError):

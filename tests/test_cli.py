@@ -5,6 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import canoma.cli as cli
 from canoma import __version__
 from canoma.cli import main
 
@@ -121,13 +122,25 @@ class TestSweep:
         assert "'x'" in err
 
     @pytest.mark.parametrize(
-        "sweep,grid,bad",
-        [("cache", "0,12", "12"), ("snr_db", "0,4000", "4000"), ("snr_db", "0,-4000", "-4000")],
+        "command,sweep,grid,bad",
+        [
+            # ids name the command only for oracle-check
+            pytest.param(
+                command, *case, id="-".join(case if command == "sweep" else (command,) + case)
+            )
+            for command in ("sweep", "oracle-check")
+            # BASE sets --cache 2, which a one-file catalog cannot hold
+            for case in (("cache", "0,12", "12"), ("snr_db", "0,4000", "4000"),
+                         ("snr_db", "0,-4000", "-4000"), ("zeta", "0.5,0", "0"),
+                         ("files", "1", "1"))
+        ],
     )
-    def test_out_of_range_grid_value(self, sweep, grid, bad):
-        code, _, err = run_cli(["sweep", "--sweep", sweep, "--grid", grid, *BASE])
+    def test_out_of_range_grid_value(self, command, sweep, grid, bad):
+        code, _, err = run_cli([command, "--sweep", sweep, "--grid", grid, *BASE])
         assert code == 2
-        assert bad in err
+        # the grid value is to blame, not a flag
+        assert f"grid value {bad} invalid for" in err
+        assert "--" not in err
 
     def test_missing_sweep_flag_is_usage_error(self):
         code, _, _ = run_cli(["sweep", "--grid", "1,2", *BASE])
@@ -185,6 +198,21 @@ class TestOracleCheck:
         )
         assert code == 3
         assert any(r.endswith("FAIL") for r in data_rows(out)[1:])
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [(["--grid", "1,2"], "--grid"), (["--sweep", "cache"], "--grid"),
+         (["--scheme", "canoma", "--oracle-alpha", "1.5"], "--oracle-alpha"),
+         (["--scheme", "canoma", "--oracle-alpha", "nan"], "--oracle-alpha")],
+    )
+    def test_refused_before_any_trial(self, monkeypatch, argv, flag):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran before the input was refused")
+
+        monkeypatch.setattr(cli, "run_point_multi", no_trials)
+        code, _, err = run_cli(["oracle-check", *argv])
+        assert code == 2
+        assert flag in err
 
     def test_heterogeneous_links_by_gain_unsupported(self):
         code, _, err = run_cli(

@@ -22,6 +22,7 @@ from canoma import (
     sweep,
     zipf_profile,
 )
+import canoma.engine as engine
 from canoma.content import request_from_uniform
 from canoma.engine import CHUNK, _chunk_generator
 
@@ -88,8 +89,9 @@ class TestConfigValidation:
         ],
     )
     def test_rejects_bad_fields(self, field, value):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as exc:
             dataclasses.replace(config(), **{field: value}).validate()
+        assert exc.value.field == field
 
     def test_accepts_defaults(self):
         TrialConfig().validate()
@@ -114,6 +116,30 @@ class TestRunPoint:
         est3, out3 = run_point(cfg, workers=3, return_outcomes=True)
         assert est1 == est3
         np.testing.assert_array_equal(out1, out3)
+
+    @pytest.mark.parametrize("cpus,pool_sizes", [(8, [3]), (2, [2]), (1, [])])
+    def test_worker_pool_is_capped(self, monkeypatch, cpus, pool_sizes):
+        # a serial stand-in for the pool: records its size, starts no process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(engine, "_available_cpus", lambda: cpus)
+        cfg = config(n_trials=3 * CHUNK)
+        assert run_point(cfg, workers=100_000) == run_point(cfg)
+        assert sizes == pool_sizes
 
     def test_vanishing_threshold_saturates(self):
         cfg = config(thresholds=DecodeThresholds(default=1e-12), cache=0)
