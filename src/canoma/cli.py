@@ -164,7 +164,13 @@ def _blame(flag: str, build, *args):
         raise UsageError(f"{flag}: {exc}") from None
 
 
-def _config_from(args, scheme: str) -> TrialConfig:
+def _config_from(args, scheme: str, parameter: str | None = None, values=()) -> TrialConfig:
+    """The configuration the flags give, checked.
+
+    Under a sweep of ``parameter`` the swept field is taken from the grid:
+    the flags need only hold at every grid value, and a failure is blamed
+    on a flag only when the flags fail the same way without the grid.
+    """
     if args.workers < 1:
         raise UsageError(f"--workers must be a positive integer, got {args.workers}")
     base = _parse_link_spec(args.link_spec, "--link-spec")
@@ -186,11 +192,20 @@ def _config_from(args, scheme: str) -> TrialConfig:
     )
     try:
         config.validate()
+        return config
     except ParameterError as exc:
-        if exc.field not in _FIELD_FLAGS:
-            raise
-        raise UsageError(f"{_FIELD_FLAGS[exc.field]}: {exc}") from None
-    return config
+        flag_error = exc
+    if parameter is not None:
+        try:
+            for value in values:
+                _config_at(config, parameter, value)
+            return config  # the flags hold at every grid value
+        except ParameterError as exc:
+            if str(exc.__cause__) != str(flag_error):
+                raise  # a grid value's own failure
+    if flag_error.field not in _FIELD_FLAGS:
+        raise flag_error
+    raise UsageError(f"{_FIELD_FLAGS[flag_error.field]}: {flag_error}") from None
 
 
 def _manifest(args, config: TrialConfig, schemes: tuple[str, ...]) -> list[str]:
@@ -271,9 +286,10 @@ def _parse_grid(text: str, cli_param: str) -> list:
 
 def _cmd_sweep(args) -> int:
     schemes = _parse_schemes(args.schemes)
-    config = _config_from(args, schemes[0])
+    parameter = _SWEEP_NAMES[args.sweep]
     values = _parse_grid(args.grid, args.sweep)
-    table = sweep(config, _SWEEP_NAMES[args.sweep], values, schemes, workers=args.workers)
+    config = _config_from(args, schemes[0], parameter, values)
+    table = sweep(config, parameter, values, schemes, workers=args.workers)
     _write_table(args, config, schemes, table)
     return 0
 
@@ -299,11 +315,12 @@ def _check_points(args):
     args.zeta = 0.8 if args.zeta is None else args.zeta
     args.files = 10 if args.files is None else args.files
     args.cache = 0 if args.cache is None else args.cache
-    base = _config_from(args, schemes[0])
     if args.sweep is not None:
         parameter = _SWEEP_NAMES[args.sweep]
         values = _parse_grid(args.grid, args.sweep)
+        base = _config_from(args, schemes[0], parameter, values)
         return [_config_at(base, parameter, v) for v in values], schemes
+    base = _config_from(args, schemes[0])
     if explicit:
         return [base], schemes
     configs = [_config_at(base, "snr_db", snr) for snr in _DEFAULT_CHECK_SNR_DB]

@@ -3,8 +3,8 @@
 Files 1..T at the base station carry a Zipf-derived popularity profile;
 every vehicle caches the top-C most popular files during the placement
 phase and requests one file per delivery trial.  A trial's cache
-scenario records, per vehicle, whether its own request is self-cached,
-which other vehicles hold it, and which requests coincide.
+scenario records, per vehicle, whether its own request is self-cached
+and which other vehicles hold it.
 
 Requests are sampled by inverse CDF on the cumulative probability table.
 This is deliberate: under shared uniforms the sampled index is monotone
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from numbers import Integral
 
 import numpy as np
 
@@ -116,14 +117,10 @@ class CacheScenario:
     requests: tuple[int, ...]
     self_hit: tuple[bool, ...]
     cross: tuple[tuple[bool, ...], ...]
-    same_file: tuple[tuple[bool, ...], ...]
 
     def cross_cached(self, i: int, j: int) -> bool:
         """True when vehicle ``j`` holds vehicle ``i``'s requested file."""
         return self.cross[i][j]
-
-    def same(self, i: int, j: int) -> bool:
-        return self.same_file[i][j]
 
     def two_vehicle_class(self) -> "ScenarioClass":
         if len(self.requests) != 2:
@@ -133,19 +130,21 @@ class CacheScenario:
             self_hit_2=self.self_hit[1],
             cross_2_holds_1=self.cross[0][1],
             cross_1_holds_2=self.cross[1][0],
-            same_file=self.same_file[0][1],
         )
 
 
 @dataclass(frozen=True)
 class ScenarioClass:
-    """Distinguishable two-vehicle scenario: the five classification flags."""
+    """Distinguishable two-vehicle scenario: the four cache flags.
+
+    Whether the two requests coincide is not a flag: no decode rule
+    reads it.
+    """
 
     self_hit_1: bool
     self_hit_2: bool
     cross_2_holds_1: bool
     cross_1_holds_2: bool
-    same_file: bool
 
     def self_hit(self, vehicle: int) -> bool:
         return self.self_hit_1 if vehicle == 0 else self.self_hit_2
@@ -180,15 +179,19 @@ def zipf_profile(catalog: Catalog, zeta: float, convention: str = "reciprocal") 
     return PopularityProfile(weights / weights.sum())
 
 
-def place_cache(profile: PopularityProfile, capacity: int) -> CacheContents:
-    """Deterministic top-C placement: cache files {1, ..., capacity}."""
-    capacity = int(capacity)
-    if capacity < 0:
-        raise ParameterError(f"cache capacity must be non-negative, got {capacity}")
+def _checked_capacity(profile: PopularityProfile, capacity) -> int:
+    if not isinstance(capacity, Integral) or capacity < 0:
+        raise ParameterError(f"cache capacity must be a non-negative integer, got {capacity!r}")
     if capacity > profile.t:
         raise ParameterError(
             f"cache capacity {capacity} exceeds catalog size {profile.t}"
         )
+    return int(capacity)
+
+
+def place_cache(profile: PopularityProfile, capacity: int) -> CacheContents:
+    """Deterministic top-C placement: cache files {1, ..., capacity}."""
+    capacity = _checked_capacity(profile, capacity)
     return CacheContents(files=frozenset(range(1, capacity + 1)), capacity=capacity)
 
 
@@ -215,8 +218,7 @@ def sample_request(profile: PopularityProfile, rng: np.random.Generator, size=No
 def classify_scenario(requests, caches) -> CacheScenario:
     """Classify one trial's requests against per-vehicle cache contents.
 
-    Every flag is plain set membership; ``same_file[i][j]`` is True iff
-    the two requests coincide.
+    Every flag is plain set membership.
     """
     requests = tuple(int(r) for r in requests)
     caches = tuple(caches)
@@ -229,59 +231,42 @@ def classify_scenario(requests, caches) -> CacheScenario:
     cross = tuple(
         tuple(requests[i] in caches[j] for j in range(n)) for i in range(n)
     )
-    same = tuple(
-        tuple(requests[i] == requests[j] for j in range(n)) for i in range(n)
-    )
-    return CacheScenario(requests=requests, self_hit=self_hit, cross=cross, same_file=same)
+    return CacheScenario(requests=requests, self_hit=self_hit, cross=cross)
 
 
-def scenario_distribution(profile: PopularityProfile, caches) -> dict[ScenarioClass, float]:
-    """Exact two-vehicle scenario-class probabilities under i.i.d. requests.
+def scenario_distribution(
+    profile: PopularityProfile, capacities: tuple[int, int]
+) -> dict[ScenarioClass, float]:
+    """Exact two-vehicle scenario-class probabilities under i.i.d. requests
+    and top-C placement with the two given capacities.
 
-    Files are partitioned into regions by (in cache 1, in cache 2)
-    membership; summing profile masses and squared masses per region
-    gives every class probability exactly.  The returned probabilities
-    sum to 1 within 1e-12.
+    With ``lo, hi = sorted(capacities)`` the files fall into at most three
+    regions: ``[0:lo]`` in both caches, ``[lo:hi]`` in the larger cache
+    only, ``[hi:T]`` in neither.  A class fixes the region of each request,
+    so its probability is the product of two region masses.  Regions of
+    zero mass are left out, so at most 9 classes remain; their
+    probabilities sum to 1 within 1e-12.
     """
-    caches = tuple(caches)
-    if len(caches) != 2:
+    capacities = tuple(capacities)
+    if len(capacities) != 2:
         raise ParameterError("scenario_distribution enumerates exactly two vehicles")
+    c1, c2 = (_checked_capacity(profile, c) for c in capacities)
+    lo, hi = sorted((c1, c2))
     probs = profile.probs
-    mass: dict[tuple[bool, bool], float] = {}
-    sq_mass: dict[tuple[bool, bool], float] = {}
-    for f in range(1, profile.t + 1):
-        label = (f in caches[0], f in caches[1])
-        p = probs[f - 1]
-        mass[label] = mass.get(label, 0.0) + p
-        sq_mass[label] = sq_mass.get(label, 0.0) + p * p
-
-    dist: dict[ScenarioClass, float] = {}
-
-    def _add(cls: ScenarioClass, p: float) -> None:
-        if p > 0.0:
-            dist[cls] = dist.get(cls, 0.0) + p
-
-    for lab1, m1 in mass.items():
-        for lab2, m2 in mass.items():
-            p_distinct = m1 * m2 - (sq_mass[lab1] if lab1 == lab2 else 0.0)
-            _add(
-                ScenarioClass(
-                    self_hit_1=lab1[0],
-                    self_hit_2=lab2[1],
-                    cross_2_holds_1=lab1[1],
-                    cross_1_holds_2=lab2[0],
-                    same_file=False,
-                ),
-                p_distinct,
-            )
-        _add(
-            ScenarioClass(
-                self_hit_1=lab1[0],
-                self_hit_2=lab1[1],
-                cross_2_holds_1=lab1[1],
-                cross_1_holds_2=lab1[0],
-                same_file=True,
-            ),
-            sq_mass[lab1],
-        )
-    return dist
+    # (in cache 1, in cache 2) of every file in a region, and its mass
+    regions = [
+        ((True, True), probs[:lo].sum()),
+        ((c1 > c2, c2 > c1), probs[lo:hi].sum()),
+        ((False, False), probs[hi:].sum()),
+    ]
+    regions = [(held, float(mass)) for held, mass in regions if mass > 0.0]
+    return {
+        ScenarioClass(
+            self_hit_1=held1[0],
+            self_hit_2=held2[1],
+            cross_2_holds_1=held1[1],
+            cross_1_holds_2=held2[0],
+        ): mass1 * mass2
+        for held1, mass1 in regions
+        for held2, mass2 in regions
+    }

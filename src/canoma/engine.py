@@ -118,7 +118,9 @@ class TrialConfig:
             raise bad("files", "be a positive integer")
         if not (math.isfinite(self.zeta) and self.zeta > 0):
             raise bad("zeta", "be positive")
-        if not all(isinstance(c, int) and 0 <= c <= self.files for c in self.capacities):
+        if not all(isinstance(c, int) and c >= 0 for c in self.capacities):
+            raise bad("cache", "be a non-negative integer")
+        if not all(c <= self.files for c in self.capacities):
             raise bad("cache", f"lie in 0..{self.files}")
         if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
             raise bad("alpha", "lie in (0, 1)")
@@ -413,7 +415,7 @@ def _config_at(config: TrialConfig, parameter: str, value) -> TrialConfig:
         cfg = dataclasses.replace(config, **{name: convert(value)})
         cfg.validate()
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"grid value {value!r} invalid for {parameter}: {exc}") from None
+        raise ParameterError(f"grid value {value!r} invalid for {parameter}: {exc}") from exc
     return cfg
 
 
@@ -428,9 +430,9 @@ def sweep(
 
     All runs reuse the same trial-indexed randomness, so comparisons
     down the grid are coupled by common random numbers.  Rows are sorted
-    by grid value, then scheme name.
+    by grid value, then scheme name.  ``config`` need only be valid with
+    the swept field taken from each grid value.
     """
-    config.validate()
     if schemes is None:
         schemes = (config.scheme,)
     schemes = tuple(schemes)

@@ -38,7 +38,7 @@ from .access import (
     split_power,
 )
 from .channel import LinkSpec
-from .content import place_cache, scenario_distribution, zipf_profile
+from .content import ScenarioClass, scenario_distribution, zipf_profile
 from .errors import OracleUnsupportedError, ParameterError
 
 __all__ = [
@@ -51,6 +51,11 @@ __all__ = [
     "conditional_success_prob",
     "success_prob",
 ]
+
+# CCDF values kept per process; one success_prob call needs a few dozen,
+# and new thresholds (every new SNR) evict the oldest
+_CCDF_MEMO_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class GainThresholdEvent:
@@ -104,7 +109,7 @@ def _gamma_logpdf(g: np.ndarray, shape: float, scale: float) -> np.ndarray:
     return xlogy(shape - 1.0, g) - g / scale - gammaln(shape) - shape * math.log(scale)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CCDF_MEMO_SIZE)
 def _product_ccdf_two_stage(spec: LinkSpec, x: float) -> float:
     """P(G1 * G2 > x) = integral of ccdf_1(x/g) * pdf_2(g) dg over g > 0."""
     s1, s2 = spec.stages
@@ -140,35 +145,21 @@ def product_gain_ccdf(spec: LinkSpec, x: float) -> float:
     )
 
 
-def _theta_pair(thresholds: DecodeThresholds, scenario) -> tuple[float, float]:
-    requests = getattr(scenario, "requests", None)
-    if requests is not None:
-        return (thresholds.theta_for(requests[0]), thresholds.theta_for(requests[1]))
-    theta = thresholds.uniform_value()
-    if theta is None:
-        raise OracleUnsupportedError(
-            "per-file threshold overrides need explicit requests; "
-            "scenario classes support a single shared threshold only"
-        )
-    return (theta, theta)
-
-
 def reduce_to_gain_event(
     scheme: str,
     alloc: PowerAllocation,
     thresholds: DecodeThresholds,
-    scenario,
+    scenario: ScenarioClass,
     ordering: tuple[int, int] = (0, 1),
     self_hit_power: str = "reallocate",
 ) -> GainThresholdEvent:
-    """Reduce one scenario's decode conditions to per-position gain
+    """Reduce one scenario class's decode conditions to per-position gain
     thresholds for two vehicles.
 
-    ``scenario`` is either a :class:`~canoma.content.CacheScenario`
-    (per-file thresholds resolved through its requests) or a
-    :class:`~canoma.content.ScenarioClass` (shared threshold only).
-    ``ordering`` maps positions (strong, weak) to vehicle indices.  The
-    flags and thresholds are resolved here; the reduction itself is
+    A class does not say which files were requested, so ``thresholds``
+    must be one value shared by every file; per-file overrides raise
+    :class:`OracleUnsupportedError`.  ``ordering`` maps positions
+    (strong, weak) to vehicle indices.  The reduction itself is
     :func:`~canoma.access.gain_thresholds`, the same rule the Monte Carlo
     engine applies per trial.
     """
@@ -176,21 +167,21 @@ def reduce_to_gain_event(
         raise ParameterError(f"ordering must be a permutation of (0, 1), got {ordering!r}")
     if len(alloc.powers) != 2:
         raise ParameterError("gain-event reduction covers exactly two vehicles")
-
-    theta_by_vehicle = _theta_pair(thresholds, scenario)
+    theta = thresholds.uniform_value()
+    if theta is None:
+        raise OracleUnsupportedError(
+            "per-file threshold overrides are outside oracle support; "
+            "scenario classes support a single shared threshold only"
+        )
     s, w = ordering
-    if hasattr(scenario, "requests"):
-        hit = scenario.self_hit
-    else:
-        hit = (scenario.self_hit(0), scenario.self_hit(1))
     a, b = gain_thresholds(
         scheme,
         alloc.total,
         alloc.alpha,
-        theta_by_vehicle[s],
-        theta_by_vehicle[w],
-        hit[s],
-        hit[w],
+        theta,
+        theta,
+        scenario.self_hit(s),
+        scenario.self_hit(w),
         scenario.cross_cached(w, s),  # strong holds weak's file
         scenario.cross_cached(s, w),  # weak holds strong's file
         self_hit_power,
@@ -260,8 +251,7 @@ def success_prob(
     if thresholds is None:
         thresholds = DecodeThresholds()
     profile = zipf_profile(catalog_t, zeta, zipf_convention)
-    caches = tuple(place_cache(profile, c) for c in capacities)
-    classes = scenario_distribution(profile, caches)
+    classes = scenario_distribution(profile, capacities)
     alloc = split_power(total, alpha, 2)
 
     if policy == "by-gain":

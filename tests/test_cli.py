@@ -142,6 +142,26 @@ class TestSweep:
         assert f"grid value {bad} invalid for" in err
         assert "--" not in err
 
+    @pytest.mark.parametrize("command", ["sweep", "oracle-check"])
+    def test_swept_flag_is_taken_from_the_grid(self, command):
+        # --cache 15 exceeds --files 10 but fits every swept catalog
+        code, out, err = run_cli(
+            [command, "--schemes", "canoma", "--sweep", "files", "--grid", "20,50",
+             *BASE, "--cache", "15"]
+        )
+        assert code == 0, err
+        assert len(data_rows(out)) == 1 + (2 if command == "sweep" else 4)
+
+    @pytest.mark.parametrize("command", ["sweep", "oracle-check"])
+    @pytest.mark.parametrize("flag,value", [("--alpha", "1.5"), ("--cache", "-1")])
+    def test_non_swept_flag_is_named(self, command, flag, value):
+        code, _, err = run_cli(
+            [command, "--sweep", "files", "--grid", "20,50", *BASE, flag, value]
+        )
+        assert code == 2
+        assert err.startswith(f"error: {flag}: ")
+        assert "grid value" not in err
+
     def test_missing_sweep_flag_is_usage_error(self):
         code, _, _ = run_cli(["sweep", "--grid", "1,2", *BASE])
         assert code == 2

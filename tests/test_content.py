@@ -9,6 +9,7 @@ from canoma import (
     CacheContents,
     ParameterError,
     PopularityProfile,
+    ScenarioClass,
     classify_scenario,
     place_cache,
     request_from_uniform,
@@ -146,12 +147,10 @@ class TestClassifyScenario:
         assert scenario.self_hit == (True, False)
         assert scenario.cross_cached(0, 1) is False  # vehicle 2 lacks file 3
         assert scenario.cross_cached(1, 0) is False  # vehicle 1 lacks file 7
-        assert scenario.same(0, 1) is False
 
     def test_coinciding_requests(self):
         empty = CacheContents(files=frozenset(), capacity=0)
         scenario = classify_scenario((5, 5), (empty, empty))
-        assert scenario.same(0, 1)
         assert scenario.self_hit == (False, False)
 
     def test_empty_caches_have_no_hits(self):
@@ -160,7 +159,6 @@ class TestClassifyScenario:
         assert scenario.self_hit == (False, False)
         assert not scenario.cross_cached(0, 1)
         assert not scenario.cross_cached(1, 0)
-        assert scenario.same(0, 1)
 
     def test_cross_cache_without_self_hit(self):
         scenario = classify_scenario(
@@ -182,35 +180,46 @@ class TestClassifyScenario:
 class TestScenarioDistribution:
     def test_full_caches_always_self_hit(self):
         profile = zipf_profile(4, 0.7)
-        caches = (place_cache(profile, 4), place_cache(profile, 4))
-        dist = scenario_distribution(profile, caches)
+        dist = scenario_distribution(profile, (4, 4))
         both = sum(p for cls, p in dist.items() if cls.self_hit_1 and cls.self_hit_2)
         assert both == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_two_files_no_cache(self):
         profile = zipf_profile(2, 1e12)
-        caches = (place_cache(profile, 0), place_cache(profile, 0))
-        dist = scenario_distribution(profile, caches)
-        same = sum(p for cls, p in dist.items() if cls.same_file)
-        assert same == pytest.approx(0.5, abs=1e-9)
-        assert all(
-            not (cls.self_hit_1 or cls.self_hit_2 or cls.cross_2_holds_1 or cls.cross_1_holds_2)
-            for cls in dist
-        )
+        dist = scenario_distribution(profile, (0, 0))
+        assert dist == {ScenarioClass(False, False, False, False): pytest.approx(1.0, abs=1e-12)}
 
     def test_top_one_hit_mass(self):
         profile = zipf_profile(3, 1.0)
-        caches = (place_cache(profile, 1), place_cache(profile, 1))
-        dist = scenario_distribution(profile, caches)
+        dist = scenario_distribution(profile, (1, 1))
         hit1 = sum(p for cls, p in dist.items() if cls.self_hit_1)
         assert hit1 == pytest.approx(6 / 11, abs=1e-14)
 
     @pytest.mark.parametrize("c1,c2", [(0, 0), (2, 2), (2, 5), (7, 3)])
     def test_probabilities_sum_to_one(self, c1, c2):
         profile = zipf_profile(9, 0.8)
-        caches = (place_cache(profile, c1), place_cache(profile, c2))
-        dist = scenario_distribution(profile, caches)
+        dist = scenario_distribution(profile, (c1, c2))
         assert abs(sum(dist.values()) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("t", [1, 2, 7])
+    @pytest.mark.parametrize("convention", ["reciprocal", "direct"])
+    def test_matches_pairwise_enumeration(self, t, convention):
+        # every request pair classified by set membership, summed per class
+        profile = zipf_profile(t, 0.8, convention)
+        for c1, c2 in [(0, 0), (0, t), (2, 5), (5, 2), (t, t)]:
+            if max(c1, c2) > t:
+                continue
+            caches = (place_cache(profile, c1), place_cache(profile, c2))
+            expected: dict = {}
+            for r1 in range(1, t + 1):
+                for r2 in range(1, t + 1):
+                    cls = classify_scenario((r1, r2), caches).two_vehicle_class()
+                    p = profile.probs[r1 - 1] * profile.probs[r2 - 1]
+                    expected[cls] = expected.get(cls, 0.0) + p
+            dist = scenario_distribution(profile, (c1, c2))
+            assert dist.keys() == expected.keys(), (c1, c2)
+            for cls, p in expected.items():
+                assert abs(dist[cls] - p) <= 1e-15, (c1, c2, cls)
 
     def test_matches_empirical_frequencies(self):
         # a million sampled trials, counted per class, within 4 standard
@@ -219,7 +228,7 @@ class TestScenarioDistribution:
         n = 1_000_000
         profile = zipf_profile(6, 0.8)
         caches = (place_cache(profile, 2), place_cache(profile, 3))
-        dist = scenario_distribution(profile, caches)
+        dist = scenario_distribution(profile, (2, 3))
         rng = make_rng(17)
         r1 = sample_request(profile, rng, size=n)
         r2 = sample_request(profile, rng, size=n)
@@ -232,20 +241,16 @@ class TestScenarioDistribution:
             assert cls.self_hit_2 == (r2[i] <= 3)
             assert cls.cross_2_holds_1 == (r1[i] <= 3)
             assert cls.cross_1_holds_2 == (r2[i] <= 2)
-            assert cls.same_file == (r1[i] == r2[i])
 
-        keys = np.stack(
-            [r1 <= 2, r2 <= 3, r1 <= 3, r2 <= 2, r1 == r2], axis=1
-        )
-        packed = keys @ (1 << np.arange(5))
-        counts = np.bincount(packed, minlength=32)
+        keys = np.stack([r1 <= 2, r2 <= 3, r1 <= 3, r2 <= 2], axis=1)
+        packed = keys @ (1 << np.arange(4))
+        counts = np.bincount(packed, minlength=16)
         for cls, p in dist.items():
             code = (
                 cls.self_hit_1
                 + 2 * cls.self_hit_2
                 + 4 * cls.cross_2_holds_1
                 + 8 * cls.cross_1_holds_2
-                + 16 * cls.same_file
             )
             freq = counts[code] / n
             se = math.sqrt(max(p * (1 - p), 1e-12) / n)

@@ -25,7 +25,7 @@ from canoma.oracle import INFEASIBLE
 PAPER_LINK = LinkSpec.from_pairs([(1, 1), (2, 2)])
 EXP_LINK = LinkSpec.from_pairs([(1, 1)])
 UNIT_THETA = DecodeThresholds()
-NO_FLAGS = ScenarioClass(False, False, False, False, False)
+NO_FLAGS = ScenarioClass(False, False, False, False)
 
 
 def bessel_closed_form(x: float) -> float:
@@ -114,13 +114,13 @@ class TestReduceToGainEvent:
         assert ev.thresholds == (pytest.approx(0.3), pytest.approx(0.3))
 
     def test_self_hits_yield_zero_thresholds(self):
-        both = ScenarioClass(True, True, True, True, False)
+        both = ScenarioClass(True, True, True, True)
         for scheme in ("canoma", "noma", "oma-cache", "oma"):
             ev = reduce_to_gain_event(scheme, self.alloc(), UNIT_THETA, both)
             assert ev.thresholds == (0.0, 0.0)
 
     def test_canoma_self_hit_reallocates_power(self):
-        one_hit = ScenarioClass(True, False, True, False, False)
+        one_hit = ScenarioClass(True, False, True, False)
         ev = reduce_to_gain_event("canoma", self.alloc(), UNIT_THETA, one_hit)
         assert ev.thresholds == (0.0, pytest.approx(0.1))
         # conventional NOMA keeps both messages on the air
@@ -133,7 +133,7 @@ class TestReduceToGainEvent:
         assert ev.thresholds == (0.0, pytest.approx(0.3))
 
     def test_idle_self_hit_power_keeps_position_share(self):
-        one_hit = ScenarioClass(True, False, True, False, False)
+        one_hit = ScenarioClass(True, False, True, False)
         ev = reduce_to_gain_event(
             "canoma", self.alloc(), UNIT_THETA, one_hit, self_hit_power="idle"
         )
@@ -141,18 +141,18 @@ class TestReduceToGainEvent:
 
     def test_canoma_cross_cache_branches(self):
         # strong holds weak's file at alpha=0.4: skips the 0.5 SIC cut
-        strong_cross = ScenarioClass(False, False, False, True, False)
+        strong_cross = ScenarioClass(False, False, False, True)
         ev = reduce_to_gain_event("canoma", self.alloc(alpha=0.4), UNIT_THETA, strong_cross, (0, 1))
         assert ev.thresholds[0] == pytest.approx(0.25)
         assert ev.thresholds[1] == pytest.approx(0.5)
         # weak holds strong's file: interference-free own decode at P_w
-        weak_cross = ScenarioClass(False, False, True, False, False)
+        weak_cross = ScenarioClass(False, False, True, False)
         ev = reduce_to_gain_event("canoma", self.alloc(), UNIT_THETA, weak_cross, (0, 1))
         assert ev.thresholds[0] == pytest.approx(0.5)
         assert ev.thresholds[1] == pytest.approx(1.0 / 8.0)
 
     def test_ordering_maps_vehicle_flags_to_positions(self):
-        one_hit = ScenarioClass(True, False, True, False, False)
+        one_hit = ScenarioClass(True, False, True, False)
         ev = reduce_to_gain_event("canoma", self.alloc(), UNIT_THETA, one_hit, (1, 0))
         assert ev.thresholds == (pytest.approx(0.1), 0.0)
 
@@ -293,6 +293,15 @@ class TestSuccessProb:
     def test_by_gain_rejects_heterogeneous_links(self):
         with pytest.raises(OracleUnsupportedError):
             success_prob("noma", **self.kwargs(link_specs=(EXP_LINK, PAPER_LINK)))
+
+    @pytest.mark.parametrize("capacities", [(2.5, 2), (2, -1), (11, 2), (2, 11)])
+    def test_rejects_bad_capacities(self, capacities):
+        with pytest.raises(ParameterError):
+            success_prob("canoma", **self.kwargs(capacities=capacities))
+
+    def test_numpy_integer_capacities(self):
+        res = success_prob("canoma", **self.kwargs(capacities=(np.int64(2), np.int32(5))))
+        assert res == success_prob("canoma", **self.kwargs(capacities=(2, 5)))
 
     def test_metric_selector(self):
         res = success_prob("canoma", **self.kwargs())
