@@ -1,9 +1,11 @@
 """Command-line front end: run points, sweeps, and oracle checks as CSV.
 
 Output is a ``#``-prefixed manifest block (resolved configuration, tool
-version, seed, timestamp) followed by a fixed-column CSV table.  Given
-the same command line and seed the data rows are byte-identical across
-runs and worker counts; only the manifest timestamp varies.
+version, seed, timestamp, and the library versions, bit generator and
+block size the output bits depend on) followed by a fixed-column CSV
+table.  Given the same command line and seed the data rows are
+byte-identical across runs and worker counts; only the manifest
+timestamp varies.
 
 Exit codes: 0 success, 1 internal error, 2 usage or validation error,
 3 oracle-check failure.
@@ -14,18 +16,23 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import importlib.metadata
 import json
 import sys
+
+import numpy as np
 
 from . import __version__
 from .access import SCHEMES, DecodeThresholds
 from .channel import LinkSpec
 from .engine import (
+    BIT_GENERATOR,
+    CHUNK,
     METRICS,
     TrialConfig,
     _config_at,
+    _simulate,
     db_to_linear,
-    run_point_multi,
     sweep,
 )
 from .errors import OracleUnsupportedError, ParameterError
@@ -208,7 +215,9 @@ def _config_from(args, scheme: str, parameter: str | None = None, values=()) -> 
     raise UsageError(f"{_FIELD_FLAGS[flag_error.field]}: {flag_error}") from None
 
 
-def _manifest(args, config: TrialConfig, schemes: tuple[str, ...]) -> list[str]:
+def _manifest(args, config: TrialConfig, schemes: tuple[str, ...], grid=None) -> list[str]:
+    """The ``#`` lines before the table; under a sweep the swept field
+    gives way to the sweep name and its ``grid`` values."""
     resolved = {
         "schemes": list(schemes),
         "snr_db": config.snr_db,
@@ -226,12 +235,22 @@ def _manifest(args, config: TrialConfig, schemes: tuple[str, ...]) -> list[str]:
         "link_spec_2": [[s.m, s.omega] for s in config.link_specs[1].stages],
         "workers": args.workers,
     }
+    if grid is not None:
+        del resolved[args.sweep]
+        resolved.update(sweep=args.sweep, grid=grid)
+    depends_on = {
+        "bit_generator": BIT_GENERATOR.__name__,
+        "chunk": CHUNK,
+        "numpy": np.__version__,
+        "scipy": importlib.metadata.version("scipy"),
+    }
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     return [
         f"# canoma {__version__}",
         f"# timestamp: {stamp}",
         "# snr convention: total transmit SNR rho = P/sigma^2 with sigma^2 = 1; CLI values in dB",
         f"# config: {json.dumps(resolved, sort_keys=True)}",
+        f"# output depends on: {json.dumps(depends_on, sort_keys=True)}",
     ]
 
 
@@ -239,8 +258,8 @@ def _write(lines) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _write_table(args, config: TrialConfig, schemes: tuple[str, ...], table) -> None:
-    lines = _manifest(args, config, schemes)
+def _write_table(args, config: TrialConfig, schemes: tuple[str, ...], table, grid=None) -> None:
+    lines = _manifest(args, config, schemes, grid)
     lines.append(_HEADER)
     for row in table.rows:
         lines.append(
@@ -290,12 +309,13 @@ def _cmd_sweep(args) -> int:
     values = _parse_grid(args.grid, args.sweep)
     config = _config_from(args, schemes[0], parameter, values)
     table = sweep(config, parameter, values, schemes, workers=args.workers)
-    _write_table(args, config, schemes, table)
+    _write_table(args, config, schemes, table, values)
     return 0
 
 
 def _check_points(args):
-    """Resolve the oracle-check schemes and the configurations to check."""
+    """Resolve the oracle-check schemes, the configurations to check and
+    the swept grid, if any."""
     explicit = any(
         v is not None
         for v in (args.snr_db, args.zeta, args.files, args.cache, args.scheme, args.schemes)
@@ -319,10 +339,10 @@ def _check_points(args):
         parameter = _SWEEP_NAMES[args.sweep]
         values = _parse_grid(args.grid, args.sweep)
         base = _config_from(args, schemes[0], parameter, values)
-        return [_config_at(base, parameter, v) for v in values], schemes
+        return [_config_at(base, parameter, v) for v in values], schemes, values
     base = _config_from(args, schemes[0])
     if explicit:
-        return [base], schemes
+        return [base], schemes, None
     configs = [_config_at(base, "snr_db", snr) for snr in _DEFAULT_CHECK_SNR_DB]
     configs = [_config_at(c, "zeta", zeta) for c in configs for zeta in _DEFAULT_CHECK_ZETA]
     configs = [
@@ -330,19 +350,20 @@ def _check_points(args):
         for c in configs
         for files, cache in _DEFAULT_CHECK_FILES_CACHE
     ]
-    return configs, schemes
+    return configs, schemes, None
 
 
 def _cmd_oracle_check(args) -> int:
-    configs, schemes = _check_points(args)
+    configs, schemes, grid = _check_points(args)
     if args.oracle_alpha is not None:  # refused before any trial runs
         _blame("--oracle-alpha", dataclasses.replace(configs[0], alpha=args.oracle_alpha).validate)
     all_ok = True
     rows = []
-    for config in configs:
-        estimates = run_point_multi(config, schemes, workers=args.workers)
+    # one pass over the trials decodes every configuration
+    results = _simulate(configs, schemes, args.workers)
+    for config, estimates in zip(configs, results):
         for scheme in schemes:
-            est = estimates[scheme]
+            est = estimates[scheme][0]
             oracle = success_prob(
                 scheme,
                 catalog_t=config.files,
@@ -380,7 +401,7 @@ def _cmd_oracle_check(args) -> int:
                         ]
                     )
                 )
-    lines = _manifest(args, configs[0], tuple(schemes))
+    lines = _manifest(args, configs[0], tuple(schemes), grid)
     lines.append(_ORACLE_HEADER)
     lines.extend(rows)
     _write(lines)

@@ -10,6 +10,12 @@ same randomness per trial (common random numbers): sweeping SNR, cache
 size, catalog size, or the popularity parameter never changes the
 sampled gains, and requests always map through the inverse CDF of the
 same two uniforms.
+
+A run therefore draws each block once for all the configurations it
+covers -- every value of a sweep, every point of an oracle check -- and
+decodes each (configuration, scheme) from a table over scenario classes
+(cache flags, threshold levels and which vehicle is strong), so a sweep
+costs about one point.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .errors import ParameterError
 
 __all__ = [
     "CHUNK",
+    "BIT_GENERATOR",
     "METRICS",
     "SWEEP_PARAMETERS",
     "DEFAULT_LINK_SPEC",
@@ -46,6 +53,7 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16
+BIT_GENERATOR = np.random.Philox
 METRICS = ("marg-product", "joint")
 ORDERING_POLICIES = ("by-gain", "fixed")
 
@@ -67,6 +75,11 @@ def db_to_linear(db: float) -> float:
 
 def linear_to_db(linear: float) -> float:
     return 10.0 * math.log10(linear)
+
+
+def _is_int(value) -> bool:
+    # a bool is an int to Python, but never a count
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -98,7 +111,7 @@ class TrialConfig:
     def capacities(self) -> tuple[int, int]:
         if isinstance(self.cache, tuple):
             return self.cache
-        return (int(self.cache), int(self.cache))
+        return (self.cache, self.cache)
 
     @property
     def snr_db(self) -> float:
@@ -108,18 +121,18 @@ class TrialConfig:
         def bad(name: str, requirement: str) -> ParameterError:
             return ParameterError(f"{name} must {requirement}, got {getattr(self, name)!r}", name)
 
-        if not isinstance(self.n_trials, int) or self.n_trials < 1:
+        if not _is_int(self.n_trials) or self.n_trials < 1:
             raise bad("n_trials", "be a positive integer")
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
+        if not _is_int(self.seed) or not (0 <= self.seed < 2**64):
             raise bad("seed", "be a 64-bit unsigned integer")
         if self.scheme not in SCHEMES:
             raise bad("scheme", f"be one of {SCHEMES}")
-        if not isinstance(self.files, int) or self.files < 1:
+        if not _is_int(self.files) or self.files < 1:
             raise bad("files", "be a positive integer")
         if not (math.isfinite(self.zeta) and self.zeta > 0):
             raise bad("zeta", "be positive")
-        if not all(isinstance(c, int) and c >= 0 for c in self.capacities):
-            raise bad("cache", "be a non-negative integer")
+        if len(self.capacities) != 2 or not all(_is_int(c) and c >= 0 for c in self.capacities):
+            raise bad("cache", "be a non-negative integer or a pair of them")
         if not all(c <= self.files for c in self.capacities):
             raise bad("cache", f"lie in 0..{self.files}")
         if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
@@ -228,7 +241,7 @@ def summarize(successes: Sequence[int], n: int, metric: str = "marg-product") ->
 
 
 def _chunk_generator(seed: int, chunk: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chunk))))
+    return np.random.Generator(BIT_GENERATOR(np.random.SeedSequence((seed, chunk))))
 
 
 def _by_position(strong_is_1, v1, v2):
@@ -236,50 +249,105 @@ def _by_position(strong_is_1, v1, v2):
     return np.where(strong_is_1, v1, v2), np.where(strong_is_1, v2, v1)
 
 
+@dataclass(frozen=True, eq=False)
+class _ScenarioClasses:
+    """The scenario classes of one cache pair and threshold table.
+
+    A trial's class code packs five bits -- the self-hit flag of each
+    vehicle, whether each vehicle holds the other's requested file, and
+    whether vehicle 1 is the strong one -- with the threshold level of
+    each vehicle's requested file.  Trials of one class decode alike, so
+    ``gain_thresholds`` runs once per class and each trial looks its
+    (a, b) up by code.
+    """
+
+    capacities: tuple[int, int]
+    levels: np.ndarray  # the distinct thresholds of files 1..T, ascending
+    level_of_file: np.ndarray | None  # level index by file - 1; None for one level
+
+    @classmethod
+    def of(cls, config: TrialConfig) -> "_ScenarioClasses":
+        thresholds = config.thresholds
+        # from the default and the overrides, never from a T-long sort
+        levels = np.unique(
+            [thresholds.default]
+            + [theta for f, theta in thresholds.overrides if 1 <= f <= config.files]
+        )
+        level_of_file = None
+        if len(levels) > 1:
+            level_of_file = np.searchsorted(levels, thresholds.table(config.files))
+        return cls(config.capacities, levels, level_of_file)
+
+    @property
+    def size(self) -> int:
+        return 32 * len(self.levels) ** 2
+
+    def codes(self, r1, r2, strong_is_1):
+        c1, c2 = self.capacities
+        # top-C placement: membership is an index comparison
+        bits = (r1 <= c1, r2 <= c2, r2 <= c1, r1 <= c2, strong_is_1)
+        code = np.zeros(len(r1), dtype=np.uint8)
+        for k, bit in enumerate(bits):
+            code |= bit.view(np.uint8) << k
+        code = code.astype(np.intp)
+        if self.level_of_file is not None:
+            level1, level2 = self.level_of_file[r1 - 1], self.level_of_file[r2 - 1]
+            code += 32 * (level1 * len(self.levels) + level2)
+        return code
+
+    def columns(self, classes: np.ndarray):
+        """``gain_thresholds``' position-ordered inputs for each class code:
+        (th_s, th_w, hit_s, hit_w, cross_s, cross_w)."""
+        pair, bits = np.divmod(classes, 32)
+        th1, th2 = (self.levels[i] for i in np.divmod(pair, len(self.levels)))
+        hit1, hit2, held_by_1, held_by_2, strong_is_1 = ((bits >> k) & 1 == 1 for k in range(5))
+        return (
+            *_by_position(strong_is_1, th1, th2),
+            *_by_position(strong_is_1, hit1, hit2),
+            *_by_position(strong_is_1, held_by_1, held_by_2),
+        )
+
+
 def _run_chunk(args):
-    (
-        seed,
-        chunk,
-        length,
-        link_specs,
-        profile,
-        capacities,
-        th_table,
-        total,
-        alpha,
-        ordering,
-        self_hit_power,
-        schemes,
-        collect,
-    ) = args
+    seed, chunk, length, link_specs, ordering, profiles, groups, decoders, schemes, collect = args
     rng = _chunk_generator(seed, chunk)
     # Full-size draws keep every trial's variates independent of n_trials.
     u = rng.random((CHUNK, 2))[:length]
     x1, x2 = (sample_link_gain(spec, rng, CHUNK)[:length] for spec in link_specs)
-    r1 = request_from_uniform(profile, u[:, 0])
-    r2 = request_from_uniform(profile, u[:, 1])
     if ordering == "by-gain":
         strong_is_1 = x1 >= x2
+        xs, xw = np.maximum(x1, x2), np.minimum(x1, x2)
     else:
         strong_is_1 = np.ones(length, dtype=bool)
-    xs, xw = _by_position(strong_is_1, x1, x2)
-    rs, rw = _by_position(strong_is_1, r1, r2)
-    cap_s, cap_w = _by_position(strong_is_1, *capacities)
-    # top-C placement: membership is an index comparison
-    hit_s, hit_w = rs <= cap_s, rw <= cap_w
-    cross_s, cross_w = rw <= cap_s, rs <= cap_w
-    th_s, th_w = th_table[rs - 1], th_table[rw - 1]
+        xs, xw = x1, x2
+    requests = {
+        key: (request_from_uniform(profile, u[:, 0]), request_from_uniform(profile, u[:, 1]))
+        for key, profile in profiles.items()
+    }
+    classified = {}
+    for key, group in groups.items():
+        code = group.codes(*requests[key[0]], strong_is_1)
+        # the class table never outgrows the chunk, whatever the level count
+        if group.size <= CHUNK:
+            classes = np.arange(group.size)
+        else:
+            classes, code = np.unique(code, return_inverse=True)
+        classified[key] = (group.columns(classes), code)
 
-    out = {}
-    for scheme in schemes:
-        a, b = gain_thresholds(
-            scheme, total, alpha, th_s, th_w, hit_s, hit_w, cross_s, cross_w, self_hit_power
-        )
-        ok_s = xs >= a
-        ok_w = xw >= b
-        counts = (int(ok_s.sum()), int(ok_w.sum()), int((ok_s & ok_w).sum()))
-        outcomes = np.column_stack(_by_position(strong_is_1, ok_s, ok_w)) if collect else None
-        out[scheme] = (counts, outcomes)
+    out = []
+    for key, config in decoders:
+        columns, code = classified[key]
+        per_scheme = {}
+        for scheme in schemes:
+            a, b = gain_thresholds(
+                scheme, config.rho, config.alpha, *columns, config.self_hit_power
+            )
+            ok_s = xs >= a[code]
+            ok_w = xw >= b[code]
+            counts = (np.count_nonzero(ok_s), np.count_nonzero(ok_w), np.count_nonzero(ok_s & ok_w))
+            outcomes = np.column_stack(_by_position(strong_is_1, ok_s, ok_w)) if collect else None
+            per_scheme[scheme] = (counts, outcomes)
+        out.append(per_scheme)
     return out
 
 
@@ -289,40 +357,59 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _draw_fields(config: TrialConfig):
+    return config.seed, config.n_trials, config.link_specs, config.ordering
+
+
 def _simulate(
-    config: TrialConfig,
+    configs: Sequence[TrialConfig],
     schemes: Sequence[str],
     workers: int = 1,
     collect_outcomes: bool = False,
 ):
-    """Run all trials once and decode them under every requested scheme.
+    """Draw every trial once and decode it under each config and scheme.
 
-    Returns ``{scheme: (counts, outcomes)}`` with counts = (strong,
-    weak, joint) success totals and outcomes an (n, 2) vehicle-indexed
-    boolean array when requested.
+    The configs must share the fields that fix the draws (seed,
+    n_trials, link_specs, ordering).  Each Philox block is drawn once,
+    its requests are mapped once per popularity profile and classified
+    once per cache pair and threshold table, and every (config, scheme)
+    decodes from that scenario-class table.  Returns, per config,
+    ``{scheme: (estimate, outcomes)}``, outcomes being an (n, 2)
+    vehicle-indexed boolean array when requested and None otherwise.
     """
-    config.validate()
+    schemes = tuple(schemes)
+    for config in configs:
+        config.validate()
+        if _draw_fields(config) != _draw_fields(configs[0]):
+            raise ParameterError(
+                "configs of one run must share seed, n_trials, link_specs and ordering"
+            )
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ParameterError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    profile = zipf_profile(config.files, config.zeta, config.zipf_convention)
-    th_table = config.thresholds.table(config.files)
-    n = config.n_trials
+    profiles, groups, decoders = {}, {}, []
+    for config in configs:
+        profile_key = (config.files, config.zeta, config.zipf_convention)
+        if profile_key not in profiles:
+            profiles[profile_key] = zipf_profile(*profile_key)
+        key = (profile_key, config.capacities, config.thresholds)
+        if key not in groups:
+            groups[key] = _ScenarioClasses.of(config)
+        decoders.append((key, config))
+
+    seed, n, link_specs, ordering = _draw_fields(configs[0])
     n_chunks = (n + CHUNK - 1) // CHUNK
     tasks = [
         (
-            config.seed,
+            seed,
             c,
             min(CHUNK, n - c * CHUNK),
-            config.link_specs,
-            profile,
-            config.capacities,
-            th_table,
-            config.rho,
-            config.alpha,
-            config.ordering,
-            config.self_hit_power,
-            tuple(schemes),
+            link_specs,
+            ordering,
+            profiles,
+            groups,
+            decoders,
+            schemes,
             collect_outcomes,
         )
         for c in range(n_chunks)
@@ -335,19 +422,15 @@ def _simulate(
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             chunk_results = list(pool.map(_run_chunk, tasks))
 
-    results = {}
-    for scheme in schemes:
-        s1 = s2 = sj = 0
-        pieces = []
-        for res in chunk_results:
-            counts, outcomes = res[scheme]
-            s1 += counts[0]
-            s2 += counts[1]
-            sj += counts[2]
-            if collect_outcomes:
-                pieces.append(outcomes)
-        outcome_arr = np.concatenate(pieces) if collect_outcomes else None
-        results[scheme] = ((s1, s2, sj), outcome_arr)
+    results = []
+    for i, config in enumerate(configs):
+        out = {}
+        for scheme in schemes:
+            pieces = [res[i][scheme] for res in chunk_results]
+            counts = np.sum([c for c, _ in pieces], axis=0).tolist()
+            outcomes = np.concatenate([o for _, o in pieces]) if collect_outcomes else None
+            out[scheme] = (summarize(counts, n, config.metric), outcomes)
+        results.append(out)
     return results
 
 
@@ -362,12 +445,7 @@ def run_point(
     ``workers``.  With ``return_outcomes`` the per-trial, per-vehicle
     success booleans come back alongside the estimate.
     """
-    results = _simulate(config, (config.scheme,), workers, return_outcomes)
-    counts, outcomes = results[config.scheme]
-    est = summarize(counts, config.n_trials, config.metric)
-    if return_outcomes:
-        return est, outcomes
-    return est
+    return run_point_multi(config, (config.scheme,), workers, return_outcomes)[config.scheme]
 
 
 def run_point_multi(
@@ -378,13 +456,8 @@ def run_point_multi(
 ):
     """Like :func:`run_point` but decodes the same sampled trials under
     several schemes at once (the schemes share all randomness)."""
-    results = _simulate(config, tuple(schemes), workers, return_outcomes)
-    out = {}
-    for scheme in schemes:
-        counts, outcomes = results[scheme]
-        est = summarize(counts, config.n_trials, config.metric)
-        out[scheme] = (est, outcomes) if return_outcomes else est
-    return out
+    results = _simulate([config], schemes, workers, return_outcomes)[0]
+    return {s: r if return_outcomes else r[0] for s, r in results.items()}
 
 
 def _integral(value) -> int:
@@ -446,11 +519,11 @@ def sweep(
         raise ParameterError("sweep grid must not be empty")
     values = sorted(configs)
 
+    results = _simulate([configs[v] for v in values], schemes, workers)
     rows = []
-    for value in values:
-        estimates = run_point_multi(configs[value], schemes, workers=workers)
+    for value, estimates in zip(values, results):
         for scheme in sorted(schemes):
-            est = estimates[scheme]
+            est = estimates[scheme][0]
             rows.append(
                 SweepRow(
                     param=parameter,

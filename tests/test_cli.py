@@ -1,8 +1,11 @@
+import importlib.metadata
 import io
+import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 import canoma.cli as cli
@@ -24,6 +27,13 @@ def run_cli(argv):
 
 def data_rows(text):
     return [line for line in text.splitlines() if line and not line.startswith("#")]
+
+
+def manifest_entry(text, name):
+    """The JSON object of the ``# <name>: {...}`` manifest line."""
+    prefix = f"# {name}: "
+    (line,) = [line for line in text.splitlines() if line.startswith(prefix)]
+    return json.loads(line[len(prefix):])
 
 
 class TestPoint:
@@ -162,6 +172,32 @@ class TestSweep:
         assert err.startswith(f"error: {flag}: ")
         assert "grid value" not in err
 
+    @pytest.mark.parametrize("command", ["sweep", "oracle-check"])
+    @pytest.mark.parametrize(
+        "sweep,grid,values,flags",
+        [("files", "20,50", [20, 50], ["--cache", "15"]), ("snr_db", "0,20", [0, 20], [])],
+    )
+    def test_manifest_records_the_grid(self, command, sweep, grid, values, flags):
+        code, out, err = run_cli(
+            [command, "--schemes", "canoma", "--sweep", sweep, "--grid", grid, *BASE, *flags]
+        )
+        assert code == 0, err
+        config = manifest_entry(out, "config")
+        # the swept field's flag value is no configuration any row ran
+        assert sweep not in config
+        assert (config["sweep"], config["grid"]) == (sweep, values)
+        if sweep == "files":
+            assert config["cache"] == [15, 15]
+
+    def test_manifest_records_what_the_bits_depend_on(self):
+        _, out, _ = run_cli(["point", *BASE])
+        assert manifest_entry(out, "output depends on") == {
+            "bit_generator": "Philox",
+            "chunk": 65536,
+            "numpy": np.__version__,
+            "scipy": importlib.metadata.version("scipy"),
+        }
+
     def test_missing_sweep_flag_is_usage_error(self):
         code, _, _ = run_cli(["sweep", "--grid", "1,2", *BASE])
         assert code == 2
@@ -229,7 +265,7 @@ class TestOracleCheck:
         def no_trials(*args, **kwargs):
             raise AssertionError("trials ran before the input was refused")
 
-        monkeypatch.setattr(cli, "run_point_multi", no_trials)
+        monkeypatch.setattr(cli, "_simulate", no_trials)
         code, _, err = run_cli(["oracle-check", *argv])
         assert code == 2
         assert flag in err

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from canoma import (
+    DEFAULT_LINK_SPEC,
     CacheContents,
     DecodeThresholds,
+    LinkSpec,
     ParameterError,
     TrialConfig,
     classify_scenario,
@@ -25,6 +27,13 @@ from canoma import (
 import canoma.engine as engine
 from canoma.content import request_from_uniform
 from canoma.engine import CHUNK, _chunk_generator
+
+
+SCHEMES = ("canoma", "noma", "oma-cache", "oma")
+
+# per-file thresholds at 2100 distinct levels, far more than a dense
+# (levels)^2 class table could hold
+MANY_LEVELS = DecodeThresholds(1.0, tuple((f, 0.5 + f / 4000) for f in range(1, 2101)))
 
 
 def config(**over):
@@ -86,6 +95,13 @@ class TestConfigValidation:
             ("ordering", "sorted"),
             ("metric", "median"),
             ("zipf_convention", "log"),
+            ("cache", 2.5),
+            ("cache", True),
+            ("cache", (2, 2.5)),
+            ("cache", (True, 1)),
+            ("cache", (1, 2, 3)),
+            ("files", True),
+            ("n_trials", True),
         ],
     )
     def test_rejects_bad_fields(self, field, value):
@@ -207,8 +223,9 @@ class TestEngineMatchesScalarPath:
             {"cache": (2, 5)},
             {"ordering": "fixed"},
             {"self_hit_power": "idle"},
+            {"thresholds": MANY_LEVELS, "files": 5000},
         ],
-        ids=["default", "overrides", "unequal-caches", "fixed", "idle"],
+        ids=["default", "overrides", "unequal-caches", "fixed", "idle", "many-levels"],
     )
     def test_all_schemes_elementwise(self, over):
         n = 1500
@@ -224,6 +241,10 @@ class TestEngineMatchesScalarPath:
         profile = zipf_profile(cfg.files, cfg.zeta)
         r1 = request_from_uniform(profile, u[:n, 0])
         r2 = request_from_uniform(profile, u[:n, 1])
+        if cfg.thresholds is MANY_LEVELS:
+            # the trials reach far more levels than a dense table's 45
+            requested = cfg.thresholds.table(cfg.files)[np.concatenate([r1, r2]) - 1]
+            assert len(set(requested)) > 100
         caches = tuple(
             CacheContents(frozenset(range(1, c + 1)), c) for c in cfg.capacities
         )
@@ -231,7 +252,7 @@ class TestEngineMatchesScalarPath:
 
         results = {
             scheme: run_point(dataclasses.replace(cfg, scheme=scheme), return_outcomes=True)[1]
-            for scheme in ("canoma", "noma", "oma-cache", "oma")
+            for scheme in SCHEMES
         }
         for t in range(n):
             trial_gains = [float(gains[0][t]), float(gains[1][t])]
@@ -254,6 +275,55 @@ class TestEngineMatchesScalarPath:
 
 
 class TestSweep:
+    @pytest.mark.parametrize(
+        "parameter,grid",
+        [("snr_db", [20, 0, 7.5]), ("cache_size", [5, 0, 2]), ("zeta", [1.6, 0.4]),
+         ("catalog_t", [50, 10])],
+    )
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"thresholds": DecodeThresholds(1.0, ((1, 0.5), (3, 2.0)))},
+            {"cache": (2, 5)},
+            {"ordering": "fixed"},
+            {"self_hit_power": "idle"},
+            {"link_specs": (LinkSpec.from_pairs([(1.0, 1.0)]), DEFAULT_LINK_SPEC)},
+        ],
+        ids=["overrides", "unequal-caches", "fixed", "idle", "heterogeneous-links"],
+    )
+    def test_rows_equal_per_value_points(self, parameter, grid, over):
+        cfg = config(n_trials=2 * CHUNK + 99, **over)
+        rows = {(r.value, r.scheme): r for r in sweep(cfg, parameter, grid, SCHEMES).rows}
+        assert len(rows) == len(grid) * len(SCHEMES)
+        for value in grid:
+            estimates = run_point_multi(engine._config_at(cfg, parameter, value), SCHEMES)
+            for scheme, est in estimates.items():
+                row = rows[(float(value), scheme)]
+                assert (row.p_joint, row.p_marg_product, row.p1, row.p2, row.stderr_joint) == (
+                    est.p_joint, est.p_marg_product, est.p1, est.p2, est.stderr_joint
+                )
+
+    @pytest.mark.parametrize(
+        "over",
+        [{"seed": 12}, {"n_trials": 1000}, {"ordering": "fixed"},
+         {"link_specs": (DEFAULT_LINK_SPEC, LinkSpec.from_pairs([(1.0, 1.0)]))}],
+    )
+    def test_one_run_shares_its_draws(self, over):
+        with pytest.raises(ParameterError, match="must share"):
+            engine._simulate([config(), config(**over)], SCHEMES)
+
+    def test_sweep_draws_each_chunk_once(self, monkeypatch):
+        chunks = []
+        draw = engine._chunk_generator
+
+        def counted(seed, chunk):
+            chunks.append(chunk)
+            return draw(seed, chunk)
+
+        monkeypatch.setattr(engine, "_chunk_generator", counted)
+        sweep(config(n_trials=3 * CHUNK), "snr_db", [0, 5, 10, 15, 20], SCHEMES)
+        assert sorted(chunks) == [0, 1, 2]
+
     def test_rows_sorted_by_value_then_scheme(self):
         table = sweep(config(n_trials=20_000), "cache_size", [4, 0, 2], ("noma", "canoma"))
         keys = [(r.value, r.scheme) for r in table.rows]
