@@ -1,5 +1,9 @@
 """Cache-aided NOMA downlink for vehicular links: Monte Carlo simulator
-and semi-analytic success-probability oracle."""
+and semi-analytic success-probability oracle.
+
+The oracle needs scipy, so its names are imported on first use: the
+Monte Carlo path never loads scipy.
+"""
 
 from .access import (
     INFEASIBLE,
@@ -51,14 +55,15 @@ from .engine import (
     sweep,
 )
 from .errors import CanomaError, OracleUnsupportedError, ParameterError
-from .oracle import (
-    GainThresholdEvent,
-    OracleResult,
-    conditional_success_prob,
-    gamma_ccdf,
-    product_gain_ccdf,
-    reduce_to_gain_event,
-    success_prob,
+
+_ORACLE_NAMES = (
+    "GainThresholdEvent",
+    "OracleResult",
+    "gamma_ccdf",
+    "product_gain_ccdf",
+    "reduce_to_gain_event",
+    "conditional_success_prob",
+    "success_prob",
 )
 
 __version__ = "0.1.0"
@@ -101,14 +106,8 @@ __all__ = [
     "decode_oma",
     "INFEASIBLE",
     "gain_thresholds",
-    # oracle
-    "GainThresholdEvent",
-    "OracleResult",
-    "gamma_ccdf",
-    "product_gain_ccdf",
-    "reduce_to_gain_event",
-    "conditional_success_prob",
-    "success_prob",
+    # oracle, imported on first use
+    *_ORACLE_NAMES,
     # engine
     "METRICS",
     "DEFAULT_LINK_SPEC",
@@ -123,3 +122,11 @@ __all__ = [
     "run_point_multi",
     "sweep",
 ]
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,11 +1,11 @@
 """Command-line front end: run points, sweeps, and oracle checks as CSV.
 
 Output is a ``#``-prefixed manifest block (resolved configuration, tool
-version, seed, timestamp, and the library versions, bit generator and
-block size the output bits depend on) followed by a fixed-column CSV
-table.  Given the same command line and seed the data rows are
-byte-identical across runs and worker counts; only the manifest
-timestamp varies.
+version, seed, timestamp, the library versions, bit generator and block
+size the output bits depend on, and for ``oracle-check`` the largest
+error bound of its oracle values) followed by a fixed-column CSV table.
+Given the same command line and seed the data rows are byte-identical
+across runs and worker counts; only the manifest timestamp varies.
 
 Exit codes: 0 success, 1 internal error, 2 usage or validation error,
 3 oracle-check failure.
@@ -36,7 +36,6 @@ from .engine import (
     sweep,
 )
 from .errors import OracleUnsupportedError, ParameterError
-from .oracle import success_prob
 
 __all__ = ["main", "entry"]
 
@@ -61,10 +60,12 @@ _FIELD_FLAGS = {
     "alpha": "--alpha",
 }
 
-# criterion grid for a bare `oracle-check`
-_DEFAULT_CHECK_SNR_DB = (0.0, 5.0, 10.0, 15.0, 20.0)
-_DEFAULT_CHECK_ZETA = (0.4, 0.8, 1.6)
-_DEFAULT_CHECK_FILES_CACHE = ((10, 0), (10, 2), (10, 5), (50, 2))
+# criterion grid for a bare `oracle-check`, by axis as its manifest records it
+_DEFAULT_CHECK_AXES = {
+    "snr_db": (0.0, 5.0, 10.0, 15.0, 20.0),
+    "zeta": (0.4, 0.8, 1.6),
+    "files_cache": ((10, 0), (10, 2), (10, 5), (50, 2)),
+}
 
 
 class UsageError(Exception):
@@ -215,9 +216,12 @@ def _config_from(args, scheme: str, parameter: str | None = None, values=()) -> 
     raise UsageError(f"{_FIELD_FLAGS[flag_error.field]}: {flag_error}") from None
 
 
-def _manifest(args, config: TrialConfig, schemes: tuple[str, ...], grid=None) -> list[str]:
-    """The ``#`` lines before the table; under a sweep the swept field
-    gives way to the sweep name and its ``grid`` values."""
+def _manifest(
+    args, config: TrialConfig, schemes: tuple[str, ...], grid=None, axes=None
+) -> list[str]:
+    """The ``#`` lines before the table.  Under a sweep the swept field
+    gives way to the sweep name and its ``grid`` values; the ``axes`` of
+    the bare oracle-check grid replace the fields they span."""
     resolved = {
         "schemes": list(schemes),
         "snr_db": config.snr_db,
@@ -238,6 +242,9 @@ def _manifest(args, config: TrialConfig, schemes: tuple[str, ...], grid=None) ->
     if grid is not None:
         del resolved[args.sweep]
         resolved.update(sweep=args.sweep, grid=grid)
+    if axes is not None:
+        del resolved["files"], resolved["cache"]
+        resolved.update(axes)
     depends_on = {
         "bit_generator": BIT_GENERATOR.__name__,
         "chunk": CHUNK,
@@ -315,7 +322,7 @@ def _cmd_sweep(args) -> int:
 
 def _check_points(args):
     """Resolve the oracle-check schemes, the configurations to check and
-    the swept grid, if any."""
+    the manifest's record of the grid they span, as ``_manifest`` keywords."""
     explicit = any(
         v is not None
         for v in (args.snr_db, args.zeta, args.files, args.cache, args.scheme, args.schemes)
@@ -339,26 +346,30 @@ def _check_points(args):
         parameter = _SWEEP_NAMES[args.sweep]
         values = _parse_grid(args.grid, args.sweep)
         base = _config_from(args, schemes[0], parameter, values)
-        return [_config_at(base, parameter, v) for v in values], schemes, values
+        return [_config_at(base, parameter, v) for v in values], schemes, {"grid": values}
     base = _config_from(args, schemes[0])
     if explicit:
-        return [base], schemes, None
-    configs = [_config_at(base, "snr_db", snr) for snr in _DEFAULT_CHECK_SNR_DB]
-    configs = [_config_at(c, "zeta", zeta) for c in configs for zeta in _DEFAULT_CHECK_ZETA]
+        return [base], schemes, {}
+    axes = _DEFAULT_CHECK_AXES
+    configs = [_config_at(base, "snr_db", snr) for snr in axes["snr_db"]]
+    configs = [_config_at(c, "zeta", zeta) for c in configs for zeta in axes["zeta"]]
     configs = [
         _config_at(_config_at(c, "catalog_t", files), "cache_size", cache)
         for c in configs
-        for files, cache in _DEFAULT_CHECK_FILES_CACHE
+        for files, cache in axes["files_cache"]
     ]
-    return configs, schemes, None
+    return configs, schemes, {"axes": axes}
 
 
 def _cmd_oracle_check(args) -> int:
-    configs, schemes, grid = _check_points(args)
+    from .oracle import success_prob  # scipy loads for this command only
+
+    configs, schemes, recorded_grid = _check_points(args)
     if args.oracle_alpha is not None:  # refused before any trial runs
         _blame("--oracle-alpha", dataclasses.replace(configs[0], alpha=args.oracle_alpha).validate)
     all_ok = True
     rows = []
+    max_abs_err = 0.0
     # one pass over the trials decodes every configuration
     results = _simulate(configs, schemes, args.workers)
     for config, estimates in zip(configs, results):
@@ -375,6 +386,7 @@ def _cmd_oracle_check(args) -> int:
                 link_specs=config.link_specs,
                 policy=config.ordering,
             )
+            max_abs_err = max(max_abs_err, oracle.abs_err)
             for metric, p_mc, se in (
                 ("joint", est.p_joint, est.stderr_joint),
                 ("marg-product", est.p_marg_product, est.stderr_marg_product),
@@ -401,7 +413,8 @@ def _cmd_oracle_check(args) -> int:
                         ]
                     )
                 )
-    lines = _manifest(args, configs[0], tuple(schemes), grid)
+    lines = _manifest(args, configs[0], tuple(schemes), **recorded_grid)
+    lines.append(f"# oracle max abs_err: {_fmt(max_abs_err)}")
     lines.append(_ORACLE_HEADER)
     lines.extend(rows)
     _write(lines)

@@ -4,8 +4,10 @@ Every decode event reduces, per scenario class, to a minimum-gain
 threshold on each ordered vehicle (or an infeasible marker) by the
 access layer's one rule, :func:`~canoma.access.gain_thresholds`.
 Combining the exact scenario-class probabilities with the
-cascaded-fading CCDF -- evaluated by adaptive quadrature -- gives the
-success probabilities without simulation.  The Monte Carlo engine
+cascaded-fading CCDF gives the success probabilities without
+simulation.  The CCDF is a finite Bessel-K sum when a stage has an
+integer shape and adaptive quadrature otherwise; the quadrature's error
+estimate is carried into every result.  The Monte Carlo engine
 applies the same rule to sampled trials, so agreement between the two
 checks the sampling and the content statistics; the rule itself is
 pinned by the SINR-level scalar decoders in the tests.
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaincc, gammaln, xlogy
+from scipy.special import gammaincc, gammaln, kve, xlogy
 
 from .access import (
     INFEASIBLE,
@@ -56,6 +57,12 @@ __all__ = [
 # and new thresholds (every new SNR) evict the oldest
 _CCDF_MEMO_SIZE = 1024
 
+# an integer shape of at most this many terms takes the Bessel-K sum
+_MAX_BESSEL_TERMS = 1000
+
+# relative tolerance of the quadrature, the only CCDF path that has an error
+_QUAD_EPSREL = 1e-12
+
 
 @dataclass(frozen=True)
 class GainThresholdEvent:
@@ -76,12 +83,18 @@ class GainThresholdEvent:
 @dataclass(frozen=True)
 class OracleResult:
     """Total success probabilities: per-position marginals, joint, and
-    the product of the marginals (the figure-of-merit of the study)."""
+    the product of the marginals (the figure-of-merit of the study).
+
+    ``abs_err`` bounds, to first order, how far quadrature error can move
+    each of the four probabilities; it is 0 when every CCDF used has a
+    closed form.
+    """
 
     p1: float
     p2: float
     p_joint: float
     p_marg_product: float
+    abs_err: float = 0.0
 
     def value(self, metric: str) -> float:
         if metric == "joint":
@@ -109,9 +122,32 @@ def _gamma_logpdf(g: np.ndarray, shape: float, scale: float) -> np.ndarray:
     return xlogy(shape - 1.0, g) - g / scale - gammaln(shape) - shape * math.log(scale)
 
 
-@lru_cache(maxsize=_CCDF_MEMO_SIZE)
-def _product_ccdf_two_stage(spec: LinkSpec, x: float) -> float:
-    """P(G1 * G2 > x) = integral of ccdf_1(x/g) * pdf_2(g) dg over g > 0."""
+def _bessel_k_ccdf(m1: int, scale1: float, shape2: float, scale2: float, x: float) -> float:
+    """P(G1 * G2 > x) for G1 ~ Gamma(m1, scale1) with integer m1 and
+    G2 ~ Gamma(shape2, scale2):
+
+        sum_{k<m1} 2 (z/2)^(shape2+k) K_{shape2-k}(z) / (k! Gamma(shape2)),
+
+    with z = 2 sqrt(x / (scale1 scale2)).  The terms are summed in log
+    space from the exponentially scaled ``kve``, so a deep tail does not
+    underflow before the end; nan when a term leaves the float range.
+    """
+    z = 2.0 * math.sqrt(x / scale1 / scale2)
+    k = np.arange(m1)
+    scaled = kve(np.abs(shape2 - k), z)  # K_v(z) e^z; K_{-v} = K_v
+    if not (0.0 < z < math.inf and np.all((scaled > 0.0) & (scaled < math.inf))):
+        return math.nan
+    log_terms = (shape2 + k) * math.log(z / 2.0) + np.log(scaled) - gammaln(k + 1.0)
+    top = log_terms.max()
+    log_sum = top + math.log(np.exp(log_terms - top).sum())
+    return math.exp(log_sum + math.log(2.0) - gammaln(shape2) - z)
+
+
+def _quadrature_ccdf(spec: LinkSpec, x: float) -> tuple[float, float]:
+    """(P(G1 * G2 > x), error estimate) as the integral of
+    ccdf_1(x/g) * pdf_2(g) over g > 0."""
+    from scipy import integrate  # only this path needs it
+
     s1, s2 = spec.stages
 
     def integrand(g: float) -> float:
@@ -120,10 +156,27 @@ def _product_ccdf_two_stage(spec: LinkSpec, x: float) -> float:
         tail = gammaincc(s1.gamma_shape, (x / g) / s1.gamma_scale)
         return float(tail * math.exp(_gamma_logpdf(np.asarray(g), s2.gamma_shape, s2.gamma_scale)))
 
-    val, _ = integrate.quad(
-        integrand, 0.0, math.inf, epsabs=1e-12, epsrel=1e-12, limit=300
+    val, err = integrate.quad(
+        integrand, 0.0, math.inf, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=300
     )
-    return min(max(val, 0.0), 1.0)
+    return min(max(val, 0.0), 1.0), err
+
+
+@lru_cache(maxsize=_CCDF_MEMO_SIZE)
+def _product_ccdf_two_stage(spec: LinkSpec, x: float) -> tuple[float, float]:
+    """(P(G1 * G2 > x), absolute error bound) of a two-stage link.
+
+    The product is symmetric, so the integer-shaped stage with the
+    fewest terms leads the Bessel-K sum; quadrature covers the rest.
+    """
+    lead, other = sorted(spec.stages, key=lambda s: (not float(s.m).is_integer(), s.m))
+    if float(lead.m).is_integer() and lead.m <= _MAX_BESSEL_TERMS:
+        value = _bessel_k_ccdf(
+            int(lead.m), lead.gamma_scale, other.gamma_shape, other.gamma_scale, x
+        )
+        if not math.isnan(value):
+            return min(value, 1.0), 0.0
+    return _quadrature_ccdf(spec, x)
 
 
 def product_gain_ccdf(spec: LinkSpec, x: float) -> float:
@@ -138,11 +191,19 @@ def product_gain_ccdf(spec: LinkSpec, x: float) -> float:
         stage = spec.stages[0]
         return gamma_ccdf(stage.gamma_shape, stage.gamma_scale, x)
     if len(spec.stages) == 2:
-        return _product_ccdf_two_stage(spec, float(x))
+        return _product_ccdf_two_stage(spec, float(x))[0]
     raise OracleUnsupportedError(
         f"{len(spec.stages)}-stage cascades are outside oracle support; "
         "use the Monte Carlo engine"
     )
+
+
+def _ccdf_abs_err(spec: LinkSpec, x: float) -> float:
+    """The error bound of ``product_gain_ccdf(spec, x)``: a memo hit
+    after that call, and 0 wherever no quadrature runs."""
+    if len(spec.stages) != 2 or x == 0.0 or math.isinf(x):
+        return 0.0
+    return _product_ccdf_two_stage(spec, float(x))[1]
 
 
 def reduce_to_gain_event(
@@ -266,6 +327,7 @@ def success_prob(
 
     p1 = p2 = p_joint = 0.0
     total_weight = 0.0
+    ccdf_err = 0.0
     for cls, weight in classes.items():
         c1 = c2 = cj = 0.0
         for ordering, share in assignments:
@@ -276,6 +338,10 @@ def success_prob(
             c1 += share * c_strong
             c2 += share * c_weak
             cj += share * c_joint
+            a, b = event.thresholds
+            ccdf_err = max(
+                ccdf_err, _ccdf_abs_err(link_specs[0], a), _ccdf_abs_err(link_specs[1], b)
+            )
         total_weight += weight
         p1 += weight * c1
         p2 += weight * c2
@@ -285,4 +351,9 @@ def success_prob(
     p1 /= total_weight
     p2 /= total_weight
     p_joint /= total_weight
-    return OracleResult(p1=p1, p2=p2, p_joint=p_joint, p_marg_product=p1 * p2)
+    # every probability above is a weighted mean of polynomials in the
+    # CCDF values whose gradients have 1-norm <= 2, so p1, p2 and p_joint
+    # move by at most 2 * ccdf_err and their product by 4 * ccdf_err
+    return OracleResult(
+        p1=p1, p2=p2, p_joint=p_joint, p_marg_product=p1 * p2, abs_err=4.0 * ccdf_err
+    )

@@ -247,6 +247,24 @@ class TestOracleCheck:
         assert len(rows) == 1 + 480
         assert all(r.endswith("pass") for r in rows[1:])
 
+    def test_bare_manifest_records_the_grid_axes(self):
+        _, out, _ = run_cli(["oracle-check", "--trials", "1000", "--seed", "3"])
+        config = manifest_entry(out, "config")
+        # 60 points, so no one snr_db, zeta, files or cache describes them
+        assert "files" not in config and "cache" not in config
+        assert config["snr_db"] == [0.0, 5.0, 10.0, 15.0, 20.0]
+        assert config["zeta"] == [0.4, 0.8, 1.6]
+        assert config["files_cache"] == [[10, 0], [10, 2], [10, 5], [50, 2]]
+        # the default link has integer shapes: every CCDF is closed-form
+        assert "# oracle max abs_err: 0\n" in out
+
+    def test_quadrature_error_is_reported(self):
+        _, out, _ = run_cli(
+            ["oracle-check", "--scheme", "noma", "--link-spec", "1.5,1,2.5,1", "--trials", "1000"]
+        )
+        (line,) = [x for x in out.splitlines() if x.startswith("# oracle max abs_err: ")]
+        assert 0.0 < float(line.split(": ")[1]) < 1e-9
+
     def test_corrupted_oracle_alpha_fails(self):
         code, out, _ = run_cli(
             ["oracle-check", "--scheme", "canoma", "--trials", "60000", "--seed", "9",

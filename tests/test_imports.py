@@ -1,0 +1,60 @@
+"""The Monte Carlo commands never load scipy; the oracle loads on first use."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import canoma
+import canoma.oracle
+
+SRC = Path(canoma.__file__).resolve().parent.parent
+
+
+def loaded_scipy_modules(code: str) -> list[str]:
+    """The scipy modules a fresh interpreter has loaded after ``code``."""
+    code += "\nimport sys\nprint([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.strip())
+
+
+def test_point_and_sweep_load_no_scipy():
+    code = """
+import contextlib, io
+from canoma import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["point", "--trials", "1000"]) == 0
+    assert cli.main(["sweep", "--sweep", "snr_db", "--grid", "0,10", "--trials", "1000"]) == 0
+"""
+    assert loaded_scipy_modules(code) == []
+
+
+def test_closed_form_oracle_loads_no_quadrature():
+    code = """
+import canoma
+canoma.success_prob("canoma", catalog_t=10, zeta=0.8, capacities=(2, 2), total=10.0,
+                    alpha=0.2, link_specs=(canoma.DEFAULT_LINK_SPEC,) * 2)
+"""
+    loaded = loaded_scipy_modules(code)
+    assert "scipy.special" in loaded
+    assert "scipy.integrate" not in loaded
+
+
+def test_oracle_names_resolve_to_the_oracle():
+    for name in canoma._ORACLE_NAMES:
+        assert name in canoma.__all__
+        assert getattr(canoma, name) is getattr(canoma.oracle, name)
+    assert canoma.success_prob is canoma.oracle.success_prob
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        canoma.no_such_name

@@ -6,6 +6,7 @@ from scipy import integrate
 from scipy.special import gammaincc, kv
 
 from canoma import (
+    DEFAULT_LINK_SPEC,
     DecodeThresholds,
     GainThresholdEvent,
     LinkSpec,
@@ -20,7 +21,7 @@ from canoma import (
     split_power,
     success_prob,
 )
-from canoma.oracle import INFEASIBLE
+from canoma.oracle import INFEASIBLE, _product_ccdf_two_stage
 
 PAPER_LINK = LinkSpec.from_pairs([(1, 1), (2, 2)])
 EXP_LINK = LinkSpec.from_pairs([(1, 1)])
@@ -31,6 +32,16 @@ NO_FLAGS = ScenarioClass(False, False, False, False)
 def bessel_closed_form(x: float) -> float:
     """P(G1*G2 > x) for stages (1,1),(2,2): 2x*K2(2*sqrt(x))."""
     return float(2.0 * x * kv(2, 2.0 * math.sqrt(x)))
+
+
+def meijer_g_ccdf(link: tuple[tuple[float, float], ...], x: float, mpmath):
+    """P(G1*G2 > x) at 40 digits, independent of both the Bessel-K sum and
+    the quadrature: with y = x / (scale1 * scale2) the product's CCDF is
+    G^{3,0}_{1,3}(y | 1; m1, m2, 0) / (Gamma(m1) Gamma(m2))."""
+    (m1, w1), (m2, w2) = link
+    m1, w1, m2, w2 = (mpmath.mpf(v) for v in (m1, w1, m2, w2))
+    y = mpmath.mpf(x) * m1 * m2 / (w1 * w2)
+    return mpmath.meijerg([[], [1]], [[m1, m2, 0], []], y) / (mpmath.gamma(m1) * mpmath.gamma(m2))
 
 
 def swapped_order_quadrature(x: float) -> float:
@@ -89,10 +100,51 @@ class TestProductGainCcdf:
         assert vals[0] == 1.0
         assert vals[-1] < 1e-5
 
+    @pytest.mark.parametrize("x", [400.0, 1000.0])
+    def test_deep_tail_matches_closed_form(self, x):
+        exact = bessel_closed_form(x)
+        assert abs(product_gain_ccdf(DEFAULT_LINK_SPEC, x) - exact) <= 1e-14 * exact
+
+    def test_overflowing_bessel_term_falls_back_to_quadrature(self):
+        # K_2(z) overflows at z = 2 sqrt(1e-320); the quadrature answers
+        value, abs_err = _product_ccdf_two_stage(DEFAULT_LINK_SPEC, 1e-320)
+        assert value == 1.0
+        assert abs_err > 0.0
+
     def test_three_stages_unsupported(self):
         spec = LinkSpec.from_pairs([(1, 1), (1, 1), (1, 1)])
         with pytest.raises(OracleUnsupportedError):
             product_gain_ccdf(spec, 1.0)
+
+
+class TestMpmathReference:
+    """The float CCDF against a 40-digit Meijer-G evaluation."""
+
+    XS = np.logspace(-3.0, 3.0, 13)
+
+    @pytest.mark.parametrize(
+        "link", [((1, 1), (2, 2)), ((2, 1), (2.5, 1)), ((3, 2), (0.7, 1))]
+    )
+    def test_closed_form_within_1e_12(self, link):
+        mpmath = pytest.importorskip("mpmath")
+        spec = LinkSpec.from_pairs(link)
+        with mpmath.workdps(40):
+            for x in self.XS:
+                value, abs_err = _product_ccdf_two_stage(spec, float(x))
+                exact = meijer_g_ccdf(link, x, mpmath)
+                assert abs_err == 0.0
+                assert abs(value - exact) <= 1e-12 * exact, x
+
+    def test_quadrature_within_its_error_estimate(self):
+        mpmath = pytest.importorskip("mpmath")
+        link = ((1.5, 1), (2.5, 1))
+        spec = LinkSpec.from_pairs(link)
+        with mpmath.workdps(40):
+            for x in self.XS:
+                value, abs_err = _product_ccdf_two_stage(spec, float(x))
+                exact = meijer_g_ccdf(link, x, mpmath)
+                assert 0.0 < abs_err <= 1e-11 * exact, x
+                assert abs(value - exact) <= abs_err, x
 
 
 class TestReduceToGainEvent:
@@ -302,6 +354,14 @@ class TestSuccessProb:
     def test_numpy_integer_capacities(self):
         res = success_prob("canoma", **self.kwargs(capacities=(np.int64(2), np.int32(5))))
         assert res == success_prob("canoma", **self.kwargs(capacities=(2, 5)))
+
+    def test_abs_err_is_zero_on_closed_form_links(self):
+        assert success_prob("canoma", **self.kwargs()).abs_err == 0.0
+
+    def test_abs_err_reports_the_quadrature(self):
+        link = LinkSpec.from_pairs([(1.5, 1), (2.5, 1)])
+        res = success_prob("canoma", **self.kwargs(link_specs=(link, link)))
+        assert 0.0 < res.abs_err < 1e-9
 
     def test_metric_selector(self):
         res = success_prob("canoma", **self.kwargs())
