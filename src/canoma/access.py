@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isfinite
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -77,7 +78,11 @@ class PowerAllocation:
 
 @dataclass(frozen=True)
 class DecodeThresholds:
-    """Per-file SINR thresholds (linear scale), default 1 for every file."""
+    """Per-file SINR thresholds (linear scale), default 1 for every file.
+
+    Each override names a distinct file index >= 1; files beyond the
+    catalog keep their override unused.
+    """
 
     default: float = 1.0
     overrides: tuple[tuple[int, float], ...] = ()
@@ -85,10 +90,16 @@ class DecodeThresholds:
     def __post_init__(self) -> None:
         if not (isfinite(self.default) and self.default > 0):
             raise ParameterError(f"threshold must be positive, got {self.default!r}")
-        object.__setattr__(self, "overrides", tuple(sorted(self.overrides)))
+        seen = set()
         for file, theta in self.overrides:
+            if not isinstance(file, Integral) or isinstance(file, bool) or file < 1:
+                raise ParameterError(f"override file must be an integer >= 1, got {file!r}")
+            if file in seen:
+                raise ParameterError(f"file {file} has more than one threshold override")
+            seen.add(file)
             if not (isfinite(theta) and theta > 0):
                 raise ParameterError(f"threshold for file {file} must be positive, got {theta!r}")
+        object.__setattr__(self, "overrides", tuple(sorted(self.overrides)))
 
     def theta_for(self, file: int) -> float:
         for f, theta in self.overrides:

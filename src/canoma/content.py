@@ -57,7 +57,7 @@ class PopularityProfile:
             raise ParameterError("profile entries must be finite and non-negative")
         if abs(probs.sum() - 1.0) > _SUM_TOL:
             raise ParameterError(f"profile entries must sum to 1, got {probs.sum()!r}")
-        if np.any(np.diff(probs) > 0):
+        if np.any(probs[1:] > probs[:-1]):
             raise ParameterError("profile entries must be non-increasing in file index")
         self._probs = probs
         self._probs.setflags(write=False)
@@ -175,8 +175,11 @@ def zipf_profile(catalog: Catalog, zeta: float, convention: str = "reciprocal") 
         exponent = zeta
     else:
         raise ParameterError(f"unknown zipf convention {convention!r}")
-    weights = np.arange(1, t + 1, dtype=float) ** (-exponent)
-    return PopularityProfile(weights / weights.sum())
+    # in place: a catalog of T files holds one T-long temporary, not three
+    weights = np.arange(1, t + 1, dtype=float)
+    np.power(weights, -exponent, out=weights)
+    weights /= weights.sum()
+    return PopularityProfile(weights)
 
 
 def _checked_capacity(profile: PopularityProfile, capacity) -> int:

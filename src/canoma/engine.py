@@ -31,7 +31,7 @@ import numpy as np
 
 from .access import SCHEMES, DecodeThresholds, gain_thresholds
 from .channel import LinkSpec, sample_link_gain
-from .content import request_from_uniform, zipf_profile
+from .content import PopularityProfile, zipf_profile
 from .errors import ParameterError
 
 __all__ = [
@@ -251,65 +251,80 @@ def _by_position(strong_is_1, v1, v2):
 
 @dataclass(frozen=True, eq=False)
 class _ScenarioClasses:
-    """The scenario classes of one cache pair and threshold table.
+    """The scenario classes of one profile, cache pair and threshold table.
 
-    A trial's class code packs five bits -- the self-hit flag of each
-    vehicle, whether each vehicle holds the other's requested file, and
-    whether vehicle 1 is the strong one -- with the threshold level of
-    each vehicle's requested file.  Trials of one class decode alike, so
-    ``gain_thresholds`` runs once per class and each trial looks its
-    (a, b) up by code.
+    Under top-C placement a request's cache flags and threshold level
+    change only at a few files: c1+1, c2+1, and each override file f and
+    f+1.  Those change points cut files 1..T into cells whose files all
+    share the same attributes -- which caches hold them (their region)
+    and their threshold level -- so a cell's attributes are its first
+    file's.  Since the request r(u) >= k iff cdf[k-2] < u, a uniform's
+    cell is the number of change points k with cdf[k-2] < u: a
+    ``searchsorted`` over a few CDF values, never over the T-long CDF,
+    and no request is ever formed.
+
+    A trial's class code packs each vehicle's (region, level) attribute
+    index with whether vehicle 1 is the strong one.  Trials of one class
+    decode alike, so ``gain_thresholds`` runs once per class and each
+    trial looks its (a, b) up by code.
     """
 
-    capacities: tuple[int, int]
-    levels: np.ndarray  # the distinct thresholds of files 1..T, ascending
-    level_of_file: np.ndarray | None  # level index by file - 1; None for one level
+    breakpoints: np.ndarray  # cdf[k - 2] for each change point k, ascending
+    attribute_of_cell: np.ndarray  # attribute index of each cell
+    held: np.ndarray  # (in cache 1, in cache 2) by attribute
+    theta: np.ndarray  # threshold by attribute
 
     @classmethod
-    def of(cls, config: TrialConfig) -> "_ScenarioClasses":
-        thresholds = config.thresholds
-        # from the default and the overrides, never from a T-long sort
-        levels = np.unique(
-            [thresholds.default]
-            + [theta for f, theta in thresholds.overrides if 1 <= f <= config.files]
+    def of(cls, config: TrialConfig, profile: PopularityProfile) -> "_ScenarioClasses":
+        t, (c1, c2), thresholds = config.files, config.capacities, config.thresholds
+        theta_of = dict(thresholds.overrides)
+        overridden = [f for f in theta_of if 1 <= f <= t]
+        starts = np.unique([c1 + 1, c2 + 1, *overridden, *(f + 1 for f in overridden)])
+        starts = starts[(starts >= 2) & (starts <= t)]
+        first = np.concatenate(([1], starts))
+        levels, level = np.unique(
+            [theta_of.get(f, thresholds.default) for f in first.tolist()], return_inverse=True
         )
-        level_of_file = None
-        if len(levels) > 1:
-            level_of_file = np.searchsorted(levels, thresholds.table(config.files))
-        return cls(config.capacities, levels, level_of_file)
+        # under top-C placement (in 1, in 2) takes at most 3 of its 4 values
+        region = (first <= c1) + 2 * (first <= c2)
+        attributes, attribute_of_cell = np.unique(
+            region * len(levels) + level, return_inverse=True
+        )
+        region, level = np.divmod(attributes, len(levels))
+        return cls(
+            breakpoints=profile.cdf[starts - 2],
+            attribute_of_cell=attribute_of_cell,
+            held=np.column_stack((region & 1 == 1, region & 2 == 2)),
+            theta=levels[level],
+        )
 
     @property
     def size(self) -> int:
-        return 32 * len(self.levels) ** 2
+        return 2 * len(self.theta) ** 2
 
-    def codes(self, r1, r2, strong_is_1):
-        c1, c2 = self.capacities
-        # top-C placement: membership is an index comparison
-        bits = (r1 <= c1, r2 <= c2, r2 <= c1, r1 <= c2, strong_is_1)
-        code = np.zeros(len(r1), dtype=np.uint8)
-        for k, bit in enumerate(bits):
-            code |= bit.view(np.uint8) << k
-        code = code.astype(np.intp)
-        if self.level_of_file is not None:
-            level1, level2 = self.level_of_file[r1 - 1], self.level_of_file[r2 - 1]
-            code += 32 * (level1 * len(self.levels) + level2)
-        return code
+    def codes(self, u, strong_is_1):
+        """Class code of each trial from its two request uniforms."""
+        a1, a2 = (
+            self.attribute_of_cell[np.searchsorted(self.breakpoints, u[:, k])] for k in (0, 1)
+        )
+        return 2 * (a1 * len(self.theta) + a2) + strong_is_1
 
     def columns(self, classes: np.ndarray):
         """``gain_thresholds``' position-ordered inputs for each class code:
         (th_s, th_w, hit_s, hit_w, cross_s, cross_w)."""
-        pair, bits = np.divmod(classes, 32)
-        th1, th2 = (self.levels[i] for i in np.divmod(pair, len(self.levels)))
-        hit1, hit2, held_by_1, held_by_2, strong_is_1 = ((bits >> k) & 1 == 1 for k in range(5))
+        pair, strong_is_1 = np.divmod(classes, 2)
+        a1, a2 = np.divmod(pair, len(self.theta))
+        strong_is_1 = strong_is_1 == 1
         return (
-            *_by_position(strong_is_1, th1, th2),
-            *_by_position(strong_is_1, hit1, hit2),
-            *_by_position(strong_is_1, held_by_1, held_by_2),
+            *_by_position(strong_is_1, self.theta[a1], self.theta[a2]),
+            *_by_position(strong_is_1, self.held[a1, 0], self.held[a2, 1]),
+            # whether each vehicle holds the other's requested file
+            *_by_position(strong_is_1, self.held[a2, 0], self.held[a1, 1]),
         )
 
 
 def _run_chunk(args):
-    seed, chunk, length, link_specs, ordering, profiles, groups, decoders, schemes, collect = args
+    seed, chunk, length, link_specs, ordering, groups, decoders, schemes, collect = args
     rng = _chunk_generator(seed, chunk)
     # Full-size draws keep every trial's variates independent of n_trials.
     u = rng.random((CHUNK, 2))[:length]
@@ -320,13 +335,9 @@ def _run_chunk(args):
     else:
         strong_is_1 = np.ones(length, dtype=bool)
         xs, xw = x1, x2
-    requests = {
-        key: (request_from_uniform(profile, u[:, 0]), request_from_uniform(profile, u[:, 1]))
-        for key, profile in profiles.items()
-    }
     classified = {}
     for key, group in groups.items():
-        code = group.codes(*requests[key[0]], strong_is_1)
+        code = group.codes(u, strong_is_1)
         # the class table never outgrows the chunk, whatever the level count
         if group.size <= CHUNK:
             classes = np.arange(group.size)
@@ -351,6 +362,21 @@ def _run_chunk(args):
     return out
 
 
+def _scenario_groups(configs: Sequence[TrialConfig]):
+    """One ``_ScenarioClasses`` per (profile, cache pair, thresholds) key,
+    and each config paired with its key."""
+    profiles, groups, decoders = {}, {}, []
+    for config in configs:
+        profile_key = (config.files, config.zeta, config.zipf_convention)
+        key = (profile_key, config.capacities, config.thresholds)
+        if key not in groups:
+            if profile_key not in profiles:
+                profiles[profile_key] = zipf_profile(*profile_key)
+            groups[key] = _ScenarioClasses.of(config, profiles[profile_key])
+        decoders.append((key, config))
+    return groups, decoders
+
+
 def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -371,9 +397,10 @@ def _simulate(
 
     The configs must share the fields that fix the draws (seed,
     n_trials, link_specs, ordering).  Each Philox block is drawn once,
-    its requests are mapped once per popularity profile and classified
-    once per cache pair and threshold table, and every (config, scheme)
-    decodes from that scenario-class table.  Returns, per config,
+    classified once per popularity profile, cache pair and threshold
+    table, and every (config, scheme) decodes from that scenario-class
+    table.  Popularity profiles are read while the classes are built
+    and dropped before any block is drawn.  Returns, per config,
     ``{scheme: (estimate, outcomes)}``, outcomes being an (n, 2)
     vehicle-indexed boolean array when requested and None otherwise.
     """
@@ -387,15 +414,7 @@ def _simulate(
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ParameterError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    profiles, groups, decoders = {}, {}, []
-    for config in configs:
-        profile_key = (config.files, config.zeta, config.zipf_convention)
-        if profile_key not in profiles:
-            profiles[profile_key] = zipf_profile(*profile_key)
-        key = (profile_key, config.capacities, config.thresholds)
-        if key not in groups:
-            groups[key] = _ScenarioClasses.of(config)
-        decoders.append((key, config))
+    groups, decoders = _scenario_groups(configs)
 
     seed, n, link_specs, ordering = _draw_fields(configs[0])
     n_chunks = (n + CHUNK - 1) // CHUNK
@@ -406,7 +425,6 @@ def _simulate(
             min(CHUNK, n - c * CHUNK),
             link_specs,
             ordering,
-            profiles,
             groups,
             decoders,
             schemes,

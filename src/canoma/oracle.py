@@ -63,6 +63,9 @@ _MAX_BESSEL_TERMS = 1000
 # relative tolerance of the quadrature, the only CCDF path that has an error
 _QUAD_EPSREL = 1e-12
 
+# above this shape the gamma log-density takes its saddle-point form
+_SADDLE_SHAPE = 100.0
+
 
 @dataclass(frozen=True)
 class GainThresholdEvent:
@@ -118,8 +121,35 @@ def gamma_ccdf(shape: float, scale: float, x: float) -> float:
     return float(gammaincc(shape, x / scale))
 
 
-def _gamma_logpdf(g: np.ndarray, shape: float, scale: float) -> np.ndarray:
-    return xlogy(shape - 1.0, g) - g / scale - gammaln(shape) - shape * math.log(scale)
+def _gamma_logpdf(g: float, shape: float, scale: float) -> float:
+    """log of the Gamma(shape, scale) density at g > 0.
+
+    The plain form subtracts terms of size shape * log(shape), so at
+    shape 1e5-1e6 its relative error near the mode is ~1e-10.  Above
+    ``_SADDLE_SHAPE`` the saddle-point form of Loader ("Fast and accurate
+    computation of binomial probabilities", 2000) is used, k = shape - 1:
+    log pdf = -bd0(k, g/scale) - log(2 pi k)/2 - stirlerr(k) - log(scale).
+    """
+    if shape <= _SADDLE_SHAPE:
+        return xlogy(shape - 1.0, g) - g / scale - gammaln(shape) - shape * math.log(scale)
+    k = shape - 1.0
+    # Stirling's series for log k! - ((k + 1/2) log k - k + log(2 pi)/2)
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * k * k)) / (k * k)) / (k * k)) / k
+    return -_bd0(k, g / scale) - 0.5 * math.log(2.0 * math.pi * k) - stirlerr - math.log(scale)
+
+
+def _bd0(k: float, y: float) -> float:
+    """k log(k/y) + y - k without cancellation near y = k."""
+    if not abs(k - y) < 0.1 * (k + y):
+        return k * math.log(k / y) + y - k
+    v = (k - y) / (k + y)
+    total, term, j = (k - y) * v, 2.0 * k * v, 1
+    while True:
+        term *= v * v
+        step = total + term / (2 * j + 1)
+        if step == total:
+            return total
+        total, j = step, j + 1
 
 
 def _bessel_k_ccdf(m1: int, scale1: float, shape2: float, scale2: float, x: float) -> float:
@@ -154,11 +184,21 @@ def _quadrature_ccdf(spec: LinkSpec, x: float) -> tuple[float, float]:
         if g <= 0.0:
             return 0.0
         tail = gammaincc(s1.gamma_shape, (x / g) / s1.gamma_scale)
-        return float(tail * math.exp(_gamma_logpdf(np.asarray(g), s2.gamma_shape, s2.gamma_scale)))
+        return float(tail * math.exp(_gamma_logpdf(g, s2.gamma_shape, s2.gamma_scale)))
 
-    val, err = integrate.quad(
-        integrand, 0.0, math.inf, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=300
-    )
+    # at a large shape the pdf is a spike of width sqrt(shape) * scale
+    # about its mode, which quad's transformed ranges can step over; cuts
+    # at the mode and ten widths either side pin it at any shape
+    mode = max(s2.gamma_shape - 1.0, 0.0) * s2.gamma_scale
+    width = 10.0 * math.sqrt(s2.gamma_shape) * s2.gamma_scale
+    cuts = sorted({0.0, max(mode - width, 0.0), mode, mode + width, math.inf})
+    val = err = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        part, part_err = integrate.quad(
+            integrand, lo, hi, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=300
+        )
+        val += part
+        err += part_err
     return min(max(val, 0.0), 1.0), err
 
 

@@ -121,6 +121,20 @@ class TestDecodeThresholds:
         with pytest.raises(ParameterError):
             DecodeThresholds(overrides=((1, -1.0),))
 
+    def test_rejects_a_file_overridden_twice(self):
+        # theta_for would take the last value and table the first
+        with pytest.raises(ParameterError, match="file 3"):
+            DecodeThresholds(overrides=((3, 2.0), (3, 0.5)))
+
+    @pytest.mark.parametrize("file", [0, -2, 2.0, 1.5, True, "3"])
+    def test_rejects_a_file_index_that_is_not_an_integer_from_1(self, file):
+        with pytest.raises(ParameterError, match="override file"):
+            DecodeThresholds(overrides=((file, 0.5),))
+
+    def test_accepts_numpy_integer_files(self):
+        th = DecodeThresholds(overrides=((np.int64(2), 0.5),))
+        assert th.theta_for(2) == 0.5
+
 
 class TestDecodeNoma:
     def alloc(self, total=10.0, alpha=0.2):

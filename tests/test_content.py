@@ -49,6 +49,18 @@ class TestZipfProfile:
         with pytest.raises(ParameterError):
             zipf_profile(3, 1.0, convention="zipfian")
 
+    @pytest.mark.parametrize("zeta", [0.01, 0.5, 0.8, 1.0, 2.0])
+    @pytest.mark.parametrize("convention", ["reciprocal", "direct"])
+    def test_bits_equal_the_plain_expression(self, zeta, convention):
+        # the in-place build must not move a bit of the profile or its CDF:
+        # engine class codes compare uniforms with CDF values
+        exponent = 1.0 / zeta if convention == "reciprocal" else zeta
+        weights = np.arange(1, 50_001, dtype=float) ** (-exponent)
+        plain = weights / weights.sum()
+        profile = zipf_profile(50_000, zeta, convention)
+        assert np.array_equal(profile.probs, plain)
+        assert np.array_equal(profile.cdf[:-1], np.cumsum(plain)[:-1])
+
     @settings(max_examples=60, deadline=None)
     @given(
         t=st.integers(min_value=1, max_value=10_000),

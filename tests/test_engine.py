@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from canoma import (
     sweep,
     zipf_profile,
 )
+import canoma.content as content
 import canoma.engine as engine
 from canoma.content import request_from_uniform
 from canoma.engine import CHUNK, _chunk_generator
@@ -224,8 +226,18 @@ class TestEngineMatchesScalarPath:
             {"ordering": "fixed"},
             {"self_hit_power": "idle"},
             {"thresholds": MANY_LEVELS, "files": 5000},
+            # files from 1723 on have probability 0 and the CDF rounds to
+            # 1.0 from file 1 on, so every breakpoint ties with 1.0
+            {"files": 2000, "zeta": 0.01, "cache": (1500, 3)},
+            {"cache": 0},
+            {"cache": 10},
+            {"thresholds": DecodeThresholds(1.0, ((1, 0.5), (10, 2.0)))},
+            {"thresholds": DecodeThresholds(1.0, ((4, 2.0), (11, 0.5)))},
+            {"thresholds": DecodeThresholds(1.0, ((4, 1.0),))},
         ],
-        ids=["default", "overrides", "unequal-caches", "fixed", "idle", "many-levels"],
+        ids=["default", "overrides", "unequal-caches", "fixed", "idle", "many-levels",
+             "zero-tail", "no-cache", "full-cache", "overrides-at-ends",
+             "override-beyond-catalog", "override-equal-to-default"],
     )
     def test_all_schemes_elementwise(self, over):
         n = 1500
@@ -272,6 +284,33 @@ class TestEngineMatchesScalarPath:
             for scheme, outcome in want.items():
                 got = tuple(bool(v) for v in results[scheme][t])
                 assert got == outcome.ok, (scheme, t)
+
+
+class TestClassesFromBreakpoints:
+    def test_no_request_is_formed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a request was formed")
+
+        monkeypatch.setattr(content, "request_from_uniform", refuse)
+        monkeypatch.setattr(engine, "request_from_uniform", refuse, raising=False)
+        cfg = config(n_trials=CHUNK + 5, thresholds=DecodeThresholds(1.0, ((1, 0.5), (3, 2.0))))
+        run_point_multi(cfg, SCHEMES)
+        sweep(cfg, "catalog_t", [10, 50], SCHEMES)
+
+    def test_chunk_task_carries_no_catalog(self, monkeypatch):
+        # a T-long profile would be 16 MB at T = 1e6
+        sizes = []
+        run_chunk = engine._run_chunk
+
+        def measured(task):
+            sizes.append(len(pickle.dumps(task)))
+            return run_chunk(task)
+
+        monkeypatch.setattr(engine, "_run_chunk", measured)
+        thresholds = DecodeThresholds(1.0, ((7, 0.5), (999_999, 2.0)))
+        cfg = config(n_trials=1000, files=1_000_000, cache=(1000, 300), thresholds=thresholds)
+        run_point_multi(cfg, SCHEMES)
+        assert sizes and max(sizes) < 64 * 1024
 
 
 class TestSweep:

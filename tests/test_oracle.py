@@ -44,6 +44,31 @@ def meijer_g_ccdf(link: tuple[tuple[float, float], ...], x: float, mpmath):
     return mpmath.meijerg([[], [1]], [[m1, m2, 0], []], y) / (mpmath.gamma(m1) * mpmath.gamma(m2))
 
 
+def series_integral_ccdf(m: float, x: float, mpmath):
+    """P(G1*G2 > x) for two Gamma(m, 1/m) stages at a shape where the
+    Meijer-G series does not converge (m ~ 1e5 and up): the integral of
+    ccdf(x/g) pdf(g) over the mode +- 16 standard deviations by
+    Gauss-Legendre, with the incomplete gamma from its series
+    P(a, z) = z^a e^-z 1F1(1; a+1; z) / Gamma(a+1).  Neither scipy nor the
+    saddle-point density takes part.  Returns (value, pdf mass outside
+    the window)."""
+    m, x = mpmath.mpf(m), mpmath.mpf(x)
+
+    def lower(z):
+        log_head = m * mpmath.log(z) - z - mpmath.loggamma(m + 1)
+        return mpmath.exp(log_head) * mpmath.hyp1f1(1, m + 1, z, maxterms=10**6)
+
+    log_norm = -mpmath.loggamma(m) + m * mpmath.log(m)
+    mode, sd = (m - 1) / m, mpmath.sqrt(m) / m
+    window = [mode + k * sd for k in (-16, -4, 0, 4, 16)]
+    value = mpmath.quad(
+        lambda g: (1 - lower(x * m / g)) * mpmath.exp((m - 1) * mpmath.log(g) - g * m + log_norm),
+        window,
+        method="gauss-legendre",
+    )
+    return value, 1 - (lower(window[-1] * m) - lower(window[0] * m))
+
+
 def swapped_order_quadrature(x: float) -> float:
     """Same tail probability, integrating over the first stage instead."""
     # stage 1 is Exp(1); stage 2 squared amplitude is Gamma(2, 1)
@@ -100,6 +125,16 @@ class TestProductGainCcdf:
         assert vals[0] == 1.0
         assert vals[-1] < 1e-5
 
+    @pytest.mark.parametrize("m", [1e8 + 0.5, 1e12 + 0.5])
+    def test_quadrature_finds_the_spike_at_any_shape(self, m):
+        # log G1 + log G2 is nearly normal with variance 2/m at these
+        # shapes; a cut at the mode alone lost half the mass at m = 1e8
+        spec = LinkSpec.from_pairs([(m, 1)] * 2)
+        for d in (-3.0, 0.0, 3.0):
+            x = math.exp(d * math.sqrt(2.0 / m))
+            normal = 0.5 * math.erfc(d / math.sqrt(2.0))
+            assert product_gain_ccdf(spec, x) == pytest.approx(normal, abs=1e-4), d
+
     @pytest.mark.parametrize("x", [400.0, 1000.0])
     def test_deep_tail_matches_closed_form(self, x):
         exact = bessel_closed_form(x)
@@ -118,7 +153,8 @@ class TestProductGainCcdf:
 
 
 class TestMpmathReference:
-    """The float CCDF against a 40-digit Meijer-G evaluation."""
+    """The float CCDF against a 40-digit Meijer-G evaluation, and at huge
+    shapes against a 30-digit series integral."""
 
     XS = np.logspace(-3.0, 3.0, 13)
 
@@ -145,6 +181,17 @@ class TestMpmathReference:
                 exact = meijer_g_ccdf(link, x, mpmath)
                 assert 0.0 < abs_err <= 1e-11 * exact, x
                 assert abs(value - exact) <= abs_err, x
+
+    @pytest.mark.parametrize("m", [1e5 + 0.5, 1e6 + 0.5])
+    def test_quadrature_at_huge_shape(self, m):
+        # at m = 1e6 + 0.5 an unsplit range returned 1.15e-15 with error 0
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            exact, outside = series_integral_ccdf(m, 1.0, mpmath)
+        assert abs(outside) < 1e-20
+        value, abs_err = _product_ccdf_two_stage(LinkSpec.from_pairs([(m, 1)] * 2), 1.0)
+        assert 0.0 < abs_err <= 1e-11 * exact
+        assert abs(value - exact) <= abs_err
 
 
 class TestReduceToGainEvent:
