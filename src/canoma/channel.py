@@ -77,28 +77,57 @@ class LinkSpec:
         return cls(tuple(NakagamiStage(float(m), float(omega)) for m, omega in pairs))
 
 
-def sample_gamma(shape: float, scale: float, rng: np.random.Generator, size=None):
+# variates of a later stage that ``sample_link_gain`` draws per step into ``out``
+_BLOCK = 8192
+
+
+def sample_gamma(shape: float, scale: float, rng: np.random.Generator, size=None, out=None):
     """Draw gamma variates with the given shape and scale.
 
-    Scalar when ``size`` is None, ndarray otherwise.  The draw is
-    ``standard_gamma(shape) * scale``, so two runs from identical
-    generator states with scales differing by a factor c produce values
-    differing by exactly c.
+    Scalar when ``size`` and ``out`` are None, ndarray otherwise; with
+    ``out`` (a C-contiguous float64 array) the variates are written there
+    and ``out`` is returned.  The draw is ``standard_gamma(shape) * scale``,
+    so two runs from identical generator states with scales differing by
+    a factor c produce values differing by exactly c.
     """
     if not (isfinite(shape) and shape > 0):
         raise ParameterError(f"gamma shape must be positive and finite, got {shape!r}")
     if not (isfinite(scale) and scale > 0):
         raise ParameterError(f"gamma scale must be positive and finite, got {scale!r}")
-    return rng.standard_gamma(shape, size=size) * scale
+    if out is None:
+        return rng.standard_gamma(shape, size=size) * scale
+    rng.standard_gamma(shape, out=out)
+    out *= scale
+    return out
 
 
-def sample_link_gain(spec: LinkSpec, rng: np.random.Generator, size=None):
+def sample_link_gain(spec: LinkSpec, rng: np.random.Generator, size=None, out=None):
     """Sample the squared gain of a cascaded link: the product of one
-    gamma variate per stage, drawn in stage order."""
-    gain = 1.0 if size is None else np.ones(size)
-    for stage in spec.stages:
-        gain = gain * sample_gamma(stage.gamma_shape, stage.gamma_scale, rng, size=size)
-    return gain
+    gamma variate per stage, drawn in stage order.
+
+    With ``out`` (a C-contiguous float64 array, whose shape is then the
+    size) the gains are written there, bit-equal to the allocating call,
+    and nothing of that size is allocated: a later stage is drawn in
+    blocks, which consumes the generator exactly as one full draw does.
+    """
+    if out is None and size is None:
+        gain = 1.0
+        for stage in spec.stages:
+            gain = gain * sample_gamma(stage.gamma_shape, stage.gamma_scale, rng)
+        return gain
+    if out is None:
+        out = np.empty(size)
+    first, *rest = spec.stages
+    sample_gamma(first.gamma_shape, first.gamma_scale, rng, out=out)
+    flat = out.reshape(-1)  # a view: the draw above refused a non-contiguous ``out``
+    block = np.empty(min(flat.size, _BLOCK))
+    for stage in rest:
+        for lo in range(0, flat.size, _BLOCK):
+            part = block[: flat.size - lo]
+            flat[lo : lo + part.size] *= sample_gamma(
+                stage.gamma_shape, stage.gamma_scale, rng, out=part
+            )
+    return out
 
 
 def mean_link_gain(spec: LinkSpec) -> float:

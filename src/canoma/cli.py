@@ -32,6 +32,7 @@ from .engine import (
     TrialConfig,
     _config_at,
     _simulate,
+    _thread_count,
     db_to_linear,
     sweep,
 )
@@ -119,7 +120,12 @@ def _add_model_flags(sp: argparse.ArgumentParser, defaults: bool = True) -> None
     )
     sp.add_argument("--link-spec-1", default=None, help="override the first link's stages")
     sp.add_argument("--link-spec-2", default=None, help="override the second link's stages")
-    sp.add_argument("--workers", type=int, default=1, help="parallel workers (never changes results)")
+    sp.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker threads (default: every available CPU; never changes results)",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -179,7 +185,7 @@ def _config_from(args, scheme: str, parameter: str | None = None, values=()) -> 
     the flags need only hold at every grid value, and a failure is blamed
     on a flag only when the flags fail the same way without the grid.
     """
-    if args.workers < 1:
+    if args.workers is not None and args.workers < 1:
         raise UsageError(f"--workers must be a positive integer, got {args.workers}")
     base = _parse_link_spec(args.link_spec, "--link-spec")
     link1 = _parse_link_spec(args.link_spec_1, "--link-spec-1") if args.link_spec_1 else base
@@ -237,7 +243,7 @@ def _manifest(
         "self_hit_power": config.self_hit_power,
         "link_spec_1": [[s.m, s.omega] for s in config.link_specs[0].stages],
         "link_spec_2": [[s.m, s.omega] for s in config.link_specs[1].stages],
-        "workers": args.workers,
+        "workers": _thread_count(args.workers, config.n_trials),
     }
     if grid is not None:
         del resolved[args.sweep]

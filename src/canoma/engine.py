@@ -3,7 +3,11 @@
 Trials are organised in fixed blocks of 65536; block c draws from a
 Philox stream keyed by SeedSequence((seed, c)), so any trial's variates
 are a deterministic function of (seed, trial index) and results are
-bit-identical for any worker count.  Within a block the draw order is
+bit-identical for any worker count.  Blocks run on a pool of threads,
+one per available CPU by default (numpy releases the interpreter lock
+in the draws, the elementwise work and the counts); each thread works
+in one set of arrays allocated once per run, so no block allocates
+anything block-sized.  Within a block the draw order is
 fixed -- request uniforms first, then the per-stage gamma variates of
 each link -- which makes runs over different grid values consume the
 same randomness per trial (common random numbers): sweeping SNR, cache
@@ -23,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -53,6 +57,7 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16
+_U_ROWS = 1 << 13  # request-uniform rows drawn per step of a chunk
 BIT_GENERATOR = np.random.Philox
 METRICS = ("marg-product", "joint")
 ORDERING_POLICIES = ("by-gain", "fixed")
@@ -75,6 +80,20 @@ def db_to_linear(db: float) -> float:
 
 def linear_to_db(linear: float) -> float:
     return 10.0 * math.log10(linear)
+
+
+# a popularity profile holds about 24 bytes per catalog file: its
+# probabilities, its CDF and one T-long temporary while it is built
+_PROFILE_BYTES_PER_FILE = 24
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the system does not say."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+    return pages * page_size if pages > 0 and page_size > 0 else math.inf
 
 
 def _is_int(value) -> bool:
@@ -129,6 +148,12 @@ class TrialConfig:
             raise bad("scheme", f"be one of {SCHEMES}")
         if not _is_int(self.files) or self.files < 1:
             raise bad("files", "be a positive integer")
+        memory = _physical_memory()
+        if self.files * _PROFILE_BYTES_PER_FILE > memory:
+            raise bad(
+                "files",
+                f"fit in memory at {_PROFILE_BYTES_PER_FILE} B per file ({memory / 2**30:.3g} GiB)",
+            )
         if not (math.isfinite(self.zeta) and self.zeta > 0):
             raise bad("zeta", "be positive")
         if len(self.capacities) != 2 or not all(_is_int(c) and c >= 0 for c in self.capacities):
@@ -270,7 +295,7 @@ class _ScenarioClasses:
     """
 
     breakpoints: np.ndarray  # cdf[k - 2] for each change point k, ascending
-    attribute_of_cell: np.ndarray  # attribute index of each cell
+    attribute_of_cell: np.ndarray  # attribute index of each cell, in the smallest dtype
     held: np.ndarray  # (in cache 1, in cache 2) by attribute
     theta: np.ndarray  # threshold by attribute
 
@@ -293,7 +318,7 @@ class _ScenarioClasses:
         region, level = np.divmod(attributes, len(levels))
         return cls(
             breakpoints=profile.cdf[starts - 2],
-            attribute_of_cell=attribute_of_cell,
+            attribute_of_cell=attribute_of_cell.astype(np.min_scalar_type(len(attributes))),
             held=np.column_stack((region & 1 == 1, region & 2 == 2)),
             theta=levels[level],
         )
@@ -302,12 +327,26 @@ class _ScenarioClasses:
     def size(self) -> int:
         return 2 * len(self.theta) ** 2
 
-    def codes(self, u, strong_is_1):
-        """Class code of each trial from its two request uniforms."""
+    @property
+    def dense(self) -> bool:
+        """Whether codes index a table of every class.  Otherwise a chunk's
+        table holds only the classes it meets (``np.unique``), so it never
+        outgrows the chunk, whatever the level count."""
+        return self.size <= CHUNK
+
+    @property
+    def code_dtype(self):
+        return np.uint16 if self.dense else np.intp
+
+    def pairs(self, u, out) -> None:
+        """Write each trial's attribute pair a1 * A + a2 from its two
+        request uniforms into ``out``; its class code is twice that plus
+        whether vehicle 1 is the strong one."""
         a1, a2 = (
             self.attribute_of_cell[np.searchsorted(self.breakpoints, u[:, k])] for k in (0, 1)
         )
-        return 2 * (a1 * len(self.theta) + a2) + strong_is_1
+        np.multiply(a1, len(self.theta), out=out, dtype=out.dtype)
+        out += a2
 
     def columns(self, classes: np.ndarray):
         """``gain_thresholds``' position-ordered inputs for each class code:
@@ -323,26 +362,61 @@ class _ScenarioClasses:
         )
 
 
-def _run_chunk(args):
-    seed, chunk, length, link_specs, ordering, groups, decoders, schemes, collect = args
+def _chunk_buffers(groups):
+    """One thread's working arrays for ``_run_chunk``: request uniforms for
+    one slice of rows, the two links' gains and a spare, the strong flags,
+    three outcome flags, and a class code per scenario group.
+
+    The calling thread allocates them once per run, so no chunk allocates
+    anything CHUNK-sized and the memory never lands in a worker thread's
+    own malloc arena.
+    """
+    return (
+        np.empty((_U_ROWS, 2)),
+        np.empty((3, CHUNK)),
+        np.empty(CHUNK, dtype=bool),
+        np.empty((3, CHUNK), dtype=bool),
+        {key: np.empty(CHUNK, dtype=group.code_dtype) for key, group in groups.items()},
+    )
+
+
+def _run_chunk(task, buffers):
+    seed, chunk, length, link_specs, ordering, groups, decoders, schemes, collect = task
+    u, gains, strong_is_1, (ok_s, ok_w, ok_both), codes = buffers
     rng = _chunk_generator(seed, chunk)
-    # Full-size draws keep every trial's variates independent of n_trials.
-    u = rng.random((CHUNK, 2))[:length]
-    x1, x2 = (sample_link_gain(spec, rng, CHUNK)[:length] for spec in link_specs)
+    # Full-size draws keep every trial's variates independent of n_trials;
+    # rows drawn slice by slice are the rows of one (CHUNK, 2) draw.
+    for lo in range(0, CHUNK, _U_ROWS):
+        rng.random(out=u)
+        if lo < length:
+            rows = u[: length - lo]
+            for key, group in groups.items():
+                group.pairs(rows, codes[key][lo : lo + len(rows)])
+    for spec, x in zip(link_specs, gains):
+        sample_link_gain(spec, rng, out=x)
+    x1, x2, spare = gains[:, :length]
+    strong_is_1 = strong_is_1[:length]
+    ok_s, ok_w, ok_both = ok_s[:length], ok_w[:length], ok_both[:length]
     if ordering == "by-gain":
-        strong_is_1 = x1 >= x2
-        xs, xw = np.maximum(x1, x2), np.minimum(x1, x2)
+        np.greater_equal(x1, x2, out=strong_is_1)
+        np.minimum(x1, x2, out=spare)
+        np.maximum(x1, x2, out=x1)
+        xs, xw, limit = x1, spare, x2
     else:
-        strong_is_1 = np.ones(length, dtype=bool)
-        xs, xw = x1, x2
+        strong_is_1.fill(True)
+        xs, xw, limit = x1, x2, spare
     classified = {}
     for key, group in groups.items():
-        code = group.codes(u, strong_is_1)
-        # the class table never outgrows the chunk, whatever the level count
-        if group.size <= CHUNK:
+        code = codes[key][:length]
+        code *= 2
+        code += strong_is_1
+        if group.dense:
             classes = np.arange(group.size)
         else:
             classes, code = np.unique(code, return_inverse=True)
+        # the gathers below clip instead of checking, which would copy
+        if code.max() >= len(classes):
+            raise IndexError(f"class code {code.max()} outside a table of {len(classes)}")
         classified[key] = (group.columns(classes), code)
 
     out = []
@@ -353,9 +427,10 @@ def _run_chunk(args):
             a, b = gain_thresholds(
                 scheme, config.rho, config.alpha, *columns, config.self_hit_power
             )
-            ok_s = xs >= a[code]
-            ok_w = xw >= b[code]
-            counts = (np.count_nonzero(ok_s), np.count_nonzero(ok_w), np.count_nonzero(ok_s & ok_w))
+            np.greater_equal(xs, np.take(a, code, out=limit, mode="clip"), out=ok_s)
+            np.greater_equal(xw, np.take(b, code, out=limit, mode="clip"), out=ok_w)
+            np.logical_and(ok_s, ok_w, out=ok_both)
+            counts = tuple(np.count_nonzero(ok) for ok in (ok_s, ok_w, ok_both))
             outcomes = np.column_stack(_by_position(strong_is_1, ok_s, ok_w)) if collect else None
             per_scheme[scheme] = (counts, outcomes)
         out.append(per_scheme)
@@ -383,6 +458,15 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _thread_count(workers: int | None, n_trials: int) -> int:
+    """Threads a run of ``n_trials`` uses: ``workers``, or one per available
+    CPU when None, capped at the CPU and chunk counts (a thread more only
+    waits)."""
+    cpus = _available_cpus()
+    n_chunks = (n_trials + CHUNK - 1) // CHUNK
+    return max(1, min(cpus if workers is None else workers, n_chunks, cpus))
+
+
 def _draw_fields(config: TrialConfig):
     return config.seed, config.n_trials, config.link_specs, config.ordering
 
@@ -390,7 +474,7 @@ def _draw_fields(config: TrialConfig):
 def _simulate(
     configs: Sequence[TrialConfig],
     schemes: Sequence[str],
-    workers: int = 1,
+    workers: int | None = None,
     collect_outcomes: bool = False,
 ):
     """Draw every trial once and decode it under each config and scheme.
@@ -400,7 +484,9 @@ def _simulate(
     classified once per popularity profile, cache pair and threshold
     table, and every (config, scheme) decodes from that scenario-class
     table.  Popularity profiles are read while the classes are built
-    and dropped before any block is drawn.  Returns, per config,
+    and dropped before any block is drawn.  Chunks run on
+    ``_thread_count(workers, n_trials)`` threads, each in buffers this
+    thread allocates once.  Returns, per config,
     ``{scheme: (estimate, outcomes)}``, outcomes being an (n, 2)
     vehicle-indexed boolean array when requested and None otherwise.
     """
@@ -418,27 +504,23 @@ def _simulate(
 
     seed, n, link_specs, ordering = _draw_fields(configs[0])
     n_chunks = (n + CHUNK - 1) // CHUNK
-    tasks = [
-        (
-            seed,
-            c,
-            min(CHUNK, n - c * CHUNK),
-            link_specs,
-            ordering,
-            groups,
-            decoders,
-            schemes,
-            collect_outcomes,
-        )
-        for c in range(n_chunks)
-    ]
-    # more processes than chunks or CPUs only adds fork cost
-    pool_size = min(workers, n_chunks, _available_cpus())
-    if pool_size <= 1:
-        chunk_results = [_run_chunk(t) for t in tasks]
+    threads = _thread_count(workers, n)
+    buffers = [_chunk_buffers(groups) for _ in range(threads)]
+    shared = (link_specs, ordering, groups, decoders, schemes, collect_outcomes)
+
+    def run_share(i):
+        # thread i runs chunks i, i + threads, ... in its own buffers
+        return [
+            _run_chunk((seed, c, min(CHUNK, n - c * CHUNK), *shared), buffers[i])
+            for c in range(i, n_chunks, threads)
+        ]
+
+    if threads == 1:
+        shares = [run_share(0)]
     else:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            chunk_results = list(pool.map(_run_chunk, tasks))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            shares = list(pool.map(run_share, range(threads)))
+    chunk_results = [shares[c % threads][c // threads] for c in range(n_chunks)]
 
     results = []
     for i, config in enumerate(configs):
@@ -454,13 +536,14 @@ def _simulate(
 
 def run_point(
     config: TrialConfig,
-    workers: int = 1,
+    workers: int | None = None,
     return_outcomes: bool = False,
 ):
     """Monte Carlo estimate for one configuration.
 
     Deterministic for a given (seed, config) and invariant to
-    ``workers``.  With ``return_outcomes`` the per-trial, per-vehicle
+    ``workers``, the number of threads the chunks run on (one per
+    available CPU when None).  With ``return_outcomes`` the per-trial, per-vehicle
     success booleans come back alongside the estimate.
     """
     return run_point_multi(config, (config.scheme,), workers, return_outcomes)[config.scheme]
@@ -469,7 +552,7 @@ def run_point(
 def run_point_multi(
     config: TrialConfig,
     schemes: Sequence[str],
-    workers: int = 1,
+    workers: int | None = None,
     return_outcomes: bool = False,
 ):
     """Like :func:`run_point` but decodes the same sampled trials under
@@ -515,7 +598,7 @@ def sweep(
     parameter: str,
     grid: Iterable,
     schemes: Sequence[str] | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> ResultTable:
     """One estimate per (grid value, scheme) under a shared base seed.
 

@@ -88,6 +88,24 @@ def test_sampling_is_deterministic_per_seed():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("pairs", [[(1, 1)], [(1, 1), (2, 2)], [(0.6, 2.5), (3.0, 0.8), (1.5, 1.1)]])
+@pytest.mark.parametrize("size", [1, 8193, 20_000])
+def test_out_path_is_bit_equal_to_the_allocating_path(pairs, size):
+    spec = LinkSpec.from_pairs(pairs)
+    rng_a, rng_b = make_rng(31), make_rng(31)
+    want = sample_link_gain(spec, rng_a, size=size)
+    out = np.full(size, np.nan)
+    assert sample_link_gain(spec, rng_b, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    # and the generator is left where one full draw leaves it
+    assert rng_a.random() == rng_b.random()
+
+
+def test_out_path_refuses_a_non_contiguous_array():
+    with pytest.raises(ValueError):
+        sample_link_gain(PAPER_LINK, make_rng(), out=np.empty((4, 2))[:, 0])
+
+
 @pytest.mark.parametrize("pairs", [[(1, 1)], [(1, 1), (2, 2)], [(0.6, 2.5), (3.0, 0.8)]])
 def test_empirical_mean_within_three_standard_errors(pairs):
     spec = LinkSpec.from_pairs(pairs)

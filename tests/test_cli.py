@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import canoma.cli as cli
+import canoma.engine as engine
 from canoma import __version__
 from canoma.cli import main
 
@@ -79,6 +80,13 @@ class TestPoint:
         code, _, err = run_cli(["point", flag, value])
         assert code == 2
         assert flag in err
+
+    def test_catalog_that_cannot_fit_names_the_flag(self, monkeypatch):
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 2**30)
+        code, out, err = run_cli(["point", "--files", "100000000"])
+        assert code == 2
+        assert err.startswith("error: --files: files must fit in memory")
+        assert out == ""
 
     def test_bad_link_spec(self):
         code, _, err = run_cli(["point", "--link-spec", "1,1,2"])
@@ -217,6 +225,15 @@ class TestReproducibility:
         _, out_a, _ = run_cli([*args, "--workers", "1"])
         _, out_b, _ = run_cli([*args, "--workers", "2"])
         assert data_rows(out_a) == data_rows(out_b)
+
+    @pytest.mark.parametrize(
+        "extra,threads", [([], 3), (["--workers", "2"], 2), (["--trials", "20000"], 1)]
+    )
+    def test_manifest_records_the_thread_count(self, monkeypatch, extra, threads):
+        # 140000 trials are 3 chunks, and a thread never waits without a chunk
+        monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
+        _, out, _ = run_cli(["point", "--trials", "140000", *extra])
+        assert manifest_entry(out, "config")["workers"] == threads
 
     def test_nine_significant_digits(self):
         _, out, _ = run_cli(["point", *BASE])

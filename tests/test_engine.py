@@ -1,6 +1,9 @@
 import dataclasses
 import math
 import pickle
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +117,14 @@ class TestConfigValidation:
     def test_accepts_defaults(self):
         TrialConfig().validate()
 
+    def test_refuses_a_catalog_that_cannot_fit(self, monkeypatch):
+        # 24 B per file: a 1000-file profile fits in 24000 bytes, 1001 files do not
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 24_000)
+        config(files=1000).validate()
+        with pytest.raises(ParameterError, match="fit in memory") as exc:
+            config(files=1001).validate()
+        assert exc.value.field == "files"
+
     def test_db_conversion_round_trip(self):
         assert db_to_linear(10.0) == pytest.approx(10.0)
         assert config(rho=db_to_linear(20.0)).snr_db == pytest.approx(20.0)
@@ -137,7 +148,7 @@ class TestRunPoint:
 
     @pytest.mark.parametrize("cpus,pool_sizes", [(8, [3]), (2, [2]), (1, [])])
     def test_worker_pool_is_capped(self, monkeypatch, cpus, pool_sizes):
-        # a serial stand-in for the pool: records its size, starts no process
+        # a serial stand-in for the pool: records its size, starts no thread
         sizes = []
 
         class SerialPool:
@@ -153,11 +164,66 @@ class TestRunPoint:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(engine, "_available_cpus", lambda: cpus)
         cfg = config(n_trials=3 * CHUNK)
-        assert run_point(cfg, workers=100_000) == run_point(cfg)
-        assert sizes == pool_sizes
+        for workers in (100_000, None):
+            assert run_point(cfg, workers=workers) == run_point(cfg, workers=1)
+        assert sizes == 2 * pool_sizes
+
+    @pytest.mark.parametrize(
+        "over",
+        [{}, {"ordering": "fixed"}, {"thresholds": MANY_LEVELS, "files": 5000}],
+        ids=["by-gain", "fixed", "many-levels"],
+    )
+    def test_default_threads_give_the_serial_outcomes(self, monkeypatch, over):
+        # one thread per chunk, on any machine
+        monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
+        cfg = config(n_trials=3 * CHUNK + 17, **over)
+        serial = run_point_multi(cfg, SCHEMES, workers=1, return_outcomes=True)
+        threaded = run_point_multi(cfg, SCHEMES, return_outcomes=True)
+        for scheme in SCHEMES:
+            assert threaded[scheme][0] == serial[scheme][0]
+            np.testing.assert_array_equal(threaded[scheme][1], serial[scheme][1])
+
+    def test_concurrent_callers_get_the_serial_results(self, monkeypatch):
+        # five threads per caller, more than this machine may have cores
+        monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
+        cfgs = [config(n_trials=4 * CHUNK + 3, seed=s) for s in (5, 6)]
+        want = [run_point_multi(c, SCHEMES, workers=1) for c in cfgs]
+        got = [None, None]
+
+        def call(i):
+            got[i] = run_point_multi(cfgs[i], SCHEMES)
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == want
+
+    def test_chunks_allocate_nothing_chunk_sized(self):
+        # the working arrays are allocated once per run, not per chunk
+        def peak(n_trials):
+            cfg = config(n_trials=n_trials)
+            tracemalloc.start()
+            try:
+                run_point_multi(cfg, SCHEMES, workers=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(CHUNK)  # numpy's own first-call allocations
+        one_chunk, full = peak(CHUNK), peak(16 * CHUNK)
+        assert full < 3 * 2**20
+        assert full - one_chunk < 64 * 1024
 
     def test_vanishing_threshold_saturates(self):
         cfg = config(thresholds=DecodeThresholds(default=1e-12), cache=0)
@@ -302,9 +368,9 @@ class TestClassesFromBreakpoints:
         sizes = []
         run_chunk = engine._run_chunk
 
-        def measured(task):
+        def measured(task, buffers):
             sizes.append(len(pickle.dumps(task)))
-            return run_chunk(task)
+            return run_chunk(task, buffers)
 
         monkeypatch.setattr(engine, "_run_chunk", measured)
         thresholds = DecodeThresholds(1.0, ((7, 0.5), (999_999, 2.0)))
