@@ -19,7 +19,11 @@ A run therefore draws each block once for all the configurations it
 covers -- every value of a sweep, every point of an oracle check -- and
 decodes each (configuration, scheme) from a table over scenario classes
 (cache flags, threshold levels and which vehicle is strong), so a sweep
-costs about one point.
+costs about one point.  A trial's class comes from its two uniforms by a
+branchless bisection over a few CDF breakpoints.  Each (configuration,
+scheme) decodes its class table once per run -- once per block only when
+there are too many classes to tabulate -- so a block gathers each
+trial's minimum gains by class code, compares and counts.
 """
 
 from __future__ import annotations
@@ -274,6 +278,32 @@ def _by_position(strong_is_1, v1, v2):
     return np.where(strong_is_1, v1, v2), np.where(strong_is_1, v2, v1)
 
 
+def _bisection_table(breakpoints: np.ndarray) -> np.ndarray:
+    """``breakpoints`` padded with +inf to the fewest 2^k - 1 entries."""
+    size = (1 << len(breakpoints).bit_length()) - 1
+    return np.concatenate((breakpoints, np.full(size - len(breakpoints), np.inf)))
+
+
+def _count_below(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """How many entries of ``table`` lie strictly below each uniform of
+    ``u``, i.e. ``np.searchsorted(table, u, "left")``, for a sorted table
+    of 2^k - 1 entries.
+
+    A branchless bisection: k steps of one gather and one compare each,
+    the first against a scalar.  Random keys defeat the branch predictor
+    of ``searchsorted``'s binary search; no step here branches on data.
+    """
+    step = (len(table) + 1) // 2
+    if not step:
+        return np.zeros(len(u), dtype=np.intp)
+    count = np.multiply(u > table[step - 1], step, dtype=np.intp)
+    while step > 1:
+        step //= 2
+        # table[count + step - 1], without forming the index
+        count += (u > table[step - 1 :].take(count)) * step
+    return count
+
+
 @dataclass(frozen=True, eq=False)
 class _ScenarioClasses:
     """The scenario classes of one profile, cache pair and threshold table.
@@ -285,8 +315,8 @@ class _ScenarioClasses:
     and their threshold level -- so a cell's attributes are its first
     file's.  Since the request r(u) >= k iff cdf[k-2] < u, a uniform's
     cell is the number of change points k with cdf[k-2] < u: a
-    ``searchsorted`` over a few CDF values, never over the T-long CDF,
-    and no request is ever formed.
+    branchless bisection over a few CDF values (``_count_below``), never
+    a search over the T-long CDF, and no request is ever formed.
 
     A trial's class code packs each vehicle's (region, level) attribute
     index with whether vehicle 1 is the strong one.  Trials of one class
@@ -294,8 +324,8 @@ class _ScenarioClasses:
     trial looks its (a, b) up by code.
     """
 
-    breakpoints: np.ndarray  # cdf[k - 2] for each change point k, ascending
-    attribute_of_cell: np.ndarray  # attribute index of each cell, in the smallest dtype
+    breakpoints: np.ndarray  # cdf[k - 2] for each change point k, ascending, +inf padded
+    attribute_of_cell: np.ndarray  # attribute index of each cell
     held: np.ndarray  # (in cache 1, in cache 2) by attribute
     theta: np.ndarray  # threshold by attribute
 
@@ -317,8 +347,8 @@ class _ScenarioClasses:
         )
         region, level = np.divmod(attributes, len(levels))
         return cls(
-            breakpoints=profile.cdf[starts - 2],
-            attribute_of_cell=attribute_of_cell.astype(np.min_scalar_type(len(attributes))),
+            breakpoints=_bisection_table(profile.cdf[starts - 2]),
+            attribute_of_cell=attribute_of_cell,
             held=np.column_stack((region & 1 == 1, region & 2 == 2)),
             theta=levels[level],
         )
@@ -329,24 +359,20 @@ class _ScenarioClasses:
 
     @property
     def dense(self) -> bool:
-        """Whether codes index a table of every class.  Otherwise a chunk's
-        table holds only the classes it meets (``np.unique``), so it never
-        outgrows the chunk, whatever the level count."""
+        """Whether codes index a table of every class, decoded once per
+        run.  Otherwise a chunk's table holds only the classes it meets
+        (``np.unique``), so it never outgrows the chunk, whatever the
+        level count."""
         return self.size <= CHUNK
-
-    @property
-    def code_dtype(self):
-        return np.uint16 if self.dense else np.intp
 
     def pairs(self, u, out) -> None:
         """Write each trial's attribute pair a1 * A + a2 from its two
         request uniforms into ``out``; its class code is twice that plus
-        whether vehicle 1 is the strong one."""
-        a1, a2 = (
-            self.attribute_of_cell[np.searchsorted(self.breakpoints, u[:, k])] for k in (0, 1)
-        )
-        np.multiply(a1, len(self.theta), out=out, dtype=out.dtype)
-        out += a2
+        whether vehicle 1 is the strong one.  ``u`` is the leading rows of
+        a C-ordered (rows, 2) array, so it flattens without a copy."""
+        attribute = self.attribute_of_cell.take(_count_below(self.breakpoints, u.reshape(-1)))
+        np.multiply(attribute[0::2], len(self.theta), out=out)
+        out += attribute[1::2]
 
     def columns(self, classes: np.ndarray):
         """``gain_thresholds``' position-ordered inputs for each class code:
@@ -362,6 +388,14 @@ class _ScenarioClasses:
         )
 
 
+def _decode_tables(config: TrialConfig, schemes, columns):
+    """Each scheme's minimum gains (a, b) for the classes of ``columns``."""
+    return {
+        scheme: gain_thresholds(scheme, config.rho, config.alpha, *columns, config.self_hit_power)
+        for scheme in schemes
+    }
+
+
 def _chunk_buffers(groups):
     """One thread's working arrays for ``_run_chunk``: request uniforms for
     one slice of rows, the two links' gains and a spare, the strong flags,
@@ -369,14 +403,15 @@ def _chunk_buffers(groups):
 
     The calling thread allocates them once per run, so no chunk allocates
     anything CHUNK-sized and the memory never lands in a worker thread's
-    own malloc arena.
+    own malloc arena.  Codes are ``intp``, the index type of ``np.take``,
+    which would copy any other.
     """
     return (
         np.empty((_U_ROWS, 2)),
         np.empty((3, CHUNK)),
         np.empty(CHUNK, dtype=bool),
         np.empty((3, CHUNK), dtype=bool),
-        {key: np.empty(CHUNK, dtype=group.code_dtype) for key, group in groups.items()},
+        {key: np.empty(CHUNK, dtype=np.intp) for key in groups},
     )
 
 
@@ -411,22 +446,24 @@ def _run_chunk(task, buffers):
         code *= 2
         code += strong_is_1
         if group.dense:
-            classes = np.arange(group.size)
+            n_classes, columns = group.size, None
         else:
             classes, code = np.unique(code, return_inverse=True)
-        # the gathers below clip instead of checking, which would copy
-        if code.max() >= len(classes):
-            raise IndexError(f"class code {code.max()} outside a table of {len(classes)}")
-        classified[key] = (group.columns(classes), code)
+            n_classes, columns = len(classes), group.columns(classes)
+        # the gathers below clip, because mode="raise" buffers their
+        # output, so the codes are checked here, once per chunk
+        if code.max() >= n_classes:
+            raise IndexError(f"class code {code.max()} outside a table of {n_classes}")
+        classified[key] = (columns, code)
 
     out = []
-    for key, config in decoders:
+    for key, config, tables in decoders:
         columns, code = classified[key]
+        if tables is None:
+            tables = _decode_tables(config, schemes, columns)
         per_scheme = {}
         for scheme in schemes:
-            a, b = gain_thresholds(
-                scheme, config.rho, config.alpha, *columns, config.self_hit_power
-            )
+            a, b = tables[scheme]
             np.greater_equal(xs, np.take(a, code, out=limit, mode="clip"), out=ok_s)
             np.greater_equal(xw, np.take(b, code, out=limit, mode="clip"), out=ok_w)
             np.logical_and(ok_s, ok_w, out=ok_both)
@@ -483,7 +520,8 @@ def _simulate(
     n_trials, link_specs, ordering).  Each Philox block is drawn once,
     classified once per popularity profile, cache pair and threshold
     table, and every (config, scheme) decodes from that scenario-class
-    table.  Popularity profiles are read while the classes are built
+    table, whose (a, b) are decoded once per run when it holds every
+    class.  Popularity profiles are read while the classes are built
     and dropped before any block is drawn.  Chunks run on
     ``_thread_count(workers, n_trials)`` threads, each in buffers this
     thread allocates once.  Returns, per config,
@@ -501,6 +539,14 @@ def _simulate(
         if scheme not in SCHEMES:
             raise ParameterError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     groups, decoders = _scenario_groups(configs)
+    # a dense group's (a, b) tables do not depend on the chunk
+    columns = {
+        key: group.columns(np.arange(group.size)) for key, group in groups.items() if group.dense
+    }
+    decoders = [
+        (key, config, _decode_tables(config, schemes, columns[key]) if key in columns else None)
+        for key, config in decoders
+    ]
 
     seed, n, link_specs, ordering = _draw_fields(configs[0])
     n_chunks = (n + CHUNK - 1) // CHUNK

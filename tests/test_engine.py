@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canoma import (
     DEFAULT_LINK_SPEC,
@@ -377,6 +379,55 @@ class TestClassesFromBreakpoints:
         cfg = config(n_trials=1000, files=1_000_000, cache=(1000, 300), thresholds=thresholds)
         run_point_multi(cfg, SCHEMES)
         assert sizes and max(sizes) < 64 * 1024
+
+
+def _cells(breakpoints, u):
+    table = engine._bisection_table(np.asarray(breakpoints, dtype=float))
+    return engine._count_below(table, np.asarray(u, dtype=float))
+
+
+class TestBisection:
+    @pytest.mark.parametrize("n", range(71))
+    def test_counts_like_searchsorted(self, n):
+        rng = np.random.default_rng(n)
+        # duplicates, and a tail of entries equal to 1.0 as in the zero-tail case
+        pool = np.concatenate((rng.random(max(1, n // 3)), [0.5, 1.0]))
+        breakpoints = np.sort(rng.choice(pool, n))
+        u = np.concatenate(
+            ([0.0, np.nextafter(1.0, 0.0)], breakpoints[breakpoints < 1.0], rng.random(500))
+        )
+        want = np.searchsorted(breakpoints, u, "left")
+        assert np.array_equal(_cells(breakpoints, u), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        breakpoints=st.lists(
+            st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0.0, 0.25, 1.0]),
+            max_size=70,
+        ),
+        extra=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=20),
+    )
+    def test_property_counts_like_searchsorted(self, breakpoints, extra):
+        breakpoints = np.sort(np.asarray(breakpoints, dtype=float))
+        u = np.concatenate(
+            ([0.0, np.nextafter(1.0, 0.0)], breakpoints[breakpoints < 1.0], extra)
+        )
+        want = np.searchsorted(breakpoints, u, "left")
+        assert np.array_equal(_cells(breakpoints, u), want)
+
+
+class TestDecodeTablesOncePerRun:
+    def test_sweep_decodes_each_config_and_scheme_once(self, monkeypatch):
+        calls = []
+        decode = engine.gain_thresholds
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "gain_thresholds", counted)
+        sweep(config(n_trials=3 * CHUNK), "snr_db", [0, 5, 10, 15, 20], SCHEMES)
+        assert len(calls) == 5 * len(SCHEMES)
 
 
 class TestSweep:
