@@ -9,34 +9,20 @@ from .access import (
     INFEASIBLE,
     SCHEMES,
     DecodeThresholds,
-    Outcome,
     PowerAllocation,
-    UserOrdering,
-    decode_noma,
-    decode_oma,
     gain_thresholds,
-    oma_effective_threshold,
-    order_users,
     split_power,
 )
 from .channel import (
-    ChannelGain,
     LinkSpec,
     NakagamiStage,
-    mean_link_gain,
     sample_gamma,
     sample_link_gain,
 )
 from .content import (
-    CacheContents,
-    CacheScenario,
-    Catalog,
     PopularityProfile,
     ScenarioClass,
-    classify_scenario,
-    place_cache,
     request_from_uniform,
-    sample_request,
     scenario_distribution,
     zipf_profile,
 )
@@ -75,35 +61,21 @@ __all__ = [
     "ParameterError",
     "OracleUnsupportedError",
     # channel
-    "ChannelGain",
     "NakagamiStage",
     "LinkSpec",
     "sample_gamma",
     "sample_link_gain",
-    "mean_link_gain",
     # content
-    "Catalog",
     "PopularityProfile",
-    "CacheContents",
-    "CacheScenario",
     "ScenarioClass",
     "zipf_profile",
-    "place_cache",
-    "sample_request",
     "request_from_uniform",
-    "classify_scenario",
     "scenario_distribution",
     # access
     "SCHEMES",
     "PowerAllocation",
     "DecodeThresholds",
-    "UserOrdering",
-    "Outcome",
-    "order_users",
     "split_power",
-    "oma_effective_threshold",
-    "decode_noma",
-    "decode_oma",
     "INFEASIBLE",
     "gain_thresholds",
     # oracle, imported on first use

@@ -1,59 +1,47 @@
-"""Per-trial decode outcomes for NOMA and OMA delivery schemes.
+"""Two-vehicle decode outcomes for NOMA and OMA delivery schemes.
 
 Power-domain superposition with noise variance fixed at 1: the base
-station transmits one message per served request, vehicles are ordered
-by descending channel gain (or a fixed order for cross-checks), and
-stronger-ordered positions receive less power.  A vehicle succeeds when
-it obtains its requested file, either from its own cache or by decoding
-at SINR >= threshold after the successive-cancellation steps below.
+station transmits one message per served request, the two vehicles are
+ordered by descending channel gain (or a fixed order for cross-checks),
+and the strong-ordered position receives the smaller power share.  A
+vehicle succeeds when it obtains its requested file, either from its own
+cache or by decoding at SINR >= threshold after successive cancellation.
 
 Scheme semantics (the cache placement phase happens regardless of the
 delivery scheme, so a self-cached request counts as a success under
 every scheme):
 
 * ``canoma``   cache-aided NOMA: the BS skips self-cached requests and
-  reallocates their power to the remaining active vehicles; receivers
+  reallocates their power to the remaining active vehicle; receivers
   subtract any message whose file they hold before running SIC.
 * ``noma``     conventional NOMA: the BS is blind to cache state and
   transmits every request; receivers run plain power-ordered SIC.
-* ``oma-cache`` cache-aided OMA: self-served vehicles give up their
+* ``oma-cache`` cache-aided OMA: a self-served vehicle gives up its
   resource slice, the rest split the resource evenly at full power.
-* ``oma``      conventional OMA: every vehicle keeps a 1/N slice.
-
-Duplicate requests are served as independent messages at their own
-position powers; coinciding requests change nothing in the decode
-chain.
+* ``oma``      conventional OMA: every vehicle keeps a 1/2 slice.
 
 Two-vehicle decoding has one rule, :func:`gain_thresholds`: per scenario
 every decode condition reduces to "strong gain >= a and weak gain >= b".
-The Monte Carlo engine and the oracle both evaluate it.  The scalar
-general-N :func:`decode_noma`/:func:`decode_oma` work at SINR level and
-are the independent reference the rule is tested against.
+The Monte Carlo engine and the oracle both evaluate it.  The independent
+reference it is tested against -- scalar general-N decoders at SINR
+level -- lives with the tests, so neither path can import it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isfinite
-from numbers import Integral
-from typing import Sequence
+from numbers import Integral, Real
 
 import numpy as np
 
-from .content import CacheScenario
 from .errors import ParameterError
 
 __all__ = [
     "SCHEMES",
     "PowerAllocation",
     "DecodeThresholds",
-    "UserOrdering",
-    "Outcome",
-    "order_users",
     "split_power",
-    "oma_effective_threshold",
-    "decode_noma",
-    "decode_oma",
     "INFEASIBLE",
     "gain_thresholds",
 ]
@@ -63,9 +51,6 @@ SCHEMES = ("canoma", "noma", "oma-cache", "oma")
 # Marker for a decode stage no gain value can satisfy.
 INFEASIBLE = inf
 
-# Positions (strongest first) -> vehicle indices.
-UserOrdering = tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class PowerAllocation:
@@ -74,6 +59,13 @@ class PowerAllocation:
     total: float
     alpha: float
     powers: tuple[float, ...]
+
+
+def _is_positive_real(value) -> bool:
+    # a bool is a number to Python, but never a threshold or a model value
+    return (
+        isinstance(value, Real) and not isinstance(value, bool) and isfinite(value) and value > 0
+    )
 
 
 @dataclass(frozen=True)
@@ -88,24 +80,26 @@ class DecodeThresholds:
     overrides: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not (isfinite(self.default) and self.default > 0):
-            raise ParameterError(f"threshold must be positive, got {self.default!r}")
+        if not _is_positive_real(self.default):
+            raise ParameterError(f"threshold must be a positive real, got {self.default!r}")
+        try:
+            overrides = tuple((file, theta) for file, theta in self.overrides)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(
+                f"overrides must be (file, threshold) pairs, got {self.overrides!r}"
+            ) from exc
         seen = set()
-        for file, theta in self.overrides:
+        for file, theta in overrides:
             if not isinstance(file, Integral) or isinstance(file, bool) or file < 1:
                 raise ParameterError(f"override file must be an integer >= 1, got {file!r}")
             if file in seen:
                 raise ParameterError(f"file {file} has more than one threshold override")
             seen.add(file)
-            if not (isfinite(theta) and theta > 0):
-                raise ParameterError(f"threshold for file {file} must be positive, got {theta!r}")
-        object.__setattr__(self, "overrides", tuple(sorted(self.overrides)))
-
-    def theta_for(self, file: int) -> float:
-        for f, theta in self.overrides:
-            if f == file:
-                return theta
-        return self.default
+            if not _is_positive_real(theta):
+                raise ParameterError(
+                    f"threshold for file {file} must be a positive real, got {theta!r}"
+                )
+        object.__setattr__(self, "overrides", tuple(sorted(overrides)))
 
     def uniform_value(self) -> float | None:
         """The single shared threshold, or None when files genuinely differ."""
@@ -122,199 +116,15 @@ class DecodeThresholds:
         return out
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """Per-vehicle success flags: requested file obtained by decode or cache."""
-
-    ok: tuple[bool, ...]
-
-
-def order_users(gains: Sequence[float], policy: str = "by-gain") -> UserOrdering:
-    """Positions by descending gain (ties broken by ascending vehicle
-    index), or the identity permutation under the ``fixed`` policy."""
-    n = len(gains)
-    if n < 1:
-        raise ParameterError("ordering needs at least one vehicle")
-    if policy == "fixed":
-        return tuple(range(n))
-    if policy != "by-gain":
-        raise ParameterError(f"unknown ordering policy {policy!r}")
-    return tuple(sorted(range(n), key=lambda i: (-float(gains[i]), i)))
-
-
-def split_power(total: float, alpha: float, n: int) -> PowerAllocation:
-    """Split total power across n ordered positions.
-
-    Position k (1 = strongest) gets weight alpha^(n-k) * (1-alpha)^(k-1),
-    normalised to sum to ``total``; for n = 2 this is exactly
-    (alpha * total, (1 - alpha) * total), and for alpha < 0.5 the ladder
-    is strictly increasing toward weaker positions.
-    """
+def split_power(total: float, alpha: float) -> PowerAllocation:
+    """Split total power between the two ordered positions:
+    (alpha * total, (1 - alpha) * total), strongest position first."""
     if not (isfinite(total) and total > 0):
         raise ParameterError(f"total power must be positive, got {total!r}")
     if not (isfinite(alpha) and 0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
-    n = int(n)
-    if n < 1:
-        raise ParameterError(f"vehicle count must be >= 1, got {n}")
-    if n == 1:
-        powers: tuple[float, ...] = (total,)
-    elif n == 2:
-        strong = alpha * total
-        powers = (strong, total - strong)
-    else:
-        weights = np.array(
-            [alpha ** (n - k) * (1.0 - alpha) ** (k - 1) for k in range(1, n + 1)]
-        )
-        scaled = total * weights / weights.sum()
-        scaled[-1] = total - scaled[:-1].sum()  # make the sum exact
-        powers = tuple(float(p) for p in scaled)
-    return PowerAllocation(total=total, alpha=alpha, powers=powers)
-
-
-def oma_effective_threshold(theta: float, share: float) -> float:
-    """SINR needed on a fractional orthogonal resource to match the rate
-    implied by ``theta`` on the full resource: (1 + theta)^(1/share) - 1."""
-    if not (isfinite(theta) and theta > 0):
-        raise ParameterError(f"threshold must be positive, got {theta!r}")
-    if not (isfinite(share) and 0.0 < share <= 1.0):
-        raise ParameterError(f"resource share must lie in (0, 1], got {share!r}")
-    return (1.0 + theta) ** (1.0 / share) - 1.0
-
-
-def _message_powers(total: float, alpha: float, count: int) -> tuple[float, ...]:
-    if count == 0:
-        return ()
-    return split_power(total, alpha, count).powers
-
-
-def decode_noma(
-    gains: Sequence[float],
-    alloc: PowerAllocation,
-    thresholds: DecodeThresholds,
-    scenario: CacheScenario,
-    ordering: UserOrdering | None = None,
-    cache_aided: bool = True,
-    self_hit_power: str = "reallocate",
-) -> Outcome:
-    """Decode one NOMA trial for any number of vehicles.
-
-    Cache-aided mode transmits only non-self-cached requests (power
-    ladder re-spread over the active positions) and lets each receiver
-    subtract messages whose files it caches; conventional mode transmits
-    everything and ignores cache state during reception.  In both modes
-    a receiver SIC-decodes, in descending power order, every remaining
-    message of weaker-positioned vehicles, each cancellation requiring
-    SINR >= that message's threshold against the still-superposed rest;
-    its own decode then faces whatever is left, stronger-positioned
-    messages included.  Infeasible steps yield failure, never errors.
-
-    ``self_hit_power`` picks what happens to a self-served vehicle's
-    power share in cache-aided mode: ``reallocate`` (default) re-spreads
-    the ladder over the active vehicles, ``idle`` leaves each active
-    message at its original position power and wastes the rest.
-    """
-    gains = [float(x) for x in gains]
-    n = len(gains)
-    if n < 1:
-        raise ParameterError("decode needs at least one vehicle")
-    if len(scenario.requests) != n:
-        raise ParameterError(f"scenario covers {len(scenario.requests)} vehicles, gains {n}")
-    if any(not (isfinite(x) and x >= 0) for x in gains):
-        raise ParameterError("channel gains must be finite and non-negative")
-    if ordering is None:
-        ordering = order_users(gains)
-    if sorted(ordering) != list(range(n)):
-        raise ParameterError(f"ordering must be a permutation of 0..{n - 1}")
-
-    if self_hit_power not in ("reallocate", "idle"):
-        raise ParameterError(f"unknown self-hit power policy {self_hit_power!r}")
-    rank = {v: k for k, v in enumerate(ordering)}
-    if cache_aided:
-        transmitted = [v for v in ordering if not scenario.self_hit[v]]
-        if self_hit_power == "reallocate":
-            powers = _message_powers(alloc.total, alloc.alpha, len(transmitted))
-        else:
-            if len(alloc.powers) != n:
-                raise ParameterError(
-                    f"allocation has {len(alloc.powers)} positions for {n} vehicles"
-                )
-            powers = tuple(alloc.powers[rank[v]] for v in transmitted)
-    else:
-        transmitted = list(ordering)
-        if len(alloc.powers) != n:
-            raise ParameterError(
-                f"allocation has {len(alloc.powers)} positions for {n} vehicles"
-            )
-        powers = alloc.powers
-    messages = [
-        (owner, powers[k], thresholds.theta_for(scenario.requests[owner]))
-        for k, owner in enumerate(transmitted)
-    ]
-
-    ok: list[bool] = []
-    for i in range(n):
-        if scenario.self_hit[i]:
-            ok.append(True)
-            continue
-        x = gains[i]
-        present = [
-            m
-            for m in messages
-            if m[0] == i or not (cache_aided and scenario.cross_cached(m[0], i))
-        ]
-        own = next(m for m in present if m[0] == i)
-        # only weaker-positioned messages are SIC targets; anything from a
-        # stronger position stays as noise (it carries less power under
-        # the alpha < 0.5 convention)
-        queue = sorted(
-            (m for m in present if rank[m[0]] > rank[i]),
-            key=lambda m: (-m[1], rank[m[0]]),
-        )
-        remaining = sum(m[1] for m in present)
-        success = True
-        for owner, power, theta in queue:
-            if power * x < theta * ((remaining - power) * x + 1.0):
-                success = False
-                break
-            remaining -= power
-        if success:
-            _, p_own, th_own = own
-            success = p_own * x >= th_own * ((remaining - p_own) * x + 1.0)
-        ok.append(success)
-    return Outcome(tuple(ok))
-
-
-def decode_oma(
-    gains: Sequence[float],
-    total: float,
-    thresholds: DecodeThresholds,
-    scenario: CacheScenario,
-    cache_exploit: bool = True,
-) -> Outcome:
-    """Decode one OMA trial: equal time slices at full power.
-
-    With cache exploitation only the A non-self-served vehicles share
-    the resource (share 1/A each); without it every vehicle keeps a 1/N
-    slice.  There is no interference, so cross-cache flags are ignored.
-    """
-    gains = [float(x) for x in gains]
-    n = len(gains)
-    if n < 1:
-        raise ParameterError("decode needs at least one vehicle")
-    if len(scenario.requests) != n:
-        raise ParameterError(f"scenario covers {len(scenario.requests)} vehicles, gains {n}")
-    if not (isfinite(total) and total > 0):
-        raise ParameterError(f"total power must be positive, got {total!r}")
-    active = n - sum(scenario.self_hit) if cache_exploit else n
-    ok: list[bool] = []
-    for i in range(n):
-        if scenario.self_hit[i]:
-            ok.append(True)
-            continue
-        theta = thresholds.theta_for(scenario.requests[i])
-        ok.append(total * gains[i] >= oma_effective_threshold(theta, 1.0 / active))
-    return Outcome(tuple(ok))
+    strong = alpha * total
+    return PowerAllocation(total=total, alpha=alpha, powers=(strong, total - strong))
 
 
 def gain_thresholds(
@@ -340,9 +150,6 @@ def gain_thresholds(
     self-served vehicle gets 0 and a stage no gain can pass gets
     ``INFEASIBLE``.  Every SINR condition p*X / (q*X + 1) >= theta
     becomes X >= theta / (p - theta*q) when p > theta*q.
-
-    :func:`decode_noma` and :func:`decode_oma` are the SINR-level
-    reference this reduction is tested against.
     """
     if scheme not in SCHEMES:
         raise ParameterError(f"unknown scheme {scheme!r}")

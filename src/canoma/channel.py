@@ -20,17 +20,11 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
-    "ChannelGain",
     "NakagamiStage",
     "LinkSpec",
     "sample_gamma",
     "sample_link_gain",
-    "mean_link_gain",
 ]
-
-# A squared channel gain |h|^2 is a plain non-negative float.
-ChannelGain = float
-
 
 @dataclass(frozen=True)
 class NakagamiStage:
@@ -129,10 +123,3 @@ def sample_link_gain(spec: LinkSpec, rng: np.random.Generator, size=None, out=No
             )
     return out
 
-
-def mean_link_gain(spec: LinkSpec) -> float:
-    """Mean squared gain of the link: the product of the stage omegas."""
-    out = 1.0
-    for stage in spec.stages:
-        out *= stage.omega
-    return out

@@ -1,15 +1,17 @@
-"""Content placement and per-trial cache scenarios.
+"""Content popularity and the two-vehicle scenario classes.
 
 Files 1..T at the base station carry a Zipf-derived popularity profile;
 every vehicle caches the top-C most popular files during the placement
-phase and requests one file per delivery trial.  A trial's cache
-scenario records, per vehicle, whether its own request is self-cached
-and which other vehicles hold it.
+phase and requests one file per delivery trial.  A trial's scenario
+class records, per vehicle, whether its own request is self-cached and
+whether the other vehicle holds it; :func:`scenario_distribution` gives
+the exact class probabilities.  The per-trial placement and
+classification by set membership is the tests' reference.
 
-Requests are sampled by inverse CDF on the cumulative probability table.
-This is deliberate: under shared uniforms the sampled index is monotone
-in the profile's concentration, which turns the trend claims of the
-study into deterministic per-trial comparisons.
+Requests map from uniforms by inverse CDF on the cumulative probability
+table.  This is deliberate: under shared uniforms the requested index is
+monotone in the profile's concentration, which turns the trend claims of
+the study into deterministic per-trial comparisons.
 """
 
 from __future__ import annotations
@@ -23,21 +25,12 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
-    "Catalog",
     "PopularityProfile",
-    "CacheContents",
-    "CacheScenario",
     "ScenarioClass",
     "zipf_profile",
-    "place_cache",
-    "sample_request",
     "request_from_uniform",
-    "classify_scenario",
     "scenario_distribution",
 ]
-
-# The catalog is fully described by its size T.
-Catalog = int
 
 _SUM_TOL = 1e-12
 
@@ -86,54 +79,6 @@ class PopularityProfile:
 
 
 @dataclass(frozen=True)
-class CacheContents:
-    """A vehicle's cache: a set of file indices bounded by its capacity."""
-
-    files: frozenset[int]
-    capacity: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "files", frozenset(self.files))
-        if self.capacity < 0:
-            raise ParameterError(f"cache capacity must be non-negative, got {self.capacity}")
-        if len(self.files) > self.capacity:
-            raise ParameterError(
-                f"cache holds {len(self.files)} files but capacity is {self.capacity}"
-            )
-
-    def __contains__(self, file: int) -> bool:
-        return file in self.files
-
-
-@dataclass(frozen=True)
-class CacheScenario:
-    """Per-trial classification of requests against cache contents.
-
-    ``cross[i][j]`` is True when vehicle j holds vehicle i's requested
-    file (the diagonal equals ``self_hit``).  All flags are pure set
-    membership over the inputs of :func:`classify_scenario`.
-    """
-
-    requests: tuple[int, ...]
-    self_hit: tuple[bool, ...]
-    cross: tuple[tuple[bool, ...], ...]
-
-    def cross_cached(self, i: int, j: int) -> bool:
-        """True when vehicle ``j`` holds vehicle ``i``'s requested file."""
-        return self.cross[i][j]
-
-    def two_vehicle_class(self) -> "ScenarioClass":
-        if len(self.requests) != 2:
-            raise ParameterError("scenario class collapse is defined for two vehicles")
-        return ScenarioClass(
-            self_hit_1=self.self_hit[0],
-            self_hit_2=self.self_hit[1],
-            cross_2_holds_1=self.cross[0][1],
-            cross_1_holds_2=self.cross[1][0],
-        )
-
-
-@dataclass(frozen=True)
 class ScenarioClass:
     """Distinguishable two-vehicle scenario: the four cache flags.
 
@@ -156,7 +101,7 @@ class ScenarioClass:
         return self.cross_2_holds_1 if (i, j) == (0, 1) else self.cross_1_holds_2
 
 
-def zipf_profile(catalog: Catalog, zeta: float, convention: str = "reciprocal") -> PopularityProfile:
+def zipf_profile(catalog: int, zeta: float, convention: str = "reciprocal") -> PopularityProfile:
     """Zipf-derived popularity over files 1..T.
 
     With the default ``reciprocal`` convention the rank exponent is
@@ -192,49 +137,18 @@ def _checked_capacity(profile: PopularityProfile, capacity) -> int:
     return int(capacity)
 
 
-def place_cache(profile: PopularityProfile, capacity: int) -> CacheContents:
-    """Deterministic top-C placement: cache files {1, ..., capacity}."""
-    capacity = _checked_capacity(profile, capacity)
-    return CacheContents(files=frozenset(range(1, capacity + 1)), capacity=capacity)
-
-
 def request_from_uniform(profile: PopularityProfile, u):
     """Inverse-CDF map from uniform draws in [0, 1) to file indices.
 
     File k is returned iff cdf[k-1] < u <= cdf[k]; accepts scalars or
-    arrays.  Exposed separately from :func:`sample_request` because the
-    coupled-monotonicity tests feed the same uniforms through different
-    profiles.
+    arrays.  The engine never forms a request; this per-file map is what
+    the coupled-monotonicity tests feed the same uniforms through.
     """
     idx = np.searchsorted(profile.cdf, u, side="left") + 1
     idx = np.minimum(idx, profile.t)
     if np.ndim(u) == 0:
         return int(idx)
     return idx.astype(np.int64)
-
-
-def sample_request(profile: PopularityProfile, rng: np.random.Generator, size=None):
-    """Sample file indices from the profile by inverse CDF."""
-    return request_from_uniform(profile, rng.random(size))
-
-
-def classify_scenario(requests, caches) -> CacheScenario:
-    """Classify one trial's requests against per-vehicle cache contents.
-
-    Every flag is plain set membership.
-    """
-    requests = tuple(int(r) for r in requests)
-    caches = tuple(caches)
-    if len(requests) != len(caches):
-        raise ParameterError(
-            f"{len(requests)} requests but {len(caches)} caches"
-        )
-    n = len(requests)
-    self_hit = tuple(requests[i] in caches[i] for i in range(n))
-    cross = tuple(
-        tuple(requests[i] in caches[j] for j in range(n)) for i in range(n)
-    )
-    return CacheScenario(requests=requests, self_hit=self_hit, cross=cross)
 
 
 def scenario_distribution(

@@ -21,9 +21,8 @@ decodes each (configuration, scheme) from a table over scenario classes
 (cache flags, threshold levels and which vehicle is strong), so a sweep
 costs about one point.  A trial's class comes from its two uniforms by a
 branchless bisection over a few CDF breakpoints.  Each (configuration,
-scheme) decodes its class table once per run -- once per block only when
-there are too many classes to tabulate -- so a block gathers each
-trial's minimum gains by class code, compares and counts.
+scheme) decodes its whole class table once per run, so a block gathers
+each trial's minimum gains by class code, compares and counts.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .access import SCHEMES, DecodeThresholds, gain_thresholds
+from .access import SCHEMES, DecodeThresholds, _is_positive_real, gain_thresholds
 from .channel import LinkSpec, sample_link_gain
 from .content import PopularityProfile, zipf_profile
 from .errors import ParameterError
@@ -105,6 +104,36 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _cells(files: int, capacities: tuple[int, int], thresholds: DecodeThresholds):
+    """Where files 1..T change attributes, and what the attributes are;
+    no popularity profile is needed.
+
+    Under top-C placement a request's cache flags and threshold level
+    change only at a few files: c1+1, c2+1, and each override file f and
+    f+1.  Those change points cut files 1..T into cells whose files all
+    share the same attributes -- which caches hold them (their region)
+    and their threshold level -- so a cell's attributes are its first
+    file's.  Returns the change points (in 2..T, ascending), each cell's
+    attribute index, and by attribute its (in cache 1, in cache 2) flags
+    and its threshold.
+    """
+    c1, c2 = capacities
+    theta_of = dict(thresholds.overrides)
+    overridden = [f for f in theta_of if 1 <= f <= files]
+    starts = np.unique([c1 + 1, c2 + 1, *overridden, *(f + 1 for f in overridden)])
+    starts = starts[(starts >= 2) & (starts <= files)]
+    first = np.concatenate(([1], starts))
+    levels, level = np.unique(
+        [theta_of.get(f, thresholds.default) for f in first.tolist()], return_inverse=True
+    )
+    # under top-C placement (in 1, in 2) takes at most 3 of its 4 values
+    region = (first <= c1) + 2 * (first <= c2)
+    attributes, attribute_of_cell = np.unique(region * len(levels) + level, return_inverse=True)
+    region, level = np.divmod(attributes, len(levels))
+    held = np.column_stack((region & 1 == 1, region & 2 == 2))
+    return starts, attribute_of_cell, held, levels[level]
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Everything one Monte Carlo run depends on.
@@ -141,8 +170,9 @@ class TrialConfig:
         return linear_to_db(self.rho)
 
     def validate(self) -> None:
-        def bad(name: str, requirement: str) -> ParameterError:
-            return ParameterError(f"{name} must {requirement}, got {getattr(self, name)!r}", name)
+        def bad(name: str, requirement: str, got: str | None = None) -> ParameterError:
+            got = repr(getattr(self, name)) if got is None else got
+            return ParameterError(f"{name} must {requirement}, got {got}", name)
 
         if not _is_int(self.n_trials) or self.n_trials < 1:
             raise bad("n_trials", "be a positive integer")
@@ -158,26 +188,43 @@ class TrialConfig:
                 "files",
                 f"fit in memory at {_PROFILE_BYTES_PER_FILE} B per file ({memory / 2**30:.3g} GiB)",
             )
-        if not (math.isfinite(self.zeta) and self.zeta > 0):
-            raise bad("zeta", "be positive")
+        if not _is_positive_real(self.zeta):
+            raise bad("zeta", "be a positive real")
         if len(self.capacities) != 2 or not all(_is_int(c) and c >= 0 for c in self.capacities):
             raise bad("cache", "be a non-negative integer or a pair of them")
         if not all(c <= self.files for c in self.capacities):
             raise bad("cache", f"lie in 0..{self.files}")
-        if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0):
-            raise bad("alpha", "lie in (0, 1)")
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise bad("rho", "be positive")
+        if not (_is_positive_real(self.alpha) and self.alpha < 1.0):
+            raise bad("alpha", "be a real in (0, 1)")
+        if not _is_positive_real(self.rho):
+            raise bad("rho", "be a positive real")
         if self.ordering not in ORDERING_POLICIES:
             raise bad("ordering", f"be one of {ORDERING_POLICIES}")
         if self.metric not in METRICS:
             raise bad("metric", f"be one of {METRICS}")
-        if len(self.link_specs) != 2 or not all(isinstance(s, LinkSpec) for s in self.link_specs):
+        specs = self.link_specs
+        if not (
+            isinstance(specs, Sequence)
+            and len(specs) == 2
+            and all(isinstance(s, LinkSpec) for s in specs)
+        ):
             raise bad("link_specs", "be a pair of LinkSpec")
         if self.zipf_convention not in ("reciprocal", "direct"):
             raise bad("zipf_convention", "be 'reciprocal' or 'direct'")
         if self.self_hit_power not in ("reallocate", "idle"):
             raise bad("self_hit_power", "be 'reallocate' or 'idle'")
+        if not isinstance(self.thresholds, DecodeThresholds):
+            raise bad("thresholds", "be a DecodeThresholds")
+        # every class's (a, b) is decoded once per run into a table that
+        # must not outgrow a chunk's class codes
+        n_attributes = len(_cells(self.files, self.capacities, self.thresholds)[-1])
+        if 2 * n_attributes**2 > CHUNK:
+            raise bad(
+                "thresholds",
+                f"give at most {CHUNK} scenario classes, 2 * A^2 for A distinct "
+                "(cache region, threshold level) pairs",
+                f"{2 * n_attributes**2} classes from A = {n_attributes}",
+            )
 
 
 @dataclass(frozen=True)
@@ -308,20 +355,17 @@ def _count_below(table: np.ndarray, u: np.ndarray) -> np.ndarray:
 class _ScenarioClasses:
     """The scenario classes of one profile, cache pair and threshold table.
 
-    Under top-C placement a request's cache flags and threshold level
-    change only at a few files: c1+1, c2+1, and each override file f and
-    f+1.  Those change points cut files 1..T into cells whose files all
-    share the same attributes -- which caches hold them (their region)
-    and their threshold level -- so a cell's attributes are its first
-    file's.  Since the request r(u) >= k iff cdf[k-2] < u, a uniform's
-    cell is the number of change points k with cdf[k-2] < u: a
-    branchless bisection over a few CDF values (``_count_below``), never
-    a search over the T-long CDF, and no request is ever formed.
+    Files 1..T fall into a few cells of equal attributes (``_cells``).
+    Since the request r(u) >= k iff cdf[k-2] < u, a uniform's cell is the
+    number of change points k with cdf[k-2] < u: a branchless bisection
+    over a few CDF values (``_count_below``), never a search over the
+    T-long CDF, and no request is ever formed.
 
     A trial's class code packs each vehicle's (region, level) attribute
     index with whether vehicle 1 is the strong one.  Trials of one class
-    decode alike, so ``gain_thresholds`` runs once per class and each
-    trial looks its (a, b) up by code.
+    decode alike, and ``TrialConfig.validate`` keeps the table within
+    CHUNK classes, so ``gain_thresholds`` runs once per run over every
+    class and each trial looks its (a, b) up by code.
     """
 
     breakpoints: np.ndarray  # cdf[k - 2] for each change point k, ascending, +inf padded
@@ -331,39 +375,14 @@ class _ScenarioClasses:
 
     @classmethod
     def of(cls, config: TrialConfig, profile: PopularityProfile) -> "_ScenarioClasses":
-        t, (c1, c2), thresholds = config.files, config.capacities, config.thresholds
-        theta_of = dict(thresholds.overrides)
-        overridden = [f for f in theta_of if 1 <= f <= t]
-        starts = np.unique([c1 + 1, c2 + 1, *overridden, *(f + 1 for f in overridden)])
-        starts = starts[(starts >= 2) & (starts <= t)]
-        first = np.concatenate(([1], starts))
-        levels, level = np.unique(
-            [theta_of.get(f, thresholds.default) for f in first.tolist()], return_inverse=True
+        starts, attribute_of_cell, held, theta = _cells(
+            config.files, config.capacities, config.thresholds
         )
-        # under top-C placement (in 1, in 2) takes at most 3 of its 4 values
-        region = (first <= c1) + 2 * (first <= c2)
-        attributes, attribute_of_cell = np.unique(
-            region * len(levels) + level, return_inverse=True
-        )
-        region, level = np.divmod(attributes, len(levels))
-        return cls(
-            breakpoints=_bisection_table(profile.cdf[starts - 2]),
-            attribute_of_cell=attribute_of_cell,
-            held=np.column_stack((region & 1 == 1, region & 2 == 2)),
-            theta=levels[level],
-        )
+        return cls(_bisection_table(profile.cdf[starts - 2]), attribute_of_cell, held, theta)
 
     @property
     def size(self) -> int:
         return 2 * len(self.theta) ** 2
-
-    @property
-    def dense(self) -> bool:
-        """Whether codes index a table of every class, decoded once per
-        run.  Otherwise a chunk's table holds only the classes it meets
-        (``np.unique``), so it never outgrows the chunk, whatever the
-        level count."""
-        return self.size <= CHUNK
 
     def pairs(self, u, out) -> None:
         """Write each trial's attribute pair a1 * A + a2 from its two
@@ -374,10 +393,10 @@ class _ScenarioClasses:
         np.multiply(attribute[0::2], len(self.theta), out=out)
         out += attribute[1::2]
 
-    def columns(self, classes: np.ndarray):
-        """``gain_thresholds``' position-ordered inputs for each class code:
+    def columns(self):
+        """``gain_thresholds``' position-ordered inputs for every class code:
         (th_s, th_w, hit_s, hit_w, cross_s, cross_w)."""
-        pair, strong_is_1 = np.divmod(classes, 2)
+        pair, strong_is_1 = np.divmod(np.arange(self.size), 2)
         a1, a2 = np.divmod(pair, len(self.theta))
         strong_is_1 = strong_is_1 == 1
         return (
@@ -386,14 +405,6 @@ class _ScenarioClasses:
             # whether each vehicle holds the other's requested file
             *_by_position(strong_is_1, self.held[a2, 0], self.held[a1, 1]),
         )
-
-
-def _decode_tables(config: TrialConfig, schemes, columns):
-    """Each scheme's minimum gains (a, b) for the classes of ``columns``."""
-    return {
-        scheme: gain_thresholds(scheme, config.rho, config.alpha, *columns, config.self_hit_power)
-        for scheme in schemes
-    }
 
 
 def _chunk_buffers(groups):
@@ -440,27 +451,18 @@ def _run_chunk(task, buffers):
     else:
         strong_is_1.fill(True)
         xs, xw, limit = x1, x2, spare
-    classified = {}
     for key, group in groups.items():
         code = codes[key][:length]
         code *= 2
         code += strong_is_1
-        if group.dense:
-            n_classes, columns = group.size, None
-        else:
-            classes, code = np.unique(code, return_inverse=True)
-            n_classes, columns = len(classes), group.columns(classes)
         # the gathers below clip, because mode="raise" buffers their
         # output, so the codes are checked here, once per chunk
-        if code.max() >= n_classes:
-            raise IndexError(f"class code {code.max()} outside a table of {n_classes}")
-        classified[key] = (columns, code)
+        if code.max() >= group.size:
+            raise IndexError(f"class code {code.max()} outside a table of {group.size}")
 
     out = []
-    for key, config, tables in decoders:
-        columns, code = classified[key]
-        if tables is None:
-            tables = _decode_tables(config, schemes, columns)
+    for key, tables in decoders:
+        code = codes[key][:length]
         per_scheme = {}
         for scheme in schemes:
             a, b = tables[scheme]
@@ -519,8 +521,8 @@ def _simulate(
     The configs must share the fields that fix the draws (seed,
     n_trials, link_specs, ordering).  Each Philox block is drawn once,
     classified once per popularity profile, cache pair and threshold
-    table, and every (config, scheme) decodes from that scenario-class
-    table, whose (a, b) are decoded once per run when it holds every
+    table, and every (config, scheme) looks its trials up in that group's
+    scenario-class table, whose (a, b) it decodes once per run for every
     class.  Popularity profiles are read while the classes are built
     and dropped before any block is drawn.  Chunks run on
     ``_thread_count(workers, n_trials)`` threads, each in buffers this
@@ -539,12 +541,18 @@ def _simulate(
         if scheme not in SCHEMES:
             raise ParameterError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     groups, decoders = _scenario_groups(configs)
-    # a dense group's (a, b) tables do not depend on the chunk
-    columns = {
-        key: group.columns(np.arange(group.size)) for key, group in groups.items() if group.dense
-    }
+    # a group's (a, b) tables do not depend on the chunk
+    columns = {key: group.columns() for key, group in groups.items()}
     decoders = [
-        (key, config, _decode_tables(config, schemes, columns[key]) if key in columns else None)
+        (
+            key,
+            {
+                scheme: gain_thresholds(
+                    scheme, config.rho, config.alpha, *columns[key], config.self_hit_power
+                )
+                for scheme in schemes
+            },
+        )
         for key, config in decoders
     ]
 

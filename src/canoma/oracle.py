@@ -353,7 +353,7 @@ def success_prob(
         thresholds = DecodeThresholds()
     profile = zipf_profile(catalog_t, zeta, zipf_convention)
     classes = scenario_distribution(profile, capacities)
-    alloc = split_power(total, alpha, 2)
+    alloc = split_power(total, alpha)
 
     if policy == "by-gain":
         assignments: tuple[tuple[tuple[int, int], float], ...] = (

@@ -5,18 +5,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from canoma import (
-    SCHEMES,
+import canoma
+from canoma import SCHEMES, DecodeThresholds, ParameterError, gain_thresholds
+from reference import (
     CacheContents,
-    DecodeThresholds,
-    ParameterError,
     classify_scenario,
     decode_noma,
     decode_oma,
-    gain_thresholds,
     oma_effective_threshold,
     order_users,
     split_power,
+    theta_for,
 )
 
 UNIT_THETA = DecodeThresholds()
@@ -85,6 +84,12 @@ class TestSplitPower:
         alloc = split_power(1.0, 0.2, 5)
         assert all(a < b for a, b in zip(alloc.powers, alloc.powers[1:]))
 
+    def test_library_split_is_the_references_two_vehicle_split(self):
+        for total, alpha in [(10.0, 0.2), (7.3, 0.31), (1.0, 0.5)]:
+            assert canoma.split_power(total, alpha) == split_power(total, alpha, 2)
+        with pytest.raises(ParameterError):
+            canoma.split_power(10.0, 1.0)
+
 
 class TestOmaEffectiveThreshold:
     def test_half_share_doubles_the_rate_requirement(self):
@@ -105,13 +110,13 @@ class TestOmaEffectiveThreshold:
 class TestDecodeThresholds:
     def test_default_applies_to_every_file(self):
         th = DecodeThresholds(default=2.0)
-        assert th.theta_for(1) == th.theta_for(999) == 2.0
+        assert theta_for(th, 1) == theta_for(th, 999) == 2.0
         assert th.uniform_value() == 2.0
 
     def test_overrides(self):
         th = DecodeThresholds(default=1.0, overrides=((3, 0.5),))
-        assert th.theta_for(3) == 0.5
-        assert th.theta_for(4) == 1.0
+        assert theta_for(th, 3) == 0.5
+        assert theta_for(th, 4) == 1.0
         assert th.uniform_value() is None
         np.testing.assert_allclose(th.table(4), [1.0, 1.0, 0.5, 1.0])
 
@@ -131,9 +136,21 @@ class TestDecodeThresholds:
         with pytest.raises(ParameterError, match="override file"):
             DecodeThresholds(overrides=((file, 0.5),))
 
+    @pytest.mark.parametrize("theta", ["1", True, None, float("nan")])
+    def test_rejects_a_threshold_that_is_not_a_real(self, theta):
+        with pytest.raises(ParameterError, match="positive real"):
+            DecodeThresholds(default=theta)
+        with pytest.raises(ParameterError, match="file 2"):
+            DecodeThresholds(overrides=((2, theta),))
+
+    @pytest.mark.parametrize("overrides", [None, ((1,),), (1, 0.5), ((1, 0.5, 2),)])
+    def test_rejects_overrides_that_are_not_pairs(self, overrides):
+        with pytest.raises(ParameterError, match="pairs"):
+            DecodeThresholds(overrides=overrides)
+
     def test_accepts_numpy_integer_files(self):
         th = DecodeThresholds(overrides=((np.int64(2), 0.5),))
-        assert th.theta_for(2) == 0.5
+        assert theta_for(th, 2) == 0.5
 
 
 class TestDecodeNoma:
@@ -279,8 +296,8 @@ def rule_outcome(scheme, gains, total, alpha, thresholds, scenario, ordering, hi
         scheme,
         total,
         alpha,
-        thresholds.theta_for(scenario.requests[s]),
-        thresholds.theta_for(scenario.requests[w]),
+        theta_for(thresholds, scenario.requests[s]),
+        theta_for(thresholds, scenario.requests[w]),
         scenario.self_hit[s],
         scenario.self_hit[w],
         scenario.cross_cached(w, s),

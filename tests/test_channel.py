@@ -7,11 +7,11 @@ from canoma import (
     LinkSpec,
     NakagamiStage,
     ParameterError,
-    mean_link_gain,
     product_gain_ccdf,
     sample_gamma,
     sample_link_gain,
 )
+from reference import mean_link_gain
 
 PAPER_LINK = LinkSpec.from_pairs([(1, 1), (2, 2)])
 

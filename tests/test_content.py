@@ -6,17 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canoma import (
-    CacheContents,
     ParameterError,
     PopularityProfile,
     ScenarioClass,
-    classify_scenario,
-    place_cache,
     request_from_uniform,
-    sample_request,
     scenario_distribution,
     zipf_profile,
 )
+from reference import CacheContents, classify_scenario, place_cache, sample_request
 
 
 def make_rng(seed=1):

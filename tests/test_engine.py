@@ -12,19 +12,13 @@ from hypothesis import strategies as st
 
 from canoma import (
     DEFAULT_LINK_SPEC,
-    CacheContents,
     DecodeThresholds,
     LinkSpec,
     ParameterError,
     TrialConfig,
-    classify_scenario,
     db_to_linear,
-    decode_noma,
-    decode_oma,
-    order_users,
     run_point,
     run_point_multi,
-    split_power,
     success_prob,
     summarize,
     sweep,
@@ -34,13 +28,28 @@ import canoma.content as content
 import canoma.engine as engine
 from canoma.content import request_from_uniform
 from canoma.engine import CHUNK, _chunk_generator
+from reference import (
+    CacheContents,
+    classify_scenario,
+    decode_noma,
+    decode_oma,
+    order_users,
+    split_power,
+)
 
 
 SCHEMES = ("canoma", "noma", "oma-cache", "oma")
 
-# per-file thresholds at 2100 distinct levels, far more than a dense
-# (levels)^2 class table could hold
-MANY_LEVELS = DecodeThresholds(1.0, tuple((f, 0.5 + f / 4000) for f in range(1, 2101)))
+
+def many_levels(k):
+    """Distinct per-file thresholds for files 1..k."""
+    return DecodeThresholds(1.0, tuple((f, 0.5 + f / 1000) for f in range(1, k + 1)))
+
+
+# the largest class table that runs: on 400 files with caches (60, 120),
+# files 1..180 are 180 (region, level) pairs and files 181..400 one more,
+# so A = 181 and 2 * A^2 = 65522 <= CHUNK classes
+MANY_LEVELS = {"thresholds": many_levels(180), "files": 400, "cache": (60, 120)}
 
 
 def config(**over):
@@ -109,6 +118,16 @@ class TestConfigValidation:
             ("cache", (1, 2, 3)),
             ("files", True),
             ("n_trials", True),
+            ("zeta", None),
+            ("zeta", True),
+            ("zeta", "0.8"),
+            ("alpha", "0.2"),
+            ("alpha", True),
+            ("rho", None),
+            ("rho", True),
+            ("thresholds", 1.0),
+            ("thresholds", None),
+            ("link_specs", None),
         ],
     )
     def test_rejects_bad_fields(self, field, value):
@@ -175,7 +194,7 @@ class TestRunPoint:
 
     @pytest.mark.parametrize(
         "over",
-        [{}, {"ordering": "fixed"}, {"thresholds": MANY_LEVELS, "files": 5000}],
+        [{}, {"ordering": "fixed"}, MANY_LEVELS],
         ids=["by-gain", "fixed", "many-levels"],
     )
     def test_default_threads_give_the_serial_outcomes(self, monkeypatch, over):
@@ -293,7 +312,7 @@ class TestEngineMatchesScalarPath:
             {"cache": (2, 5)},
             {"ordering": "fixed"},
             {"self_hit_power": "idle"},
-            {"thresholds": MANY_LEVELS, "files": 5000},
+            MANY_LEVELS,
             # files from 1723 on have probability 0 and the CDF rounds to
             # 1.0 from file 1 on, so every breakpoint ties with 1.0
             {"files": 2000, "zeta": 0.01, "cache": (1500, 3)},
@@ -321,8 +340,9 @@ class TestEngineMatchesScalarPath:
         profile = zipf_profile(cfg.files, cfg.zeta)
         r1 = request_from_uniform(profile, u[:n, 0])
         r2 = request_from_uniform(profile, u[:n, 1])
-        if cfg.thresholds is MANY_LEVELS:
-            # the trials reach far more levels than a dense table's 45
+        if over is MANY_LEVELS:
+            # the largest table validate accepts, with over 100 of its levels requested
+            assert engine._ScenarioClasses.of(cfg, profile).size == 65522
             requested = cfg.thresholds.table(cfg.files)[np.concatenate([r1, r2]) - 1]
             assert len(set(requested)) > 100
         caches = tuple(
@@ -352,6 +372,26 @@ class TestEngineMatchesScalarPath:
             for scheme, outcome in want.items():
                 got = tuple(bool(v) for v in results[scheme][t])
                 assert got == outcome.ok, (scheme, t)
+
+
+class TestClassTableBound:
+    """``validate`` refuses a threshold table of more than CHUNK classes,
+    before any draw: one more level than ``MANY_LEVELS`` gives A = 182."""
+
+    def test_one_level_more_than_the_largest_table_is_refused(self, monkeypatch):
+        monkeypatch.setattr(engine, "_run_chunk", None)  # no chunk may run
+        cfg = config(**{**MANY_LEVELS, "thresholds": many_levels(181)})
+        with pytest.raises(ParameterError, match="66248 classes from A = 182") as exc:
+            run_point(cfg)
+        assert exc.value.field == "thresholds"
+
+    def test_sweep_names_the_grid_value_before_any_trial(self, monkeypatch):
+        # at 180 files the overrides of files 1..181 give A = 180, 64800 classes
+        monkeypatch.setattr(engine, "_run_chunk", None)
+        cfg = config(**{**MANY_LEVELS, "thresholds": many_levels(181)})
+        engine._config_at(cfg, "catalog_t", 180)
+        with pytest.raises(ParameterError, match="grid value 400 invalid for catalog_t"):
+            sweep(cfg, "catalog_t", [180, 400])
 
 
 class TestClassesFromBreakpoints:

@@ -18,10 +18,10 @@ from canoma import (
     product_gain_ccdf,
     reduce_to_gain_event,
     sample_link_gain,
-    split_power,
     success_prob,
 )
 from canoma.oracle import INFEASIBLE, _product_ccdf_two_stage
+from reference import split_power
 
 PAPER_LINK = LinkSpec.from_pairs([(1, 1), (2, 2)])
 EXP_LINK = LinkSpec.from_pairs([(1, 1)])

@@ -1,0 +1,43 @@
+"""Byte identity of the CSV data rows of a few small commands.
+
+Each file under ``tests/data`` holds the data rows, without the ``#``
+manifest, that its command printed when it was pinned.  A refactor must
+reproduce them byte for byte, with one worker thread and with the
+default thread count.  The commands cover by-gain ordering, fixed
+ordering and heterogeneous links, each over three 65536-trial blocks.
+
+The rows depend on numpy's ``Generator`` streams (Philox,
+``random``, ``standard_gamma``).  A numpy release that changes one of
+them starts a new output epoch: the rows change with no fault here, and
+the files are regenerated in a change that says so and changes nothing
+else.
+"""
+
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from canoma.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+COMMANDS = {
+    "snr_by_gain": "sweep --sweep snr_db --grid 0,10,20 --schemes canoma,noma,oma-cache,oma "
+    "--cache 2 --trials 140000 --seed 7",
+    "zeta_fixed": "sweep --sweep zeta --grid 0.4,1.6 --schemes canoma,noma,oma-cache,oma "
+    "--ordering fixed --files 20 --cache 3 --trials 140000 --seed 5",
+    "cache_hetero": "sweep --sweep cache --grid 0,2,5 --schemes canoma,noma,oma-cache,oma "
+    "--ordering fixed --link-spec-1 1.5,1,2.5,1 --link-spec-2 3,2,0.7,1 --trials 140000 --seed 9",
+}
+
+
+@pytest.mark.parametrize("workers", [["--workers", "1"], []], ids=["serial", "default"])
+@pytest.mark.parametrize("name", COMMANDS)
+def test_data_rows_are_pinned(name, workers):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(COMMANDS[name].split() + workers) == 0
+    rows = "".join(f"{line}\n" for line in out.getvalue().splitlines() if not line.startswith("#"))
+    assert rows == (DATA / f"{name}.csv").read_text()
