@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .access import SCHEMES, DecodeThresholds
-from .channel import LinkSpec
+from .channel import SAMPLER, LinkSpec
 from .engine import (
     BIT_GENERATOR,
     CHUNK,
@@ -255,6 +255,7 @@ def _manifest(
         "bit_generator": BIT_GENERATOR.__name__,
         "chunk": CHUNK,
         "numpy": np.__version__,
+        "sampler": SAMPLER,
         "scipy": importlib.metadata.version("scipy"),
     }
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")

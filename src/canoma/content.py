@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -109,11 +109,12 @@ def zipf_profile(catalog: int, zeta: float, convention: str = "reciprocal") -> P
     approaches a uniform profile.  ``direct`` exposes the textbook
     convention (exponent = zeta) for cross-checks against other tools.
     """
-    t = int(catalog)
-    if t < 1:
-        raise ParameterError(f"catalog size must be >= 1, got {catalog!r}")
-    if not (isfinite(zeta) and zeta > 0):
+    # a bool is a number to Python, but never a catalog size or a zeta
+    if isinstance(catalog, bool) or not isinstance(catalog, Integral) or catalog < 1:
+        raise ParameterError(f"catalog size must be an integer >= 1, got {catalog!r}")
+    if isinstance(zeta, bool) or not (isinstance(zeta, Real) and isfinite(zeta) and zeta > 0):
         raise ParameterError(f"zeta must be positive and finite, got {zeta!r}")
+    t = int(catalog)
     if convention == "reciprocal":
         exponent = 1.0 / zeta
     elif convention == "direct":

@@ -1,7 +1,7 @@
 """Seeded Monte Carlo engine: trial execution, estimates, parameter sweeps.
 
-Trials are organised in fixed blocks of 65536; block c draws from a
-Philox stream keyed by SeedSequence((seed, c)), so any trial's variates
+Trials are organised in fixed blocks of 65536; block c draws from an
+SFC64 stream keyed by SeedSequence((seed, c)), so any trial's variates
 are a deterministic function of (seed, trial index) and results are
 bit-identical for any worker count.  Blocks run on a pool of threads,
 one per available CPU by default (numpy releases the interpreter lock
@@ -13,7 +13,12 @@ each link -- which makes runs over different grid values consume the
 same randomness per trial (common random numbers): sweeping SNR, cache
 size, catalog size, or the popularity parameter never changes the
 sampled gains, and requests always map through the inverse CDF of the
-same two uniforms.
+same two uniforms.  A stage of integer fading shape m <= 3 is drawn
+as the sum of m exponentials, every other shape by numpy's gamma
+sampler (``channel.sample_gamma``).  The SFC64 streams and the
+exponential sums are a declared sampler change: they replaced Philox
+streams and ``standard_gamma`` at every shape, so every Monte Carlo row
+moved once, within its sampling error.
 
 A run therefore draws each block once for all the configurations it
 covers -- every value of a sweep, every point of an oracle check -- and
@@ -61,7 +66,7 @@ __all__ = [
 
 CHUNK = 1 << 16
 _U_ROWS = 1 << 13  # request-uniform rows drawn per step of a chunk
-BIT_GENERATOR = np.random.Philox
+BIT_GENERATOR = np.random.SFC64
 METRICS = ("marg-product", "joint")
 ORDERING_POLICIES = ("by-gain", "fixed")
 
@@ -378,7 +383,13 @@ class _ScenarioClasses:
         starts, attribute_of_cell, held, theta = _cells(
             config.files, config.capacities, config.thresholds
         )
-        return cls(_bisection_table(profile.cdf[starts - 2]), attribute_of_cell, held, theta)
+        # validate keeps A <= 181 attributes, so an index fits a byte
+        return cls(
+            _bisection_table(profile.cdf[starts - 2]),
+            attribute_of_cell.astype(np.uint8),
+            held,
+            theta,
+        )
 
     @property
     def size(self) -> int:
@@ -390,7 +401,7 @@ class _ScenarioClasses:
         whether vehicle 1 is the strong one.  ``u`` is the leading rows of
         a C-ordered (rows, 2) array, so it flattens without a copy."""
         attribute = self.attribute_of_cell.take(_count_below(self.breakpoints, u.reshape(-1)))
-        np.multiply(attribute[0::2], len(self.theta), out=out)
+        np.multiply(attribute[0::2], len(self.theta), out=out, dtype=out.dtype)
         out += attribute[1::2]
 
     def columns(self):
@@ -410,25 +421,27 @@ class _ScenarioClasses:
 def _chunk_buffers(groups):
     """One thread's working arrays for ``_run_chunk``: request uniforms for
     one slice of rows, the two links' gains and a spare, the strong flags,
-    three outcome flags, and a class code per scenario group.
+    three outcome flags, each scenario group's attribute pairs in its
+    narrowest code type, and one shared ``intp`` code row.
 
     The calling thread allocates them once per run, so no chunk allocates
     anything CHUNK-sized and the memory never lands in a worker thread's
-    own malloc arena.  Codes are ``intp``, the index type of ``np.take``,
-    which would copy any other.
+    own malloc arena.  A group's codes are widened into the shared row, of
+    ``intp``, the index type of ``np.take``, which would copy any other.
     """
     return (
         np.empty((_U_ROWS, 2)),
         np.empty((3, CHUNK)),
         np.empty(CHUNK, dtype=bool),
         np.empty((3, CHUNK), dtype=bool),
-        {key: np.empty(CHUNK, dtype=np.intp) for key in groups},
+        {key: np.empty(CHUNK, dtype=np.min_scalar_type(g.size - 1)) for key, g in groups.items()},
+        np.empty(CHUNK, dtype=np.intp),
     )
 
 
 def _run_chunk(task, buffers):
     seed, chunk, length, link_specs, ordering, groups, decoders, schemes, collect = task
-    u, gains, strong_is_1, (ok_s, ok_w, ok_both), codes = buffers
+    u, gains, strong_is_1, (ok_s, ok_w, ok_both), pairs, code = buffers
     rng = _chunk_generator(seed, chunk)
     # Full-size draws keep every trial's variates independent of n_trials;
     # rows drawn slice by slice are the rows of one (CHUNK, 2) draw.
@@ -437,12 +450,13 @@ def _run_chunk(task, buffers):
         if lo < length:
             rows = u[: length - lo]
             for key, group in groups.items():
-                group.pairs(rows, codes[key][lo : lo + len(rows)])
-    for spec, x in zip(link_specs, gains):
-        sample_link_gain(spec, rng, out=x)
+                group.pairs(rows, pairs[key][lo : lo + len(rows)])
+    for spec, x in zip(link_specs, gains[:2]):
+        sample_link_gain(spec, rng, out=x, work=gains[2])
     x1, x2, spare = gains[:, :length]
     strong_is_1 = strong_is_1[:length]
     ok_s, ok_w, ok_both = ok_s[:length], ok_w[:length], ok_both[:length]
+    code = code[:length]
     if ordering == "by-gain":
         np.greater_equal(x1, x2, out=strong_is_1)
         np.minimum(x1, x2, out=spare)
@@ -451,35 +465,36 @@ def _run_chunk(task, buffers):
     else:
         strong_is_1.fill(True)
         xs, xw, limit = x1, x2, spare
+
+    out = {}
     for key, group in groups.items():
-        code = codes[key][:length]
-        code *= 2
+        # widen the group's codes once for all its decoders
+        np.multiply(pairs[key][:length], 2, out=code, dtype=np.intp)
         code += strong_is_1
         # the gathers below clip, because mode="raise" buffers their
-        # output, so the codes are checked here, once per chunk
+        # output, so the codes are checked here, once per group and chunk
         if code.max() >= group.size:
             raise IndexError(f"class code {code.max()} outside a table of {group.size}")
-
-    out = []
-    for key, tables in decoders:
-        code = codes[key][:length]
-        per_scheme = {}
-        for scheme in schemes:
-            a, b = tables[scheme]
-            np.greater_equal(xs, np.take(a, code, out=limit, mode="clip"), out=ok_s)
-            np.greater_equal(xw, np.take(b, code, out=limit, mode="clip"), out=ok_w)
-            np.logical_and(ok_s, ok_w, out=ok_both)
-            counts = tuple(np.count_nonzero(ok) for ok in (ok_s, ok_w, ok_both))
-            outcomes = np.column_stack(_by_position(strong_is_1, ok_s, ok_w)) if collect else None
-            per_scheme[scheme] = (counts, outcomes)
-        out.append(per_scheme)
+        for i, tables in decoders[key]:
+            per_scheme = {}
+            for scheme in schemes:
+                a, b = tables[scheme]
+                np.greater_equal(xs, np.take(a, code, out=limit, mode="clip"), out=ok_s)
+                np.greater_equal(xw, np.take(b, code, out=limit, mode="clip"), out=ok_w)
+                np.logical_and(ok_s, ok_w, out=ok_both)
+                counts = tuple(np.count_nonzero(ok) for ok in (ok_s, ok_w, ok_both))
+                outcomes = (
+                    np.column_stack(_by_position(strong_is_1, ok_s, ok_w)) if collect else None
+                )
+                per_scheme[scheme] = (counts, outcomes)
+            out[i] = per_scheme
     return out
 
 
 def _scenario_groups(configs: Sequence[TrialConfig]):
     """One ``_ScenarioClasses`` per (profile, cache pair, thresholds) key,
     and each config paired with its key."""
-    profiles, groups, decoders = {}, {}, []
+    profiles, groups, keyed = {}, {}, []
     for config in configs:
         profile_key = (config.files, config.zeta, config.zipf_convention)
         key = (profile_key, config.capacities, config.thresholds)
@@ -487,8 +502,8 @@ def _scenario_groups(configs: Sequence[TrialConfig]):
             if profile_key not in profiles:
                 profiles[profile_key] = zipf_profile(*profile_key)
             groups[key] = _ScenarioClasses.of(config, profiles[profile_key])
-        decoders.append((key, config))
-    return groups, decoders
+        keyed.append((key, config))
+    return groups, keyed
 
 
 def _available_cpus() -> int:
@@ -519,7 +534,7 @@ def _simulate(
     """Draw every trial once and decode it under each config and scheme.
 
     The configs must share the fields that fix the draws (seed,
-    n_trials, link_specs, ordering).  Each Philox block is drawn once,
+    n_trials, link_specs, ordering).  Each SFC64 block is drawn once,
     classified once per popularity profile, cache pair and threshold
     table, and every (config, scheme) looks its trials up in that group's
     scenario-class table, whose (a, b) it decodes once per run for every
@@ -540,21 +555,19 @@ def _simulate(
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ParameterError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    groups, decoders = _scenario_groups(configs)
-    # a group's (a, b) tables do not depend on the chunk
+    groups, keyed_configs = _scenario_groups(configs)
+    # a group's (a, b) tables do not depend on the chunk; each group's
+    # decoders are (config index, {scheme: (a, b)})
     columns = {key: group.columns() for key, group in groups.items()}
-    decoders = [
-        (
-            key,
-            {
-                scheme: gain_thresholds(
-                    scheme, config.rho, config.alpha, *columns[key], config.self_hit_power
-                )
-                for scheme in schemes
-            },
-        )
-        for key, config in decoders
-    ]
+    decoders = {key: [] for key in groups}
+    for i, (key, config) in enumerate(keyed_configs):
+        tables = {
+            scheme: gain_thresholds(
+                scheme, config.rho, config.alpha, *columns[key], config.self_hit_power
+            )
+            for scheme in schemes
+        }
+        decoders[key].append((i, tables))
 
     seed, n, link_specs, ordering = _draw_fields(configs[0])
     n_chunks = (n + CHUNK - 1) // CHUNK

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc, gammainccinv
 
 from canoma import (
     LinkSpec,
@@ -18,6 +19,11 @@ PAPER_LINK = LinkSpec.from_pairs([(1, 1), (2, 2)])
 
 def make_rng(seed=12345):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def engine_rng(seed):
+    """A generator of the engine's kind: SFC64 keyed by a SeedSequence."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
 
 
 @pytest.mark.parametrize("m,omega", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.nan, 1.0)])
@@ -123,3 +129,35 @@ def test_empirical_cdf_matches_quadrature_ccdf():
         for level, x in zip(levels, points)
     )
     assert ks < 0.005
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("size", [None, 1, 8193, 20_000])
+def test_integer_shape_is_a_sum_of_full_exponential_draws(m, size):
+    rng_a, rng_b = engine_rng(17), engine_rng(17)
+    got = sample_gamma(float(m), 0.75, rng_a, size=size)
+    want = sum(rng_b.standard_exponential(size) for _ in range(m)) * 0.75
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # and the generator is left where m full exponential draws leave it
+    assert repr(rng_a.bit_generator.state) == repr(rng_b.bit_generator.state)
+
+
+@pytest.mark.parametrize("shape", [0.5, 2.5, 4.0, 7.0])
+def test_other_shapes_are_standard_gamma_draws(shape):
+    rng_a, rng_b = engine_rng(18), engine_rng(18)
+    got = sample_gamma(shape, 0.75, rng_a, size=20_000)
+    assert got.tobytes() == (rng_b.standard_gamma(shape, 20_000) * 0.75).tobytes()
+    assert repr(rng_a.bit_generator.state) == repr(rng_b.bit_generator.state)
+
+
+@pytest.mark.parametrize("shape", [1.0, 2.0, 3.0, 2.5, 4.0])
+def test_exceedance_matches_the_gamma_tail_down_to_1e_5(shape):
+    # 1e6 draws of Gamma(m, 1/m), the stage of spread 1; at each tail
+    # probability p the count above the exact quantile is binomial(n, p)
+    n, scale = 1_000_000, 1.0 / shape
+    draws = sample_gamma(shape, scale, engine_rng(int(shape * 10)), size=n)
+    for p in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
+        level = gammainccinv(shape, p) * scale
+        assert gammaincc(shape, level / scale) == pytest.approx(p, rel=1e-9)
+        z = (np.count_nonzero(draws > level) - n * p) / math.sqrt(n * p * (1.0 - p))
+        assert abs(z) <= 4.0, (shape, p, z)

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -200,9 +201,10 @@ class TestSweep:
     def test_manifest_records_what_the_bits_depend_on(self):
         _, out, _ = run_cli(["point", *BASE])
         assert manifest_entry(out, "output depends on") == {
-            "bit_generator": "Philox",
+            "bit_generator": "SFC64",
             "chunk": 65536,
             "numpy": np.__version__,
+            "sampler": "exponential-sum m<=3, else standard_gamma",
             "scipy": importlib.metadata.version("scipy"),
         }
 
@@ -263,6 +265,22 @@ class TestOracleCheck:
         # 5 SNR x 3 zeta x 4 (T, C) x 4 schemes x 2 metrics
         assert len(rows) == 1 + 480
         assert all(r.endswith("pass") for r in rows[1:])
+
+    def test_bare_serial_run_passes_and_peaks_below_6_mib(self):
+        # each scenario group keeps its class codes in uint8 or uint16 and
+        # widens them into one shared intp row; one CHUNK-long intp row for
+        # each of the 12 groups would take this run's peak to 9 MiB
+        run_cli(["oracle-check", "--workers", "1", "--trials", "1000"])  # first-call allocations
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(["oracle-check", "--workers", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        rows = data_rows(out)[1:]
+        assert len(rows) == 480 and all(r.endswith(",pass") for r in rows)
+        assert peak < 6 * 2**20
 
     def test_bare_manifest_records_the_grid_axes(self):
         _, out, _ = run_cli(["oracle-check", "--trials", "1000", "--seed", "3"])

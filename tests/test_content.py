@@ -42,6 +42,18 @@ class TestZipfProfile:
         with pytest.raises(ParameterError):
             zipf_profile(t, zeta)
 
+    @pytest.mark.parametrize(
+        "t,zeta", [(2.5, 0.8), (2.0, 0.8), (True, 0.8), ("3", 0.8), (3, True), (3, "0.8")]
+    )
+    def test_refuses_what_validate_refuses(self, t, zeta):
+        # a float or bool catalog must not run as int(t) files, nor a bool zeta as 1.0
+        with pytest.raises(ParameterError):
+            zipf_profile(t, zeta)
+
+    def test_accepts_numpy_numbers(self):
+        assert zipf_profile(np.int64(3), np.float64(1.0)) == zipf_profile(3, 1.0)
+        assert zipf_profile(np.uint16(3), 1.0) == zipf_profile(3, 1.0)
+
     def test_rejects_unknown_convention(self):
         with pytest.raises(ParameterError):
             zipf_profile(3, 1.0, convention="zipfian")

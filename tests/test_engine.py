@@ -27,7 +27,7 @@ from canoma import (
 import canoma.content as content
 import canoma.engine as engine
 from canoma.content import request_from_uniform
-from canoma.engine import CHUNK, _chunk_generator
+from canoma.engine import CHUNK
 from reference import (
     CacheContents,
     classify_scenario,
@@ -300,8 +300,9 @@ class TestEngineMatchesScalarPath:
     """The engine's vectorised trials must reproduce the scalar modules.
 
     Rebuilds chunk 0's draws from the documented derivation
-    (SeedSequence((seed, chunk)) -> Philox; request uniforms first, then
-    per-stage gammas) and pushes every trial through classify + decode.
+    (SeedSequence((seed, chunk)) -> SFC64; request uniforms first, then
+    per-stage gammas, an integer shape m <= 3 as the sum of m full-length
+    exponential draws) and pushes every trial through classify + decode.
     """
 
     @pytest.mark.parametrize(
@@ -329,13 +330,17 @@ class TestEngineMatchesScalarPath:
     def test_all_schemes_elementwise(self, over):
         n = 1500
         cfg = config(**{"n_trials": n, "cache": 3, "seed": 23, **over})
-        rng = _chunk_generator(cfg.seed, 0)
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence((cfg.seed, 0))))
         u = rng.random((CHUNK, 2))
         gains = []
         for spec in cfg.link_specs:
             x = np.ones(CHUNK)
             for stage in spec.stages:
-                x *= rng.standard_gamma(stage.m, size=CHUNK) * (stage.omega / stage.m)
+                if stage.m in (1, 2, 3):
+                    g = sum(rng.standard_exponential(CHUNK) for _ in range(int(stage.m)))
+                else:
+                    g = rng.standard_gamma(stage.m, size=CHUNK)
+                x *= g * (stage.omega / stage.m)
             gains.append(x[:n])
         profile = zipf_profile(cfg.files, cfg.zeta)
         r1 = request_from_uniform(profile, u[:n, 0])

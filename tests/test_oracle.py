@@ -346,6 +346,11 @@ class TestSuccessProb:
         ]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
+    def test_refuses_a_catalog_that_is_not_an_integer(self):
+        # int(2.5) would quietly give the T = 2 value
+        with pytest.raises(ParameterError):
+            success_prob("canoma", **self.kwargs(catalog_t=2.5))
+
     def test_monotone_in_catalog_size(self):
         vals = [
             success_prob("canoma", **self.kwargs(catalog_t=t)).p_marg_product

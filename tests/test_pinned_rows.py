@@ -6,11 +6,14 @@ reproduce them byte for byte, with one worker thread and with the
 default thread count.  The commands cover by-gain ordering, fixed
 ordering and heterogeneous links, each over three 65536-trial blocks.
 
-The rows depend on numpy's ``Generator`` streams (Philox,
-``random``, ``standard_gamma``).  A numpy release that changes one of
-them starts a new output epoch: the rows change with no fault here, and
-the files are regenerated in a change that says so and changes nothing
-else.
+The rows depend on numpy's ``Generator`` streams (SFC64, ``random``,
+``standard_exponential``, ``standard_gamma``) and on the sampler that
+draws from them.  The files were last regenerated for a declared sampler
+change: SFC64 streams in place of Philox, and a stage of integer shape
+m <= 3 drawn as the sum of m exponentials in place of ``standard_gamma``.
+A numpy release that changes one of the streams starts a new output
+epoch too: the rows change with no fault here, and the files are
+regenerated in a change that says so and changes nothing else.
 """
 
 import io
