@@ -21,9 +21,8 @@ from .channel import (
 )
 from .content import (
     PopularityProfile,
-    ScenarioClass,
+    ScenarioTable,
     request_from_uniform,
-    scenario_distribution,
     zipf_profile,
 )
 from .engine import (
@@ -43,11 +42,9 @@ from .engine import (
 from .errors import CanomaError, OracleUnsupportedError, ParameterError
 
 _ORACLE_NAMES = (
-    "GainThresholdEvent",
     "OracleResult",
     "gamma_ccdf",
     "product_gain_ccdf",
-    "reduce_to_gain_event",
     "conditional_success_prob",
     "success_prob",
 )
@@ -67,10 +64,9 @@ __all__ = [
     "sample_link_gain",
     # content
     "PopularityProfile",
-    "ScenarioClass",
+    "ScenarioTable",
     "zipf_profile",
     "request_from_uniform",
-    "scenario_distribution",
     # access
     "SCHEMES",
     "PowerAllocation",

@@ -101,12 +101,6 @@ class DecodeThresholds:
                 )
         object.__setattr__(self, "overrides", tuple(sorted(overrides)))
 
-    def uniform_value(self) -> float | None:
-        """The single shared threshold, or None when files genuinely differ."""
-        if all(theta == self.default for _, theta in self.overrides):
-            return self.default
-        return None
-
     def table(self, t: int) -> np.ndarray:
         """Thresholds for files 1..t as an array (index file-1)."""
         out = np.full(t, self.default)
@@ -119,8 +113,8 @@ class DecodeThresholds:
 def split_power(total: float, alpha: float) -> PowerAllocation:
     """Split total power between the two ordered positions:
     (alpha * total, (1 - alpha) * total), strongest position first."""
-    if not (isfinite(total) and total > 0):
-        raise ParameterError(f"total power must be positive, got {total!r}")
+    if not _is_positive_real(total):
+        raise ParameterError(f"total power must be a positive real, got {total!r}")
     if not (isfinite(alpha) and 0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
     strong = alpha * total

@@ -1,12 +1,16 @@
-"""Content popularity and the two-vehicle scenario classes.
+"""Content popularity and the one two-vehicle scenario-class table.
 
 Files 1..T at the base station carry a Zipf-derived popularity profile;
 every vehicle caches the top-C most popular files during the placement
-phase and requests one file per delivery trial.  A trial's scenario
-class records, per vehicle, whether its own request is self-cached and
-whether the other vehicle holds it; :func:`scenario_distribution` gives
-the exact class probabilities.  The per-trial placement and
-classification by set membership is the tests' reference.
+phase and requests one file per delivery trial.  A request's decode
+depends on two attributes of its file: which caches hold it (one of at
+most three top-C regions) and its SINR threshold.  :class:`ScenarioTable`
+groups files by those attributes; a scenario class is one attribute per
+vehicle plus which vehicle is the strong one.  The Monte Carlo engine
+classifies trials by the table and the oracle weights its classes, so
+the cached contents enter both paths through this one table.  The
+per-trial placement and classification by set membership is the tests'
+reference.
 
 Requests map from uniforms by inverse CDF on the cumulative probability
 table.  This is deliberate: under shared uniforms the requested index is
@@ -22,14 +26,14 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from .access import DecodeThresholds
 from .errors import ParameterError
 
 __all__ = [
     "PopularityProfile",
-    "ScenarioClass",
+    "ScenarioTable",
     "zipf_profile",
     "request_from_uniform",
-    "scenario_distribution",
 ]
 
 _SUM_TOL = 1e-12
@@ -78,29 +82,6 @@ class PopularityProfile:
         return f"PopularityProfile(t={self.t})"
 
 
-@dataclass(frozen=True)
-class ScenarioClass:
-    """Distinguishable two-vehicle scenario: the four cache flags.
-
-    Whether the two requests coincide is not a flag: no decode rule
-    reads it.
-    """
-
-    self_hit_1: bool
-    self_hit_2: bool
-    cross_2_holds_1: bool
-    cross_1_holds_2: bool
-
-    def self_hit(self, vehicle: int) -> bool:
-        return self.self_hit_1 if vehicle == 0 else self.self_hit_2
-
-    def cross_cached(self, i: int, j: int) -> bool:
-        """True when vehicle ``j`` holds vehicle ``i``'s requested file."""
-        if i == j:
-            return self.self_hit(i)
-        return self.cross_2_holds_1 if (i, j) == (0, 1) else self.cross_1_holds_2
-
-
 def zipf_profile(catalog: int, zeta: float, convention: str = "reciprocal") -> PopularityProfile:
     """Zipf-derived popularity over files 1..T.
 
@@ -128,16 +109,6 @@ def zipf_profile(catalog: int, zeta: float, convention: str = "reciprocal") -> P
     return PopularityProfile(weights)
 
 
-def _checked_capacity(profile: PopularityProfile, capacity) -> int:
-    if not isinstance(capacity, Integral) or capacity < 0:
-        raise ParameterError(f"cache capacity must be a non-negative integer, got {capacity!r}")
-    if capacity > profile.t:
-        raise ParameterError(
-            f"cache capacity {capacity} exceeds catalog size {profile.t}"
-        )
-    return int(capacity)
-
-
 def request_from_uniform(profile: PopularityProfile, u):
     """Inverse-CDF map from uniform draws in [0, 1) to file indices.
 
@@ -152,39 +123,71 @@ def request_from_uniform(profile: PopularityProfile, u):
     return idx.astype(np.int64)
 
 
-def scenario_distribution(
-    profile: PopularityProfile, capacities: tuple[int, int]
-) -> dict[ScenarioClass, float]:
-    """Exact two-vehicle scenario-class probabilities under i.i.d. requests
-    and top-C placement with the two given capacities.
+def _by_position(strong_is_1, v1, v2):
+    """Swap vehicle-indexed values into (strong, weak) position order, or back."""
+    return np.where(strong_is_1, v1, v2), np.where(strong_is_1, v2, v1)
 
-    With ``lo, hi = sorted(capacities)`` the files fall into at most three
-    regions: ``[0:lo]`` in both caches, ``[lo:hi]`` in the larger cache
-    only, ``[hi:T]`` in neither.  A class fixes the region of each request,
-    so its probability is the product of two region masses.  Regions of
-    zero mass are left out, so at most 9 classes remain; their
-    probabilities sum to 1 within 1e-12.
+
+@dataclass(frozen=True, eq=False)
+class ScenarioTable:
+    """The scenario classes of one catalog size, cache pair and threshold
+    table; no popularity profile is needed to build it.
+
+    Under top-C placement a request's attributes -- which caches hold its
+    file (its region) and its threshold level -- change only at a few
+    files: c1+1, c2+1, and each override file f and f+1.  Those change
+    points cut files 1..T into cells whose files all share their first
+    file's attributes.  With A distinct attributes, class code
+    ``2 * (a1 * A + a2) + s`` holds vehicle 1's attribute a1, vehicle 2's
+    a2, and s = 1 when vehicle 1 is the strong one.
     """
-    capacities = tuple(capacities)
-    if len(capacities) != 2:
-        raise ParameterError("scenario_distribution enumerates exactly two vehicles")
-    c1, c2 = (_checked_capacity(profile, c) for c in capacities)
-    lo, hi = sorted((c1, c2))
-    probs = profile.probs
-    # (in cache 1, in cache 2) of every file in a region, and its mass
-    regions = [
-        ((True, True), probs[:lo].sum()),
-        ((c1 > c2, c2 > c1), probs[lo:hi].sum()),
-        ((False, False), probs[hi:].sum()),
-    ]
-    regions = [(held, float(mass)) for held, mass in regions if mass > 0.0]
-    return {
-        ScenarioClass(
-            self_hit_1=held1[0],
-            self_hit_2=held2[1],
-            cross_2_holds_1=held1[1],
-            cross_1_holds_2=held2[0],
-        ): mass1 * mass2
-        for held1, mass1 in regions
-        for held2, mass2 in regions
-    }
+
+    starts: np.ndarray  # change points, in 2..T ascending
+    attribute_of_cell: np.ndarray  # attribute index of each cell
+    held: np.ndarray  # (in cache 1, in cache 2) by attribute
+    theta: np.ndarray  # threshold by attribute
+
+    @classmethod
+    def of(
+        cls, files: int, capacities: tuple[int, int], thresholds: DecodeThresholds
+    ) -> "ScenarioTable":
+        c1, c2 = capacities
+        theta_of = dict(thresholds.overrides)
+        overridden = [f for f in theta_of if 1 <= f <= files]
+        starts = np.unique([c1 + 1, c2 + 1, *overridden, *(f + 1 for f in overridden)])
+        starts = starts[(starts >= 2) & (starts <= files)]
+        first = np.concatenate(([1], starts))
+        levels, level = np.unique(
+            [theta_of.get(f, thresholds.default) for f in first.tolist()], return_inverse=True
+        )
+        # under top-C placement (in 1, in 2) takes at most 3 of its 4 values
+        region = (first <= c1) + 2 * (first <= c2)
+        attributes, attribute_of_cell = np.unique(
+            region * len(levels) + level, return_inverse=True
+        )
+        region, level = np.divmod(attributes, len(levels))
+        held = np.column_stack((region & 1 == 1, region & 2 == 2))
+        return cls(starts, attribute_of_cell, held, levels[level])
+
+    @property
+    def size(self) -> int:
+        return 2 * len(self.theta) ** 2
+
+    def cdf_at_starts(self, profile: PopularityProfile) -> np.ndarray:
+        """cdf[k - 2] for each change point k, ascending.  A request r(u)
+        is >= k iff cdf[k - 2] < u, so a uniform's cell is the number of
+        these values below it, and cell masses are their differences."""
+        return profile.cdf[self.starts - 2]
+
+    def columns(self):
+        """``gain_thresholds``' position-ordered inputs for every class code:
+        (th_s, th_w, hit_s, hit_w, cross_s, cross_w)."""
+        pair, strong_is_1 = np.divmod(np.arange(self.size), 2)
+        a1, a2 = np.divmod(pair, len(self.theta))
+        strong_is_1 = strong_is_1 == 1
+        return (
+            *_by_position(strong_is_1, self.theta[a1], self.theta[a2]),
+            *_by_position(strong_is_1, self.held[a1, 0], self.held[a2, 1]),
+            # whether each vehicle holds the other's requested file
+            *_by_position(strong_is_1, self.held[a2, 0], self.held[a1, 1]),
+        )

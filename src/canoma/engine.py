@@ -22,7 +22,7 @@ moved once, within its sampling error.
 
 A run therefore draws each block once for all the configurations it
 covers -- every value of a sweep, every point of an oracle check -- and
-decodes each (configuration, scheme) from a table over scenario classes
+decodes each (configuration, scheme) from content's scenario-class table
 (cache flags, threshold levels and which vehicle is strong), so a sweep
 costs about one point.  A trial's class comes from its two uniforms by a
 branchless bisection over a few CDF breakpoints.  Each (configuration,
@@ -43,7 +43,7 @@ import numpy as np
 
 from .access import SCHEMES, DecodeThresholds, _is_positive_real, gain_thresholds
 from .channel import LinkSpec, sample_link_gain
-from .content import PopularityProfile, zipf_profile
+from .content import PopularityProfile, ScenarioTable, _by_position, zipf_profile
 from .errors import ParameterError
 
 __all__ = [
@@ -107,36 +107,6 @@ def _physical_memory() -> float:
 def _is_int(value) -> bool:
     # a bool is an int to Python, but never a count
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _cells(files: int, capacities: tuple[int, int], thresholds: DecodeThresholds):
-    """Where files 1..T change attributes, and what the attributes are;
-    no popularity profile is needed.
-
-    Under top-C placement a request's cache flags and threshold level
-    change only at a few files: c1+1, c2+1, and each override file f and
-    f+1.  Those change points cut files 1..T into cells whose files all
-    share the same attributes -- which caches hold them (their region)
-    and their threshold level -- so a cell's attributes are its first
-    file's.  Returns the change points (in 2..T, ascending), each cell's
-    attribute index, and by attribute its (in cache 1, in cache 2) flags
-    and its threshold.
-    """
-    c1, c2 = capacities
-    theta_of = dict(thresholds.overrides)
-    overridden = [f for f in theta_of if 1 <= f <= files]
-    starts = np.unique([c1 + 1, c2 + 1, *overridden, *(f + 1 for f in overridden)])
-    starts = starts[(starts >= 2) & (starts <= files)]
-    first = np.concatenate(([1], starts))
-    levels, level = np.unique(
-        [theta_of.get(f, thresholds.default) for f in first.tolist()], return_inverse=True
-    )
-    # under top-C placement (in 1, in 2) takes at most 3 of its 4 values
-    region = (first <= c1) + 2 * (first <= c2)
-    attributes, attribute_of_cell = np.unique(region * len(levels) + level, return_inverse=True)
-    region, level = np.divmod(attributes, len(levels))
-    held = np.column_stack((region & 1 == 1, region & 2 == 2))
-    return starts, attribute_of_cell, held, levels[level]
 
 
 @dataclass(frozen=True)
@@ -222,13 +192,13 @@ class TrialConfig:
             raise bad("thresholds", "be a DecodeThresholds")
         # every class's (a, b) is decoded once per run into a table that
         # must not outgrow a chunk's class codes
-        n_attributes = len(_cells(self.files, self.capacities, self.thresholds)[-1])
-        if 2 * n_attributes**2 > CHUNK:
+        table = ScenarioTable.of(self.files, self.capacities, self.thresholds)
+        if table.size > CHUNK:
             raise bad(
                 "thresholds",
                 f"give at most {CHUNK} scenario classes, 2 * A^2 for A distinct "
                 "(cache region, threshold level) pairs",
-                f"{2 * n_attributes**2} classes from A = {n_attributes}",
+                f"{table.size} classes from A = {len(table.theta)}",
             )
 
 
@@ -325,11 +295,6 @@ def _chunk_generator(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(BIT_GENERATOR(np.random.SeedSequence((seed, chunk))))
 
 
-def _by_position(strong_is_1, v1, v2):
-    """Swap vehicle-indexed values into (strong, weak) position order, or back."""
-    return np.where(strong_is_1, v1, v2), np.where(strong_is_1, v2, v1)
-
-
 def _bisection_table(breakpoints: np.ndarray) -> np.ndarray:
     """``breakpoints`` padded with +inf to the fewest 2^k - 1 entries."""
     size = (1 << len(breakpoints).bit_length()) - 1
@@ -358,42 +323,29 @@ def _count_below(table: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _ScenarioClasses:
-    """The scenario classes of one profile, cache pair and threshold table.
+    """A ``content.ScenarioTable`` ready to classify trials.
 
-    Files 1..T fall into a few cells of equal attributes (``_cells``).
-    Since the request r(u) >= k iff cdf[k-2] < u, a uniform's cell is the
-    number of change points k with cdf[k-2] < u: a branchless bisection
-    over a few CDF values (``_count_below``), never a search over the
-    T-long CDF, and no request is ever formed.
-
-    A trial's class code packs each vehicle's (region, level) attribute
-    index with whether vehicle 1 is the strong one.  Trials of one class
-    decode alike, and ``TrialConfig.validate`` keeps the table within
-    CHUNK classes, so ``gain_thresholds`` runs once per run over every
-    class and each trial looks its (a, b) up by code.
+    A uniform's cell is the number of the table's CDF values below it: a
+    branchless bisection over a few CDF values (``_count_below``), never a
+    search over the T-long CDF, and no request is ever formed.  Trials of
+    one class decode alike, and ``TrialConfig.validate`` keeps the table
+    within CHUNK classes, so ``gain_thresholds`` runs once per run over
+    every class and each trial looks its (a, b) up by code.
     """
 
-    breakpoints: np.ndarray  # cdf[k - 2] for each change point k, ascending, +inf padded
-    attribute_of_cell: np.ndarray  # attribute index of each cell
-    held: np.ndarray  # (in cache 1, in cache 2) by attribute
-    theta: np.ndarray  # threshold by attribute
+    table: ScenarioTable
+    breakpoints: np.ndarray  # the table's CDF values, +inf padded
+    attribute_of_cell: np.ndarray  # the table's, one byte each
 
     @classmethod
     def of(cls, config: TrialConfig, profile: PopularityProfile) -> "_ScenarioClasses":
-        starts, attribute_of_cell, held, theta = _cells(
-            config.files, config.capacities, config.thresholds
-        )
+        table = ScenarioTable.of(config.files, config.capacities, config.thresholds)
         # validate keeps A <= 181 attributes, so an index fits a byte
         return cls(
-            _bisection_table(profile.cdf[starts - 2]),
-            attribute_of_cell.astype(np.uint8),
-            held,
-            theta,
+            table,
+            _bisection_table(table.cdf_at_starts(profile)),
+            table.attribute_of_cell.astype(np.uint8),
         )
-
-    @property
-    def size(self) -> int:
-        return 2 * len(self.theta) ** 2
 
     def pairs(self, u, out) -> None:
         """Write each trial's attribute pair a1 * A + a2 from its two
@@ -401,21 +353,8 @@ class _ScenarioClasses:
         whether vehicle 1 is the strong one.  ``u`` is the leading rows of
         a C-ordered (rows, 2) array, so it flattens without a copy."""
         attribute = self.attribute_of_cell.take(_count_below(self.breakpoints, u.reshape(-1)))
-        np.multiply(attribute[0::2], len(self.theta), out=out, dtype=out.dtype)
+        np.multiply(attribute[0::2], len(self.table.theta), out=out, dtype=out.dtype)
         out += attribute[1::2]
-
-    def columns(self):
-        """``gain_thresholds``' position-ordered inputs for every class code:
-        (th_s, th_w, hit_s, hit_w, cross_s, cross_w)."""
-        pair, strong_is_1 = np.divmod(np.arange(self.size), 2)
-        a1, a2 = np.divmod(pair, len(self.theta))
-        strong_is_1 = strong_is_1 == 1
-        return (
-            *_by_position(strong_is_1, self.theta[a1], self.theta[a2]),
-            *_by_position(strong_is_1, self.held[a1, 0], self.held[a2, 1]),
-            # whether each vehicle holds the other's requested file
-            *_by_position(strong_is_1, self.held[a2, 0], self.held[a1, 1]),
-        )
 
 
 def _chunk_buffers(groups):
@@ -434,7 +373,10 @@ def _chunk_buffers(groups):
         np.empty((3, CHUNK)),
         np.empty(CHUNK, dtype=bool),
         np.empty((3, CHUNK), dtype=bool),
-        {key: np.empty(CHUNK, dtype=np.min_scalar_type(g.size - 1)) for key, g in groups.items()},
+        {
+            key: np.empty(CHUNK, dtype=np.min_scalar_type(g.table.size - 1))
+            for key, g in groups.items()
+        },
         np.empty(CHUNK, dtype=np.intp),
     )
 
@@ -473,8 +415,8 @@ def _run_chunk(task, buffers):
         code += strong_is_1
         # the gathers below clip, because mode="raise" buffers their
         # output, so the codes are checked here, once per group and chunk
-        if code.max() >= group.size:
-            raise IndexError(f"class code {code.max()} outside a table of {group.size}")
+        if code.max() >= group.table.size:
+            raise IndexError(f"class code {code.max()} outside a table of {group.table.size}")
         for i, tables in decoders[key]:
             per_scheme = {}
             for scheme in schemes:
@@ -558,7 +500,7 @@ def _simulate(
     groups, keyed_configs = _scenario_groups(configs)
     # a group's (a, b) tables do not depend on the chunk; each group's
     # decoders are (config index, {scheme: (a, b)})
-    columns = {key: group.columns() for key, group in groups.items()}
+    columns = {key: group.table.columns() for key, group in groups.items()}
     decoders = {key: [] for key in groups}
     for i, (key, config) in enumerate(keyed_configs):
         tables = {

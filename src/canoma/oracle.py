@@ -1,24 +1,30 @@
 """Semi-analytic success probabilities for the two-vehicle system.
 
-Every decode event reduces, per scenario class, to a minimum-gain
-threshold on each ordered vehicle (or an infeasible marker) by the
-access layer's one rule, :func:`~canoma.access.gain_thresholds`.
-Combining the exact scenario-class probabilities with the
-cascaded-fading CCDF gives the success probabilities without
-simulation.  The CCDF is a finite Bessel-K sum when a stage has an
-integer shape and adaptive quadrature otherwise; the quadrature's error
-estimate is carried into every result.  The Monte Carlo engine
-applies the same rule to sampled trials, so agreement between the two
-checks the sampling and the content statistics; the rule itself is
-pinned by the SINR-level scalar decoders in the tests.
+The oracle reads the same scenario-class table as the Monte Carlo
+engine, :class:`~canoma.content.ScenarioTable`.  Each class's decode
+event reduces to a minimum-gain threshold on each ordered vehicle (or
+an infeasible marker) by the access layer's one rule,
+:func:`~canoma.access.gain_thresholds`, applied once to the whole table.
+A class's probability is the product of its two attributes' request
+masses, read from the popularity CDF at the table's change points, and
+of the share of trials in which its vehicle is the strong one.
+Combining those weights with the cascaded-fading CCDF gives the success
+probabilities without simulation.  The CCDF is a finite Bessel-K sum
+when a stage has an integer shape and adaptive quadrature otherwise;
+the quadrature's error estimate is carried into every result.  The
+engine counts sampled trials per class instead, so agreement between
+the two checks the sampling; the table and the rule are pinned by the
+request-pair enumeration and the SINR-level scalar decoders in the
+tests.
 
 Under by-gain ordering the two links must be i.i.d.; the joint event
 then follows from the order statistics of two draws:
 P(max >= a, min >= b) = G(b)^2 - (G(b) - G(a))^2 for a >= b.
 
-Support is deliberately narrow: two vehicles, at most two fading stages
-per link, one shared threshold across files.  Everything else is left
-to the Monte Carlo path.
+Support is deliberately narrow: two vehicles and at most two fading
+stages per link.  Per-file thresholds are covered, since each class
+carries its threshold level.  Everything else is left to the Monte
+Carlo path.
 """
 
 from __future__ import annotations
@@ -26,29 +32,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 from scipy.special import gammaincc, gammaln, kve, xlogy
 
-from .access import (
-    INFEASIBLE,
-    SCHEMES,
-    DecodeThresholds,
-    PowerAllocation,
-    gain_thresholds,
-    split_power,
-)
+from .access import INFEASIBLE, SCHEMES, DecodeThresholds, gain_thresholds, split_power
 from .channel import LinkSpec
-from .content import ScenarioClass, scenario_distribution, zipf_profile
+from .content import PopularityProfile, ScenarioTable, zipf_profile
 from .errors import OracleUnsupportedError, ParameterError
 
 __all__ = [
     "INFEASIBLE",
-    "GainThresholdEvent",
     "OracleResult",
     "gamma_ccdf",
     "product_gain_ccdf",
-    "reduce_to_gain_event",
     "conditional_success_prob",
     "success_prob",
 ]
@@ -66,21 +64,9 @@ _QUAD_EPSREL = 1e-12
 # above this shape the gamma log-density takes its saddle-point form
 _SADDLE_SHAPE = 100.0
 
-
-@dataclass(frozen=True)
-class GainThresholdEvent:
-    """Minimum-gain thresholds per ordered position (strong, weak).
-
-    ``INFEASIBLE`` marks a never-satisfiable stage; a self-served
-    vehicle carries threshold 0.
-    """
-
-    thresholds: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        for t in self.thresholds:
-            if not (t >= 0.0):  # inf passes, nan fails
-                raise ParameterError(f"gain thresholds must be >= 0, got {t!r}")
+# by ordering policy, the share of a class's trials in which vehicle 2
+# (s = 0) and vehicle 1 (s = 1) is the strong one
+_STRONG_SHARES = {"by-gain": (0.5, 0.5), "fixed": (0.0, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -246,62 +232,19 @@ def _ccdf_abs_err(spec: LinkSpec, x: float) -> float:
     return _product_ccdf_two_stage(spec, float(x))[1]
 
 
-def reduce_to_gain_event(
-    scheme: str,
-    alloc: PowerAllocation,
-    thresholds: DecodeThresholds,
-    scenario: ScenarioClass,
-    ordering: tuple[int, int] = (0, 1),
-    self_hit_power: str = "reallocate",
-) -> GainThresholdEvent:
-    """Reduce one scenario class's decode conditions to per-position gain
-    thresholds for two vehicles.
-
-    A class does not say which files were requested, so ``thresholds``
-    must be one value shared by every file; per-file overrides raise
-    :class:`OracleUnsupportedError`.  ``ordering`` maps positions
-    (strong, weak) to vehicle indices.  The reduction itself is
-    :func:`~canoma.access.gain_thresholds`, the same rule the Monte Carlo
-    engine applies per trial.
-    """
-    if sorted(ordering) != [0, 1]:
-        raise ParameterError(f"ordering must be a permutation of (0, 1), got {ordering!r}")
-    if len(alloc.powers) != 2:
-        raise ParameterError("gain-event reduction covers exactly two vehicles")
-    theta = thresholds.uniform_value()
-    if theta is None:
-        raise OracleUnsupportedError(
-            "per-file threshold overrides are outside oracle support; "
-            "scenario classes support a single shared threshold only"
-        )
-    s, w = ordering
-    a, b = gain_thresholds(
-        scheme,
-        alloc.total,
-        alloc.alpha,
-        theta,
-        theta,
-        scenario.self_hit(s),
-        scenario.self_hit(w),
-        scenario.cross_cached(w, s),  # strong holds weak's file
-        scenario.cross_cached(s, w),  # weak holds strong's file
-        self_hit_power,
-    )
-    return GainThresholdEvent(thresholds=(float(a), float(b)))
-
-
 def conditional_success_prob(
-    event: GainThresholdEvent,
+    a: float,
+    b: float,
     specs: tuple[LinkSpec, LinkSpec],
     policy: str = "by-gain",
 ) -> tuple[float, float, float]:
-    """(p_strong, p_weak, p_joint) of a gain-threshold event under fading.
+    """(p_strong, p_weak, p_joint) of "strong gain >= a and weak gain >= b"
+    under fading.
 
     Fixed ordering factorises over the two independent links; by-gain
     ordering requires i.i.d. links and uses the order statistics of two
     draws.  Infeasible components contribute probability 0.
     """
-    a, b = event.thresholds
     if policy == "fixed":
         g1 = product_gain_ccdf(specs[0], a)
         g2 = product_gain_ccdf(specs[1], b)
@@ -324,6 +267,19 @@ def conditional_success_prob(
     return (p_strong, p_weak, p_joint)
 
 
+def _class_weights(table: ScenarioTable, profile: PopularityProfile, policy: str):
+    """The probability of every class code of ``table``: the product of
+    its two attributes' request masses and of its strong-vehicle share.
+
+    A cell's mass is the difference of the CDF at its two ends, and an
+    attribute's mass is the sum over its cells.
+    """
+    cells = np.diff(np.concatenate(([0.0], table.cdf_at_starts(profile), [1.0])))
+    mass = np.bincount(table.attribute_of_cell, weights=cells, minlength=len(table.theta))
+    # index (a1, a2, s) of the product is class code 2 * (a1 * A + a2) + s
+    return np.multiply.outer(np.outer(mass, mass), _STRONG_SHARES[policy]).ravel()
+
+
 def success_prob(
     scheme: str,
     *,
@@ -340,57 +296,42 @@ def success_prob(
 ) -> OracleResult:
     """Total success probabilities by exact scenario enumeration.
 
-    For every scenario class (and, under by-gain ordering, each equally
-    likely assignment of vehicles to positions) the decode event is
-    reduced to gain thresholds and weighted by the class probability.
-    The marginal product multiplies the *total* marginals; with caching
-    the two outcomes are correlated, so it differs from the joint
-    probability and both are reported.
+    Every class of the scenario table is reduced to gain thresholds and
+    weighted by its probability (``_class_weights``).  The marginal
+    product multiplies the *total* marginals; with caching the two
+    outcomes are correlated, so it differs from the joint probability
+    and both are reported.
     """
     if scheme not in SCHEMES:
         raise ParameterError(f"unknown scheme {scheme!r}")
+    if policy not in _STRONG_SHARES:
+        raise ParameterError(f"unknown ordering policy {policy!r}")
     if thresholds is None:
         thresholds = DecodeThresholds()
+    if not isinstance(thresholds, DecodeThresholds):
+        raise ParameterError(f"thresholds must be a DecodeThresholds, got {thresholds!r}")
     profile = zipf_profile(catalog_t, zeta, zipf_convention)
-    classes = scenario_distribution(profile, capacities)
-    alloc = split_power(total, alpha)
-
-    if policy == "by-gain":
-        assignments: tuple[tuple[tuple[int, int], float], ...] = (
-            ((0, 1), 0.5),
-            ((1, 0), 0.5),
+    capacities = tuple(capacities)
+    # a bool is an Integral to Python, but never a cache capacity
+    if len(capacities) != 2 or not all(
+        isinstance(c, Integral) and not isinstance(c, bool) and 0 <= c <= profile.t
+        for c in capacities
+    ):
+        raise ParameterError(
+            f"capacities must be two integers in 0..{profile.t}, got {capacities!r}"
         )
-    elif policy == "fixed":
-        assignments = (((0, 1), 1.0),)
-    else:
-        raise ParameterError(f"unknown ordering policy {policy!r}")
-
-    p1 = p2 = p_joint = 0.0
-    total_weight = 0.0
-    ccdf_err = 0.0
-    for cls, weight in classes.items():
-        c1 = c2 = cj = 0.0
-        for ordering, share in assignments:
-            event = reduce_to_gain_event(
-                scheme, alloc, thresholds, cls, ordering, self_hit_power
-            )
-            c_strong, c_weak, c_joint = conditional_success_prob(event, link_specs, policy)
-            c1 += share * c_strong
-            c2 += share * c_weak
-            cj += share * c_joint
-            a, b = event.thresholds
-            ccdf_err = max(
-                ccdf_err, _ccdf_abs_err(link_specs[0], a), _ccdf_abs_err(link_specs[1], b)
-            )
-        total_weight += weight
-        p1 += weight * c1
-        p2 += weight * c2
-        p_joint += weight * cj
+    alloc = split_power(total, alpha)
+    table = ScenarioTable.of(profile.t, tuple(int(c) for c in capacities), thresholds)
+    a, b = gain_thresholds(scheme, alloc.total, alloc.alpha, *table.columns(), self_hit_power)
+    weight = _class_weights(table, profile, policy)
+    codes = np.flatnonzero(weight)
+    weight = weight[codes]
+    events = list(zip(a[codes].tolist(), b[codes].tolist()))
+    terms = weight[:, None] * [conditional_success_prob(*e, link_specs, policy) for e in events]
     # the class weights sum to 1 only within accumulation error;
     # normalising keeps certain events at exactly 1
-    p1 /= total_weight
-    p2 /= total_weight
-    p_joint /= total_weight
+    p1, p2, p_joint = (math.fsum(column) / math.fsum(weight) for column in terms.T)
+    ccdf_err = max(_ccdf_abs_err(spec, x) for e in events for spec, x in zip(link_specs, e))
     # every probability above is a weighted mean of polynomials in the
     # CCDF values whose gradients have 1-norm <= 2, so p1, p2 and p_joint
     # move by at most 2 * ccdf_err and their product by 4 * ccdf_err

@@ -45,7 +45,6 @@ from canoma import (
     ParameterError,
     PopularityProfile,
     PowerAllocation,
-    ScenarioClass,
 )
 
 # Positions (strongest first) -> vehicle indices.
@@ -88,16 +87,6 @@ class CacheScenario:
     def cross_cached(self, i: int, j: int) -> bool:
         """True when vehicle ``j`` holds vehicle ``i``'s requested file."""
         return self.cross[i][j]
-
-    def two_vehicle_class(self) -> ScenarioClass:
-        if len(self.requests) != 2:
-            raise ParameterError("scenario class collapse is defined for two vehicles")
-        return ScenarioClass(
-            self_hit_1=self.self_hit[0],
-            self_hit_2=self.self_hit[1],
-            cross_2_holds_1=self.cross[0][1],
-            cross_1_holds_2=self.cross[1][0],
-        )
 
 
 @dataclass(frozen=True)

@@ -111,13 +111,11 @@ class TestDecodeThresholds:
     def test_default_applies_to_every_file(self):
         th = DecodeThresholds(default=2.0)
         assert theta_for(th, 1) == theta_for(th, 999) == 2.0
-        assert th.uniform_value() == 2.0
 
     def test_overrides(self):
         th = DecodeThresholds(default=1.0, overrides=((3, 0.5),))
         assert theta_for(th, 3) == 0.5
         assert theta_for(th, 4) == 1.0
-        assert th.uniform_value() is None
         np.testing.assert_allclose(th.table(4), [1.0, 1.0, 0.5, 1.0])
 
     def test_rejects_non_positive(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,14 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canoma import (
+    DecodeThresholds,
     ParameterError,
     PopularityProfile,
-    ScenarioClass,
+    ScenarioTable,
     request_from_uniform,
-    scenario_distribution,
     zipf_profile,
 )
-from reference import CacheContents, classify_scenario, place_cache, sample_request
+from canoma.oracle import _class_weights
+from reference import (
+    CacheContents,
+    classify_scenario,
+    place_cache,
+    sample_request,
+    theta_for,
+)
 
 
 def make_rng(seed=1):
@@ -198,81 +206,115 @@ class TestClassifyScenario:
             classify_scenario((1, 2), (CacheContents(frozenset(), 0),))
 
 
+def class_probabilities(profile, capacities, thresholds=DecodeThresholds(), policy="by-gain"):
+    """The scenario table and the probability of each of its class codes,
+    as the oracle weights them."""
+    table = ScenarioTable.of(profile.t, capacities, thresholds)
+    return table, _class_weights(table, profile, policy)
+
+
+def attribute_of(table, files):
+    """The table's attribute index of each requested file: the attribute
+    of the cell holding it, a cell starting at each change point."""
+    return table.attribute_of_cell[np.searchsorted(table.starts, files, "right")]
+
+
+def vehicle_flags(table):
+    """By class code: whether each vehicle's own cache holds its file."""
+    pair = np.arange(table.size) // 2
+    a1, a2 = np.divmod(pair, len(table.theta))
+    return table.held[a1, 0], table.held[a2, 1]
+
+
 class TestScenarioDistribution:
+    """The class table's probabilities, flags and thresholds: what the
+    oracle weights and the engine classifies by."""
+
     def test_full_caches_always_self_hit(self):
         profile = zipf_profile(4, 0.7)
-        dist = scenario_distribution(profile, (4, 4))
-        both = sum(p for cls, p in dist.items() if cls.self_hit_1 and cls.self_hit_2)
-        assert both == pytest.approx(1.0, abs=1e-12)
+        table, weight = class_probabilities(profile, (4, 4))
+        hit1, hit2 = vehicle_flags(table)
+        assert weight[hit1 & hit2].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_two_files_no_cache(self):
         profile = zipf_profile(2, 1e12)
-        dist = scenario_distribution(profile, (0, 0))
-        assert dist == {ScenarioClass(False, False, False, False): pytest.approx(1.0, abs=1e-12)}
+        table, weight = class_probabilities(profile, (0, 0))
+        assert table.held.tolist() == [[False, False]]
+        assert weight.tolist() == [pytest.approx(0.5, abs=1e-12)] * 2
 
     def test_top_one_hit_mass(self):
         profile = zipf_profile(3, 1.0)
-        dist = scenario_distribution(profile, (1, 1))
-        hit1 = sum(p for cls, p in dist.items() if cls.self_hit_1)
-        assert hit1 == pytest.approx(6 / 11, abs=1e-14)
+        table, weight = class_probabilities(profile, (1, 1))
+        hit1, _ = vehicle_flags(table)
+        assert weight[hit1].sum() == pytest.approx(6 / 11, abs=1e-14)
 
     @pytest.mark.parametrize("c1,c2", [(0, 0), (2, 2), (2, 5), (7, 3)])
     def test_probabilities_sum_to_one(self, c1, c2):
         profile = zipf_profile(9, 0.8)
-        dist = scenario_distribution(profile, (c1, c2))
-        assert abs(sum(dist.values()) - 1.0) <= 1e-12
+        for policy in ("by-gain", "fixed"):
+            _, weight = class_probabilities(profile, (c1, c2), policy=policy)
+            assert abs(weight.sum() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("t", [1, 2, 7])
     @pytest.mark.parametrize("convention", ["reciprocal", "direct"])
     def test_matches_pairwise_enumeration(self, t, convention):
-        # every request pair classified by set membership, summed per class
+        # every request pair classified by set membership, its thresholds
+        # looked up per file, and its probability summed per class code
         profile = zipf_profile(t, 0.8, convention)
-        for c1, c2 in [(0, 0), (0, t), (2, 5), (5, 2), (t, t)]:
+        overrides = DecodeThresholds(1.0, ((1, 0.5), (3, 2.0), (4, 1.0), (9, 4.0)))
+        for (c1, c2), thresholds, policy in itertools.product(
+            [(0, 0), (0, t), (2, 5), (5, 2), (t, t)],
+            [DecodeThresholds(), overrides],
+            ["by-gain", "fixed"],
+        ):
             if max(c1, c2) > t:
                 continue
+            table, weight = class_probabilities(profile, (c1, c2), thresholds, policy)
+            columns = np.array(table.columns())
             caches = (place_cache(profile, c1), place_cache(profile, c2))
-            expected: dict = {}
-            for r1 in range(1, t + 1):
-                for r2 in range(1, t + 1):
-                    cls = classify_scenario((r1, r2), caches).two_vehicle_class()
-                    p = profile.probs[r1 - 1] * profile.probs[r2 - 1]
-                    expected[cls] = expected.get(cls, 0.0) + p
-            dist = scenario_distribution(profile, (c1, c2))
-            assert dist.keys() == expected.keys(), (c1, c2)
-            for cls, p in expected.items():
-                assert abs(dist[cls] - p) <= 1e-15, (c1, c2, cls)
+            expected = np.zeros(table.size)
+            for r1, r2 in itertools.product(range(1, t + 1), repeat=2):
+                scenario = classify_scenario((r1, r2), caches)
+                a1, a2 = attribute_of(table, [r1, r2])
+                p = profile.probs[r1 - 1] * profile.probs[r2 - 1]
+                # s = 1: vehicle 1 is the strong one
+                for s, (strong, weak) in ((1, (0, 1)), (0, (1, 0))):
+                    code = 2 * (a1 * len(table.theta) + a2) + s
+                    want = (
+                        theta_for(thresholds, scenario.requests[strong]),
+                        theta_for(thresholds, scenario.requests[weak]),
+                        scenario.self_hit[strong],
+                        scenario.self_hit[weak],
+                        scenario.cross_cached(weak, strong),  # strong holds weak's file
+                        scenario.cross_cached(strong, weak),  # weak holds strong's file
+                    )
+                    assert tuple(columns[:, code]) == want, (c1, c2, r1, r2, s)
+                    expected[code] += p * (0.5 if policy == "by-gain" else s)
+            np.testing.assert_allclose(weight, expected, rtol=0, atol=1e-15)
 
     def test_matches_empirical_frequencies(self):
-        # a million sampled trials, counted per class, within 4 standard
-        # errors everywhere; asymmetric capacities exercise the cross
-        # flags without self-hits
+        # a million sampled trials, counted per attribute pair, within 4
+        # standard errors everywhere; asymmetric capacities exercise the
+        # cross flags without self-hits
         n = 1_000_000
         profile = zipf_profile(6, 0.8)
         caches = (place_cache(profile, 2), place_cache(profile, 3))
-        dist = scenario_distribution(profile, (2, 3))
+        table, weight = class_probabilities(profile, (2, 3))
         rng = make_rng(17)
         r1 = sample_request(profile, rng, size=n)
         r2 = sample_request(profile, rng, size=n)
+        a1, a2 = attribute_of(table, r1), attribute_of(table, r2)
 
-        # spot-check the vectorised flag computation against the classifier
+        # spot-check the table's flags of sampled requests against the classifier
         for i in range(0, n, n // 500):
             scenario = classify_scenario((r1[i], r2[i]), caches)
-            cls = scenario.two_vehicle_class()
-            assert cls.self_hit_1 == (r1[i] <= 2)
-            assert cls.self_hit_2 == (r2[i] <= 3)
-            assert cls.cross_2_holds_1 == (r1[i] <= 3)
-            assert cls.cross_1_holds_2 == (r2[i] <= 2)
+            assert tuple(table.held[a1[i]]) == (scenario.self_hit[0], scenario.cross[0][1])
+            assert tuple(table.held[a2[i]]) == (scenario.cross[1][0], scenario.self_hit[1])
 
-        keys = np.stack([r1 <= 2, r2 <= 3, r1 <= 3, r2 <= 2], axis=1)
-        packed = keys @ (1 << np.arange(4))
-        counts = np.bincount(packed, minlength=16)
-        for cls, p in dist.items():
-            code = (
-                cls.self_hit_1
-                + 2 * cls.self_hit_2
-                + 4 * cls.cross_2_holds_1
-                + 8 * cls.cross_1_holds_2
-            )
-            freq = counts[code] / n
+        attributes = len(table.theta)
+        counts = np.bincount(a1 * attributes + a2, minlength=attributes**2)
+        # a pair's probability is the sum over which vehicle is strong
+        for pair, p in enumerate(weight.reshape(-1, 2).sum(axis=1)):
+            freq = counts[pair] / n
             se = math.sqrt(max(p * (1 - p), 1e-12) / n)
-            assert abs(freq - p) <= 4 * se, (cls, freq, p)
+            assert abs(freq - p) <= 4 * se, (pair, freq, p)

@@ -15,6 +15,7 @@ from canoma import (
     DecodeThresholds,
     LinkSpec,
     ParameterError,
+    ScenarioTable,
     TrialConfig,
     db_to_linear,
     run_point,
@@ -273,6 +274,33 @@ class TestRunPoint:
         assert abs(est.p_joint - res.p_joint) <= 4 * est.stderr_joint
         assert abs(est.p_marg_product - res.p_marg_product) <= 4 * est.stderr_marg_product
 
+    @pytest.mark.parametrize("ordering", ["by-gain", "fixed"])
+    def test_per_file_overrides_agree_with_oracle(self, ordering):
+        # overrides on a file in both caches and one in the larger only,
+        # under unequal caches
+        thresholds = DecodeThresholds(1.0, ((1, 0.5), (3, 2.0)))
+        cfg = config(
+            n_trials=1_000_000, seed=29, cache=(2, 4), thresholds=thresholds, ordering=ordering
+        )
+        estimates = run_point_multi(cfg, SCHEMES)
+        for scheme in SCHEMES:
+            est = estimates[scheme]
+            res = success_prob(
+                scheme,
+                catalog_t=cfg.files,
+                zeta=cfg.zeta,
+                capacities=cfg.capacities,
+                total=cfg.rho,
+                alpha=cfg.alpha,
+                thresholds=thresholds,
+                link_specs=cfg.link_specs,
+                policy=ordering,
+            )
+            assert abs(est.p_joint - res.p_joint) <= 4 * est.stderr_joint, scheme
+            assert (
+                abs(est.p_marg_product - res.p_marg_product) <= 4 * est.stderr_marg_product
+            ), scheme
+
     def test_run_point_multi_shares_randomness(self):
         ests = run_point_multi(config(cache=0), ("canoma", "noma"))
         assert ests["canoma"] == ests["noma"]
@@ -347,7 +375,7 @@ class TestEngineMatchesScalarPath:
         r2 = request_from_uniform(profile, u[:n, 1])
         if over is MANY_LEVELS:
             # the largest table validate accepts, with over 100 of its levels requested
-            assert engine._ScenarioClasses.of(cfg, profile).size == 65522
+            assert ScenarioTable.of(cfg.files, cfg.capacities, cfg.thresholds).size == 65522
             requested = cfg.thresholds.table(cfg.files)[np.concatenate([r1, r2]) - 1]
             assert len(set(requested)) > 100
         caches = tuple(

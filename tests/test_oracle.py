@@ -8,25 +8,22 @@ from scipy.special import gammaincc, kv
 from canoma import (
     DEFAULT_LINK_SPEC,
     DecodeThresholds,
-    GainThresholdEvent,
     LinkSpec,
     OracleUnsupportedError,
     ParameterError,
-    ScenarioClass,
+    ScenarioTable,
     conditional_success_prob,
+    gain_thresholds,
     gamma_ccdf,
     product_gain_ccdf,
-    reduce_to_gain_event,
     sample_link_gain,
     success_prob,
 )
 from canoma.oracle import INFEASIBLE, _product_ccdf_two_stage
-from reference import split_power
 
 PAPER_LINK = LinkSpec.from_pairs([(1, 1), (2, 2)])
 EXP_LINK = LinkSpec.from_pairs([(1, 1)])
 UNIT_THETA = DecodeThresholds()
-NO_FLAGS = ScenarioClass(False, False, False, False)
 
 
 def bessel_closed_form(x: float) -> float:
@@ -194,94 +191,100 @@ class TestMpmathReference:
         assert abs(value - exact) <= abs_err
 
 
+def class_thresholds(
+    scheme,
+    requests,
+    strong=0,
+    capacities=(0, 0),
+    thresholds=UNIT_THETA,
+    alpha=0.2,
+    self_hit_power="reallocate",
+):
+    """``gain_thresholds`` at total power 10 on the columns of a 10-file
+    scenario table, at the class code of a request pair with vehicle
+    ``strong`` (0 or 1) the strong one: that class's (a, b) by position."""
+    table = ScenarioTable.of(10, capacities, thresholds)
+    a1, a2 = table.attribute_of_cell[np.searchsorted(table.starts, requests, "right")]
+    code = 2 * (a1 * len(table.theta) + a2) + (strong == 0)
+    a, b = gain_thresholds(scheme, 10.0, alpha, *table.columns(), self_hit_power)
+    return a[code], b[code]
+
+
 class TestReduceToGainEvent:
-    def alloc(self, total=10.0, alpha=0.2):
-        return split_power(total, alpha, 2)
+    """A class's decode event: ``gain_thresholds`` over the scenario
+    table's columns, one class code per request pair and strong vehicle."""
+
+    # vehicle 1's file is in both caches, vehicle 2's in neither
+    ONE_HIT = {"requests": (1, 5), "capacities": (2, 2)}
 
     def test_noma_no_caching(self):
-        ev = reduce_to_gain_event("noma", self.alloc(), UNIT_THETA, NO_FLAGS)
-        assert ev.thresholds[0] == pytest.approx(0.5)
-        assert ev.thresholds[1] == pytest.approx(1.0 / 6.0)
+        a, b = class_thresholds("noma", (1, 1))
+        assert a == pytest.approx(0.5)
+        assert b == pytest.approx(1.0 / 6.0)
 
     def test_equal_split_marks_weak_infeasible(self):
-        ev = reduce_to_gain_event("noma", self.alloc(alpha=0.5), UNIT_THETA, NO_FLAGS)
-        assert ev.thresholds[0] == INFEASIBLE
-        assert ev.thresholds[1] == INFEASIBLE
+        assert class_thresholds("noma", (1, 1), alpha=0.5) == (INFEASIBLE, INFEASIBLE)
 
     def test_oma_both_active(self):
-        ev = reduce_to_gain_event("oma", self.alloc(), UNIT_THETA, NO_FLAGS)
-        assert ev.thresholds == (pytest.approx(0.3), pytest.approx(0.3))
+        assert class_thresholds("oma", (1, 1)) == (pytest.approx(0.3), pytest.approx(0.3))
 
     def test_self_hits_yield_zero_thresholds(self):
-        both = ScenarioClass(True, True, True, True)
         for scheme in ("canoma", "noma", "oma-cache", "oma"):
-            ev = reduce_to_gain_event(scheme, self.alloc(), UNIT_THETA, both)
-            assert ev.thresholds == (0.0, 0.0)
+            assert class_thresholds(scheme, (1, 2), capacities=(2, 2)) == (0.0, 0.0)
 
     def test_canoma_self_hit_reallocates_power(self):
-        one_hit = ScenarioClass(True, False, True, False)
-        ev = reduce_to_gain_event("canoma", self.alloc(), UNIT_THETA, one_hit)
-        assert ev.thresholds == (0.0, pytest.approx(0.1))
+        assert class_thresholds("canoma", **self.ONE_HIT) == (0.0, pytest.approx(0.1))
         # conventional NOMA keeps both messages on the air
-        ev = reduce_to_gain_event("noma", self.alloc(), UNIT_THETA, one_hit)
-        assert ev.thresholds == (0.0, pytest.approx(1.0 / 6.0))
+        assert class_thresholds("noma", **self.ONE_HIT) == (0.0, pytest.approx(1.0 / 6.0))
         # cache-aided OMA frees the slot, plain OMA wastes it
-        ev = reduce_to_gain_event("oma-cache", self.alloc(), UNIT_THETA, one_hit)
-        assert ev.thresholds == (0.0, pytest.approx(0.1))
-        ev = reduce_to_gain_event("oma", self.alloc(), UNIT_THETA, one_hit)
-        assert ev.thresholds == (0.0, pytest.approx(0.3))
+        assert class_thresholds("oma-cache", **self.ONE_HIT) == (0.0, pytest.approx(0.1))
+        assert class_thresholds("oma", **self.ONE_HIT) == (0.0, pytest.approx(0.3))
 
     def test_idle_self_hit_power_keeps_position_share(self):
-        one_hit = ScenarioClass(True, False, True, False)
-        ev = reduce_to_gain_event(
-            "canoma", self.alloc(), UNIT_THETA, one_hit, self_hit_power="idle"
-        )
-        assert ev.thresholds == (0.0, pytest.approx(0.125))
+        a, b = class_thresholds("canoma", **self.ONE_HIT, self_hit_power="idle")
+        assert (a, b) == (0.0, pytest.approx(0.125))
 
     def test_canoma_cross_cache_branches(self):
-        # strong holds weak's file at alpha=0.4: skips the 0.5 SIC cut
-        strong_cross = ScenarioClass(False, False, False, True)
-        ev = reduce_to_gain_event("canoma", self.alloc(alpha=0.4), UNIT_THETA, strong_cross, (0, 1))
-        assert ev.thresholds[0] == pytest.approx(0.25)
-        assert ev.thresholds[1] == pytest.approx(0.5)
+        # strong (vehicle 1) holds weak's file at alpha=0.4: skips the 0.5 SIC cut
+        a, b = class_thresholds("canoma", (9, 3), capacities=(4, 2), alpha=0.4)
+        assert a == pytest.approx(0.25)
+        assert b == pytest.approx(0.5)
         # weak holds strong's file: interference-free own decode at P_w
-        weak_cross = ScenarioClass(False, False, True, False)
-        ev = reduce_to_gain_event("canoma", self.alloc(), UNIT_THETA, weak_cross, (0, 1))
-        assert ev.thresholds[0] == pytest.approx(0.5)
-        assert ev.thresholds[1] == pytest.approx(1.0 / 8.0)
+        a, b = class_thresholds("canoma", (3, 9), capacities=(2, 4))
+        assert a == pytest.approx(0.5)
+        assert b == pytest.approx(1.0 / 8.0)
 
     def test_ordering_maps_vehicle_flags_to_positions(self):
-        one_hit = ScenarioClass(True, False, True, False)
-        ev = reduce_to_gain_event("canoma", self.alloc(), UNIT_THETA, one_hit, (1, 0))
-        assert ev.thresholds == (pytest.approx(0.1), 0.0)
+        a, b = class_thresholds("canoma", **self.ONE_HIT, strong=1)
+        assert (a, b) == (pytest.approx(0.1), 0.0)
 
-    def test_per_file_overrides_unsupported_for_classes(self):
+    def test_per_file_overrides_give_per_class_thresholds(self):
         th = DecodeThresholds(default=1.0, overrides=((2, 0.5),))
-        with pytest.raises(OracleUnsupportedError):
-            reduce_to_gain_event("noma", self.alloc(), th, NO_FLAGS)
+        # the strong vehicle's file carries 0.5: its own decode needs 0.5 / P_s
+        a, b = class_thresholds("noma", (2, 5), thresholds=th)
+        assert (a, b) == (pytest.approx(0.25), pytest.approx(1.0 / 6.0))
+        # the weak vehicle's file carries 0.5: SIC needs 0.5 / (P_w - 0.5 P_s)
+        a, b = class_thresholds("noma", (5, 2), thresholds=th)
+        assert (a, b) == (pytest.approx(0.5), pytest.approx(1.0 / 14.0))
 
 
 class TestConditionalSuccessProb:
     def test_zero_thresholds_are_certain(self):
-        ev = GainThresholdEvent((0.0, 0.0))
-        assert conditional_success_prob(ev, (PAPER_LINK, PAPER_LINK)) == (1.0, 1.0, 1.0)
+        assert conditional_success_prob(0.0, 0.0, (PAPER_LINK, PAPER_LINK)) == (1.0, 1.0, 1.0)
 
     def test_fixed_ordering_factorises(self):
-        ev = GainThresholdEvent((0.5, 1.0 / 6.0))
-        p1, p2, pj = conditional_success_prob(ev, (EXP_LINK, EXP_LINK), policy="fixed")
+        p1, p2, pj = conditional_success_prob(0.5, 1.0 / 6.0, (EXP_LINK, EXP_LINK), policy="fixed")
         assert p1 == pytest.approx(math.exp(-0.5), abs=1e-10)
         assert p2 == pytest.approx(math.exp(-1.0 / 6.0), abs=1e-10)
         assert pj == pytest.approx(math.exp(-2.0 / 3.0), abs=1e-10)
 
     def test_order_statistic_identity_at_equal_thresholds(self):
-        ev = GainThresholdEvent((0.4, 0.4))
         g = product_gain_ccdf(PAPER_LINK, 0.4)
-        _, _, pj = conditional_success_prob(ev, (PAPER_LINK, PAPER_LINK))
+        _, _, pj = conditional_success_prob(0.4, 0.4, (PAPER_LINK, PAPER_LINK))
         assert pj == pytest.approx(g * g, abs=1e-12)
 
     def test_infeasible_component_contributes_zero(self):
-        ev = GainThresholdEvent((INFEASIBLE, 0.2))
-        p1, p2, pj = conditional_success_prob(ev, (EXP_LINK, EXP_LINK))
+        p1, p2, pj = conditional_success_prob(INFEASIBLE, 0.2, (EXP_LINK, EXP_LINK))
         assert p1 == 0.0
         assert pj == 0.0
         assert p2 == pytest.approx(math.exp(-0.4), abs=1e-10)
@@ -289,7 +292,7 @@ class TestConditionalSuccessProb:
     def test_by_gain_needs_identical_links(self):
         other = LinkSpec.from_pairs([(2, 1)])
         with pytest.raises(OracleUnsupportedError):
-            conditional_success_prob(GainThresholdEvent((0.1, 0.1)), (EXP_LINK, other))
+            conditional_success_prob(0.1, 0.1, (EXP_LINK, other))
 
     def test_matches_sorted_pair_frequencies(self):
         # a million i.i.d. pairs, sorted: empirical joint tail within 4
@@ -300,9 +303,7 @@ class TestConditionalSuccessProb:
         hi = np.maximum(x1, x2)
         lo = np.minimum(x1, x2)
         a, b = 0.9, 0.3
-        p1, p2, pj = conditional_success_prob(
-            GainThresholdEvent((a, b)), (PAPER_LINK, PAPER_LINK)
-        )
+        p1, p2, pj = conditional_success_prob(a, b, (PAPER_LINK, PAPER_LINK))
         for p, freq in (
             (p1, (hi >= a).mean()),
             (p2, (lo >= b).mean()),
@@ -402,6 +403,14 @@ class TestSuccessProb:
     def test_rejects_bad_capacities(self, capacities):
         with pytest.raises(ParameterError):
             success_prob("canoma", **self.kwargs(capacities=capacities))
+
+    @pytest.mark.parametrize(
+        "over", [{"capacities": (True, True)}, {"capacities": (2, False)}, {"total": True}]
+    )
+    def test_rejects_bools(self, over):
+        # True would run as 1
+        with pytest.raises(ParameterError):
+            success_prob("canoma", **self.kwargs(**over))
 
     def test_numpy_integer_capacities(self):
         res = success_prob("canoma", **self.kwargs(capacities=(np.int64(2), np.int32(5))))
