@@ -9,9 +9,7 @@ from .access import (
     INFEASIBLE,
     SCHEMES,
     DecodeThresholds,
-    PowerAllocation,
     gain_thresholds,
-    split_power,
 )
 from .channel import (
     LinkSpec,
@@ -33,7 +31,6 @@ from .engine import (
     SweepRow,
     TrialConfig,
     db_to_linear,
-    linear_to_db,
     run_point,
     run_point_multi,
     summarize,
@@ -69,9 +66,7 @@ __all__ = [
     "request_from_uniform",
     # access
     "SCHEMES",
-    "PowerAllocation",
     "DecodeThresholds",
-    "split_power",
     "INFEASIBLE",
     "gain_thresholds",
     # oracle, imported on first use
@@ -84,7 +79,6 @@ __all__ = [
     "SweepRow",
     "ResultTable",
     "db_to_linear",
-    "linear_to_db",
     "summarize",
     "run_point",
     "run_point_multi",

@@ -39,9 +39,7 @@ from .errors import ParameterError
 
 __all__ = [
     "SCHEMES",
-    "PowerAllocation",
     "DecodeThresholds",
-    "split_power",
     "INFEASIBLE",
     "gain_thresholds",
 ]
@@ -50,15 +48,6 @@ SCHEMES = ("canoma", "noma", "oma-cache", "oma")
 
 # Marker for a decode stage no gain value can satisfy.
 INFEASIBLE = inf
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Transmit powers by ordered position, strongest position first."""
-
-    total: float
-    alpha: float
-    powers: tuple[float, ...]
 
 
 def _is_positive_real(value) -> bool:
@@ -108,17 +97,6 @@ class DecodeThresholds:
             if 1 <= f <= t:
                 out[f - 1] = theta
         return out
-
-
-def split_power(total: float, alpha: float) -> PowerAllocation:
-    """Split total power between the two ordered positions:
-    (alpha * total, (1 - alpha) * total), strongest position first."""
-    if not _is_positive_real(total):
-        raise ParameterError(f"total power must be a positive real, got {total!r}")
-    if not (isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
-    strong = alpha * total
-    return PowerAllocation(total=total, alpha=alpha, powers=(strong, total - strong))
 
 
 def gain_thresholds(

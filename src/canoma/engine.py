@@ -37,6 +37,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,7 +58,6 @@ __all__ = [
     "SweepRow",
     "ResultTable",
     "db_to_linear",
-    "linear_to_db",
     "summarize",
     "run_point",
     "run_point_multi",
@@ -86,10 +86,6 @@ def db_to_linear(db: float) -> float:
     return linear
 
 
-def linear_to_db(linear: float) -> float:
-    return 10.0 * math.log10(linear)
-
-
 # a popularity profile holds about 24 bytes per catalog file: its
 # probabilities, its CDF and one T-long temporary while it is built
 _PROFILE_BYTES_PER_FILE = 24
@@ -105,8 +101,8 @@ def _physical_memory() -> float:
 
 
 def _is_int(value) -> bool:
-    # a bool is an int to Python, but never a count
-    return isinstance(value, int) and not isinstance(value, bool)
+    # a bool is an integer to Python, but never a count
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -142,7 +138,7 @@ class TrialConfig:
 
     @property
     def snr_db(self) -> float:
-        return linear_to_db(self.rho)
+        return 10.0 * math.log10(self.rho)
 
     def validate(self) -> None:
         def bad(name: str, requirement: str, got: str | None = None) -> ParameterError:
@@ -256,8 +252,9 @@ def summarize(successes: Sequence[int], n: int, metric: str = "marg-product") ->
     """Aggregate (strong, weak, joint) success counts into an Estimate."""
     if metric not in METRICS:
         raise ParameterError(f"metric must be one of {METRICS}, got {metric!r}")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ParameterError(f"trial count must be a positive integer, got {n!r}")
+    n = int(n)
     s1, s2, s_joint = (int(s) for s in successes)
     for s in (s1, s2, s_joint):
         if not (0 <= s <= n):

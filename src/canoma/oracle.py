@@ -32,14 +32,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 from scipy.special import gammaincc, gammaln, kve, xlogy
 
-from .access import INFEASIBLE, SCHEMES, DecodeThresholds, gain_thresholds, split_power
+from .access import INFEASIBLE, DecodeThresholds, gain_thresholds
 from .channel import LinkSpec
 from .content import PopularityProfile, ScenarioTable, zipf_profile
+from .engine import TrialConfig
 from .errors import OracleUnsupportedError, ParameterError
 
 __all__ = [
@@ -296,33 +296,38 @@ def success_prob(
 ) -> OracleResult:
     """Total success probabilities by exact scenario enumeration.
 
+    The keywords describe one :class:`~canoma.engine.TrialConfig` and are
+    checked as its ``validate`` checks them, so a bad value raises the
+    engine's ``ParameterError`` naming the same field: ``catalog_t`` sets
+    ``files``, ``capacities`` (any two-item sequence) sets ``cache``,
+    ``total`` sets ``rho``, ``policy`` sets ``ordering``, and ``scheme``,
+    ``zeta``, ``alpha``, ``thresholds`` (None for the default),
+    ``link_specs``, ``zipf_convention`` and ``self_hit_power`` set the
+    fields of their own names.
+
     Every class of the scenario table is reduced to gain thresholds and
     weighted by its probability (``_class_weights``).  The marginal
     product multiplies the *total* marginals; with caching the two
     outcomes are correlated, so it differs from the joint probability
     and both are reported.
     """
-    if scheme not in SCHEMES:
-        raise ParameterError(f"unknown scheme {scheme!r}")
-    if policy not in _STRONG_SHARES:
-        raise ParameterError(f"unknown ordering policy {policy!r}")
-    if thresholds is None:
-        thresholds = DecodeThresholds()
-    if not isinstance(thresholds, DecodeThresholds):
-        raise ParameterError(f"thresholds must be a DecodeThresholds, got {thresholds!r}")
-    profile = zipf_profile(catalog_t, zeta, zipf_convention)
-    capacities = tuple(capacities)
-    # a bool is an Integral to Python, but never a cache capacity
-    if len(capacities) != 2 or not all(
-        isinstance(c, Integral) and not isinstance(c, bool) and 0 <= c <= profile.t
-        for c in capacities
-    ):
-        raise ParameterError(
-            f"capacities must be two integers in 0..{profile.t}, got {capacities!r}"
-        )
-    alloc = split_power(total, alpha)
-    table = ScenarioTable.of(profile.t, tuple(int(c) for c in capacities), thresholds)
-    a, b = gain_thresholds(scheme, alloc.total, alloc.alpha, *table.columns(), self_hit_power)
+    config = TrialConfig(
+        scheme=scheme,
+        files=catalog_t,
+        zeta=zeta,
+        cache=tuple(capacities),
+        rho=total,
+        alpha=alpha,
+        thresholds=DecodeThresholds() if thresholds is None else thresholds,
+        link_specs=link_specs,
+        ordering=policy,
+        zipf_convention=zipf_convention,
+        self_hit_power=self_hit_power,
+    )
+    config.validate()
+    profile = zipf_profile(config.files, config.zeta, config.zipf_convention)
+    table = ScenarioTable.of(config.files, config.capacities, config.thresholds)
+    a, b = gain_thresholds(scheme, total, alpha, *table.columns(), self_hit_power)
     weight = _class_weights(table, profile, policy)
     codes = np.flatnonzero(weight)
     weight = weight[codes]

@@ -44,11 +44,19 @@ from canoma import (
     LinkSpec,
     ParameterError,
     PopularityProfile,
-    PowerAllocation,
 )
 
 # Positions (strongest first) -> vehicle indices.
 UserOrdering = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class PowerAllocation:
+    """Transmit powers by ordered position, strongest position first."""
+
+    total: float
+    alpha: float
+    powers: tuple[float, ...]
 
 
 @dataclass(frozen=True)

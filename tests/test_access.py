@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import canoma
 from canoma import SCHEMES, DecodeThresholds, ParameterError, gain_thresholds
 from reference import (
     CacheContents,
@@ -83,12 +82,6 @@ class TestSplitPower:
     def test_ladder_increases_toward_weak_positions(self):
         alloc = split_power(1.0, 0.2, 5)
         assert all(a < b for a, b in zip(alloc.powers, alloc.powers[1:]))
-
-    def test_library_split_is_the_references_two_vehicle_split(self):
-        for total, alpha in [(10.0, 0.2), (7.3, 0.31), (1.0, 0.5)]:
-            assert canoma.split_power(total, alpha) == split_power(total, alpha, 2)
-        with pytest.raises(ParameterError):
-            canoma.split_power(10.0, 1.0)
 
 
 class TestOmaEffectiveThreshold:

@@ -97,40 +97,63 @@ class TestSummarize:
         assert est.stderr_marg_product == pytest.approx(math.sqrt(var), rel=1e-12)
 
 
+# one bad value per line, with the TrialConfig field it must be blamed on
+BAD_FIELDS = [
+    ("n_trials", 0),
+    ("seed", -1),
+    ("scheme", "tdma"),
+    ("files", 0),
+    ("zeta", 0.0),
+    ("cache", 11),
+    ("alpha", 1.0),
+    ("rho", -3.0),
+    ("ordering", "sorted"),
+    ("metric", "median"),
+    ("zipf_convention", "log"),
+    ("cache", 2.5),
+    ("cache", True),
+    ("cache", (2, 2.5)),
+    ("cache", (True, 1)),
+    ("cache", (1, 2, 3)),
+    ("files", True),
+    ("n_trials", True),
+    ("zeta", None),
+    ("zeta", True),
+    ("zeta", "0.8"),
+    ("alpha", "0.2"),
+    ("alpha", True),
+    ("rho", None),
+    ("rho", True),
+    ("thresholds", 1.0),
+    ("thresholds", None),
+    ("link_specs", None),
+]
+
+# TrialConfig field -> the success_prob keyword that sets it
+ORACLE_KEYWORDS = {
+    "scheme": "scheme",
+    "files": "catalog_t",
+    "zeta": "zeta",
+    "cache": "capacities",
+    "alpha": "alpha",
+    "rho": "total",
+    "ordering": "policy",
+    "zipf_convention": "zipf_convention",
+    "thresholds": "thresholds",
+    "link_specs": "link_specs",
+}
+
+
+def oracle_kwargs(**over):
+    """``success_prob`` keywords for ``config()``, the scheme among them."""
+    kw = dict(scheme="canoma", catalog_t=10, zeta=0.8, capacities=(2, 2), total=10.0,
+              alpha=0.2, link_specs=(DEFAULT_LINK_SPEC, DEFAULT_LINK_SPEC))
+    kw.update(over)
+    return kw
+
+
 class TestConfigValidation:
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("n_trials", 0),
-            ("seed", -1),
-            ("scheme", "tdma"),
-            ("files", 0),
-            ("zeta", 0.0),
-            ("cache", 11),
-            ("alpha", 1.0),
-            ("rho", -3.0),
-            ("ordering", "sorted"),
-            ("metric", "median"),
-            ("zipf_convention", "log"),
-            ("cache", 2.5),
-            ("cache", True),
-            ("cache", (2, 2.5)),
-            ("cache", (True, 1)),
-            ("cache", (1, 2, 3)),
-            ("files", True),
-            ("n_trials", True),
-            ("zeta", None),
-            ("zeta", True),
-            ("zeta", "0.8"),
-            ("alpha", "0.2"),
-            ("alpha", True),
-            ("rho", None),
-            ("rho", True),
-            ("thresholds", 1.0),
-            ("thresholds", None),
-            ("link_specs", None),
-        ],
-    )
+    @pytest.mark.parametrize("field,value", BAD_FIELDS)
     def test_rejects_bad_fields(self, field, value):
         with pytest.raises(ParameterError) as exc:
             dataclasses.replace(config(), **{field: value}).validate()
@@ -146,6 +169,36 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match="fit in memory") as exc:
             config(files=1001).validate()
         assert exc.value.field == "files"
+
+    @pytest.mark.parametrize(
+        "field,value",
+        # success_prob reads thresholds=None as the default table
+        [(f, v) for f, v in BAD_FIELDS if f in ORACLE_KEYWORDS and (f, v) != ("thresholds", None)],
+    )
+    def test_success_prob_refuses_what_validate_refuses(self, field, value):
+        # a single capacity is a pair of equal ones to the oracle
+        if field == "cache" and not isinstance(value, tuple):
+            value = (value, value)
+        with pytest.raises(ParameterError) as exc:
+            dataclasses.replace(config(), **{field: value}).validate()
+        assert exc.value.field == field
+        with pytest.raises(ParameterError) as exc:
+            success_prob(**oracle_kwargs(**{ORACLE_KEYWORDS[field]: value}))
+        assert exc.value.field == field
+
+    def test_success_prob_refuses_a_catalog_that_cannot_fit(self, monkeypatch):
+        monkeypatch.setattr(engine, "_physical_memory", lambda: 24_000)
+        assert 0.0 < success_prob(**oracle_kwargs(catalog_t=1000)).p_joint < 1.0
+        with pytest.raises(ParameterError, match="fit in memory") as exc:
+            success_prob(**oracle_kwargs(catalog_t=1001))
+        assert exc.value.field == "files"
+
+    def test_numpy_integers_are_counts(self):
+        config(files=np.int64(10), cache=(np.int64(2), np.int64(2))).validate()
+        numpy_ints = config(
+            files=np.int64(10), cache=np.int64(2), n_trials=np.int64(100_000), seed=np.uint64(11)
+        )
+        assert run_point(numpy_ints) == run_point(config())
 
     def test_db_conversion_round_trip(self):
         assert db_to_linear(10.0) == pytest.approx(10.0)

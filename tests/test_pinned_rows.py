@@ -4,16 +4,22 @@ Each file under ``tests/data`` holds the data rows, without the ``#``
 manifest, that its command printed when it was pinned.  A refactor must
 reproduce them byte for byte, with one worker thread and with the
 default thread count.  The commands cover by-gain ordering, fixed
-ordering and heterogeneous links, each over three 65536-trial blocks.
+ordering and heterogeneous links, each over three 65536-trial blocks,
+and two ``oracle-check`` commands pin the oracle's ``p_oracle`` column
+beside the Monte Carlo one: the bare 480-row grid and a fixed-order
+cache sweep on heterogeneous links.
 
 The rows depend on numpy's ``Generator`` streams (SFC64, ``random``,
 ``standard_exponential``, ``standard_gamma``) and on the sampler that
-draws from them.  The files were last regenerated for a declared sampler
-change: SFC64 streams in place of Philox, and a stage of integer shape
-m <= 3 drawn as the sum of m exponentials in place of ``standard_gamma``.
-A numpy release that changes one of the streams starts a new output
-epoch too: the rows change with no fault here, and the files are
-regenerated in a change that says so and changes nothing else.
+draws from them; ``p_oracle`` also depends on scipy's special functions
+and quadrature.  The three sweep files were last regenerated for a
+declared sampler change: SFC64 streams in place of Philox, and a stage
+of integer shape m <= 3 drawn as the sum of m exponentials in place of
+``standard_gamma``.  The two oracle files were pinned after it.  A numpy
+release that changes one of the streams, or a scipy release that moves a
+``p_oracle`` digit, starts a new output epoch too: the rows change with
+no fault here, and the files are regenerated in a change that says so
+and changes nothing else.
 """
 
 import io
@@ -33,6 +39,9 @@ COMMANDS = {
     "--ordering fixed --files 20 --cache 3 --trials 140000 --seed 5",
     "cache_hetero": "sweep --sweep cache --grid 0,2,5 --schemes canoma,noma,oma-cache,oma "
     "--ordering fixed --link-spec-1 1.5,1,2.5,1 --link-spec-2 3,2,0.7,1 --trials 140000 --seed 9",
+    "oracle_grid": "oracle-check --trials 140000 --seed 4",
+    "oracle_cache_hetero": "oracle-check --ordering fixed --link-spec-1 1.5,1,2.5,1 "
+    "--link-spec-2 3,2,0.7,1 --sweep cache --grid 0,2,5 --trials 140000 --seed 4",
 }
 
 

@@ -14,8 +14,6 @@ import canoma
 
 TESTS = Path(__file__).parent
 PACKAGE = Path(canoma.__file__).parent
-# the library keeps the two-vehicle split; the reference adds the N-vehicle ladder
-SHARED = {"split_power"}
 
 
 def top_level_names(tree: ast.Module) -> set[str]:
@@ -34,11 +32,13 @@ def parse(path: Path) -> ast.Module:
 
 
 REFERENCE = parse(TESTS / "reference.py")
-REFERENCE_ONLY = top_level_names(REFERENCE) - SHARED
+REFERENCE_ONLY = top_level_names(REFERENCE)
 
 
 def test_the_library_neither_imports_nor_defines_the_reference():
-    assert {"decode_noma", "classify_scenario", "theta_for"} <= REFERENCE_ONLY
+    assert {
+        "decode_noma", "classify_scenario", "theta_for", "split_power", "PowerAllocation"
+    } <= REFERENCE_ONLY
     for path in sorted(PACKAGE.glob("*.py")):
         tree = parse(path)
         assert not top_level_names(tree) & REFERENCE_ONLY, path.name
