@@ -21,6 +21,7 @@ from .content import (
     PopularityProfile,
     ScenarioTable,
     request_from_uniform,
+    zipf_cdf_at,
     zipf_profile,
 )
 from .engine import (
@@ -63,6 +64,7 @@ __all__ = [
     "PopularityProfile",
     "ScenarioTable",
     "zipf_profile",
+    "zipf_cdf_at",
     "request_from_uniform",
     # access
     "SCHEMES",

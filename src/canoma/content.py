@@ -12,6 +12,13 @@ the cached contents enter both paths through this one table.  The
 per-trial placement and classification by set membership is the tests'
 reference.
 
+Both paths read the popularity CDF only at the table's few change
+points (:func:`zipf_cdf_at`).  Files 1..T0 are weighed one by one and
+the rest of any catalog is summed by the Euler-Maclaurin formula, so
+that CDF costs O(T0 + K) time and memory at any catalog size T; only
+:func:`zipf_profile`, the T-long profile the tests and the per-file
+request map read, grows with T.
+
 Requests map from uniforms by inverse CDF on the cumulative probability
 table.  This is deliberate: under shared uniforms the requested index is
 monotone in the profile's concentration, which turns the trend claims of
@@ -33,10 +40,19 @@ __all__ = [
     "PopularityProfile",
     "ScenarioTable",
     "zipf_profile",
+    "zipf_cdf_at",
     "request_from_uniform",
 ]
 
 _SUM_TOL = 1e-12
+
+# files 1..T0 are weighed one by one; the sum over the files above T0
+# takes the Euler-Maclaurin form, whose first omitted term is below
+# 1e-20 of the first tail file's weight wherever that weight is nonzero
+_HEAD_FILES = 10_000
+
+# the largest catalog whose every file index is exact in float arithmetic
+_MAX_FILES = 2**53
 
 
 class PopularityProfile:
@@ -82,6 +98,73 @@ class PopularityProfile:
         return f"PopularityProfile(t={self.t})"
 
 
+def _zipf_exponent(catalog: int, zeta: float, convention: str) -> tuple[int, float]:
+    """(T, rank exponent s) of a checked Zipf catalog."""
+    # a bool is a number to Python, but never a catalog size or a zeta
+    if (
+        isinstance(catalog, bool)
+        or not isinstance(catalog, Integral)
+        or not 1 <= catalog <= _MAX_FILES
+    ):
+        raise ParameterError(f"catalog size must be an integer in 1..2**53, got {catalog!r}")
+    if isinstance(zeta, bool) or not (isinstance(zeta, Real) and isfinite(zeta) and zeta > 0):
+        raise ParameterError(f"zeta must be positive and finite, got {zeta!r}")
+    if convention == "reciprocal":
+        return int(catalog), 1.0 / zeta
+    if convention == "direct":
+        return int(catalog), zeta
+    raise ParameterError(f"unknown zipf convention {convention!r}")
+
+
+def _zipf_weights(n: int, exponent: float) -> np.ndarray:
+    """j^-s for files j = 1..n, built in place: one n-long array, not three."""
+    weights = np.arange(1, n + 1, dtype=float)
+    np.power(weights, -exponent, out=weights)
+    return weights
+
+
+def _tail_sums(exponent: float, ends) -> np.ndarray:
+    """The sum of j^-s over j = T0 + 1..b for each b of ``ends`` (each
+    above T0) by the Euler-Maclaurin formula: the integral, half of each
+    end term, and the B2, B4 and B6 terms.
+
+    With a = T0 + 1 and u = (1 - s) log(b / a), the integral
+    a^(1-s) (e^u - 1) / (1 - s) is formed through expm1(u) / u, which
+    keeps its precision as s -> 1 and is 1 at s = 1.  Where a^-s
+    underflows (s above about 80) every term does, and the tail is 0.
+    """
+    a = float(_HEAD_FILES + 1)
+    fa = a**-exponent
+    b = np.asarray(ends, dtype=float)
+    if fa == 0.0:
+        return np.zeros(b.shape)
+    fb = b**-exponent
+    log_ratio = np.log1p((b - a) / a)
+    u = (1.0 - exponent) * log_ratio
+    growth = np.divide(np.expm1(u), u, out=np.ones_like(u), where=u != 0.0)
+    integral = a * fa * log_ratio * growth
+
+    def slope_terms(x, fx):
+        # -(f'(x)/12 - f'''(x)/720 + f^(5)(x)/30240) for f(x) = x^-s,
+        # each derivative being -f(x) times a rising product of s over x^n
+        r1 = exponent / x
+        r3 = r1 * (exponent + 1.0) / x * (exponent + 2.0) / x
+        r5 = r3 * (exponent + 3.0) / x * (exponent + 4.0) / x
+        return fx * (r1 / 12.0 - r3 / 720.0 + r5 / 30240.0)
+
+    return integral + 0.5 * (fa + fb) + slope_terms(a, fa) - slope_terms(b, fb)
+
+
+def _zipf_total(head: np.ndarray, exponent: float, t: int) -> float:
+    """The Zipf normaliser, the sum of j^-s over files 1..T, from the
+    weights of files 1..min(T, T0): their plain sum, plus the tail above
+    T0.  Profiles and CDF reads all take their normaliser from here."""
+    total = head.sum()
+    if t > _HEAD_FILES:
+        total += _tail_sums(exponent, [t])[0]
+    return total
+
+
 def zipf_profile(catalog: int, zeta: float, convention: str = "reciprocal") -> PopularityProfile:
     """Zipf-derived popularity over files 1..T.
 
@@ -89,24 +172,43 @@ def zipf_profile(catalog: int, zeta: float, convention: str = "reciprocal") -> P
     1/zeta, so zeta -> 0 concentrates all mass on file 1 and large zeta
     approaches a uniform profile.  ``direct`` exposes the textbook
     convention (exponent = zeta) for cross-checks against other tools.
+    The profile is T long; :func:`zipf_cdf_at` reads its CDF at a few
+    files without building it.
     """
-    # a bool is a number to Python, but never a catalog size or a zeta
-    if isinstance(catalog, bool) or not isinstance(catalog, Integral) or catalog < 1:
-        raise ParameterError(f"catalog size must be an integer >= 1, got {catalog!r}")
-    if isinstance(zeta, bool) or not (isinstance(zeta, Real) and isfinite(zeta) and zeta > 0):
-        raise ParameterError(f"zeta must be positive and finite, got {zeta!r}")
-    t = int(catalog)
-    if convention == "reciprocal":
-        exponent = 1.0 / zeta
-    elif convention == "direct":
-        exponent = zeta
-    else:
-        raise ParameterError(f"unknown zipf convention {convention!r}")
-    # in place: a catalog of T files holds one T-long temporary, not three
-    weights = np.arange(1, t + 1, dtype=float)
-    np.power(weights, -exponent, out=weights)
-    weights /= weights.sum()
+    t, exponent = _zipf_exponent(catalog, zeta, convention)
+    weights = _zipf_weights(t, exponent)
+    weights /= _zipf_total(weights[:_HEAD_FILES], exponent, t)
     return PopularityProfile(weights)
+
+
+def zipf_cdf_at(catalog: int, zeta: float, files, convention: str = "reciprocal") -> np.ndarray:
+    """P(request <= k) under ``zipf_profile(catalog, zeta, convention)``
+    for each file index k of ``files`` (integers in 1..T), in O(T0 + K)
+    time and memory for K indices: no array grows with T.
+
+    Files 1..min(T, T0) are weighed, summed and accumulated as the
+    profile does, so at T <= T0 every value is bit-identical to
+    ``zipf_profile(...).cdf[k - 1]``.  Above T0 the normaliser and the
+    sum over files 1..k are the head's sum plus the Euler-Maclaurin
+    tail, each within 2e-15 relative of the exact sum.
+    """
+    t, exponent = _zipf_exponent(catalog, zeta, convention)
+    k = np.asarray(files, dtype=np.int64)
+    if np.any((k < 1) | (k > t)):
+        raise ParameterError(f"file indices must lie in 1..{t}")
+    head = _zipf_weights(min(t, _HEAD_FILES), exponent)
+    total = _zipf_total(head, exponent, t)
+    head_cdf = np.cumsum(head / total)
+    cdf = head_cdf[np.minimum(k, len(head)) - 1]
+    past = k > len(head)
+    if past.any():
+        partial = head.sum() + _tail_sums(exponent, k[past])
+        # the head's running sum drifts from the head's sum (by up to
+        # about 1e-14 of the normaliser) and may end above the first
+        # tail value; flooring there keeps the CDF ascending
+        cdf[past] = np.maximum(partial / total, head_cdf[-1])
+    cdf[k == t] = 1.0  # as the profile's last CDF entry
+    return cdf
 
 
 def request_from_uniform(profile: PopularityProfile, u):
@@ -131,7 +233,8 @@ def _by_position(strong_is_1, v1, v2):
 @dataclass(frozen=True, eq=False)
 class ScenarioTable:
     """The scenario classes of one catalog size, cache pair and threshold
-    table; no popularity profile is needed to build it.
+    table; no popularity profile is needed to build it, and it holds
+    O(K) arrays for K change points at any catalog size.
 
     Under top-C placement a request's attributes -- which caches hold its
     file (its region) and its threshold level -- change only at a few
@@ -142,6 +245,7 @@ class ScenarioTable:
     a2, and s = 1 when vehicle 1 is the strong one.
     """
 
+    files: int  # the catalog size T
     starts: np.ndarray  # change points, in 2..T ascending
     attribute_of_cell: np.ndarray  # attribute index of each cell
     held: np.ndarray  # (in cache 1, in cache 2) by attribute
@@ -167,17 +271,19 @@ class ScenarioTable:
         )
         region, level = np.divmod(attributes, len(levels))
         held = np.column_stack((region & 1 == 1, region & 2 == 2))
-        return cls(starts, attribute_of_cell, held, levels[level])
+        return cls(int(files), starts, attribute_of_cell, held, levels[level])
 
     @property
     def size(self) -> int:
         return 2 * len(self.theta) ** 2
 
-    def cdf_at_starts(self, profile: PopularityProfile) -> np.ndarray:
-        """cdf[k - 2] for each change point k, ascending.  A request r(u)
-        is >= k iff cdf[k - 2] < u, so a uniform's cell is the number of
-        these values below it, and cell masses are their differences."""
-        return profile.cdf[self.starts - 2]
+    def cdf_at_starts(self, zeta: float, convention: str = "reciprocal") -> np.ndarray:
+        """The Zipf CDF at file k - 1 for each change point k, ascending:
+        ``zipf_profile(T, zeta, convention).cdf[k - 2]`` without the
+        profile.  A request r(u) is >= k iff that value is below u, so a
+        uniform's cell is the number of these values below it, and cell
+        masses are their differences."""
+        return zipf_cdf_at(self.files, zeta, self.starts - 1, convention)
 
     def columns(self):
         """``gain_thresholds``' position-ordered inputs for every class code:

@@ -37,6 +37,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 from typing import Iterable, Sequence
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from .access import SCHEMES, DecodeThresholds, _is_positive_real, gain_thresholds
 from .channel import LinkSpec, sample_link_gain
-from .content import PopularityProfile, ScenarioTable, _by_position, zipf_profile
+from .content import _MAX_FILES, ScenarioTable, _by_position
 from .errors import ParameterError
 
 __all__ = [
@@ -84,20 +85,6 @@ def db_to_linear(db: float) -> float:
     if not (math.isfinite(linear) and linear > 0.0):
         raise ParameterError(f"{db!r} dB is outside the positive finite linear range")
     return linear
-
-
-# a popularity profile holds about 24 bytes per catalog file: its
-# probabilities, its CDF and one T-long temporary while it is built
-_PROFILE_BYTES_PER_FILE = 24
-
-
-def _physical_memory() -> float:
-    """Bytes of physical memory, or inf where the system does not say."""
-    try:
-        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return math.inf
-    return pages * page_size if pages > 0 and page_size > 0 else math.inf
 
 
 def _is_int(value) -> bool:
@@ -140,6 +127,13 @@ class TrialConfig:
     def snr_db(self) -> float:
         return 10.0 * math.log10(self.rho)
 
+    @cached_property
+    def table(self) -> ScenarioTable:
+        """The scenario-class table of this config's catalog, caches and
+        thresholds, built on first use and kept with the config; read it
+        only after ``validate``, which reads it last."""
+        return ScenarioTable.of(self.files, self.capacities, self.thresholds)
+
     def validate(self) -> None:
         def bad(name: str, requirement: str, got: str | None = None) -> ParameterError:
             got = repr(getattr(self, name)) if got is None else got
@@ -151,14 +145,8 @@ class TrialConfig:
             raise bad("seed", "be a 64-bit unsigned integer")
         if self.scheme not in SCHEMES:
             raise bad("scheme", f"be one of {SCHEMES}")
-        if not _is_int(self.files) or self.files < 1:
-            raise bad("files", "be a positive integer")
-        memory = _physical_memory()
-        if self.files * _PROFILE_BYTES_PER_FILE > memory:
-            raise bad(
-                "files",
-                f"fit in memory at {_PROFILE_BYTES_PER_FILE} B per file ({memory / 2**30:.3g} GiB)",
-            )
+        if not _is_int(self.files) or not 1 <= self.files <= _MAX_FILES:
+            raise bad("files", "be an integer in 1..2**53")
         if not _is_positive_real(self.zeta):
             raise bad("zeta", "be a positive real")
         if len(self.capacities) != 2 or not all(_is_int(c) and c >= 0 for c in self.capacities):
@@ -188,13 +176,12 @@ class TrialConfig:
             raise bad("thresholds", "be a DecodeThresholds")
         # every class's (a, b) is decoded once per run into a table that
         # must not outgrow a chunk's class codes
-        table = ScenarioTable.of(self.files, self.capacities, self.thresholds)
-        if table.size > CHUNK:
+        if self.table.size > CHUNK:
             raise bad(
                 "thresholds",
                 f"give at most {CHUNK} scenario classes, 2 * A^2 for A distinct "
                 "(cache region, threshold level) pairs",
-                f"{table.size} classes from A = {len(table.theta)}",
+                f"{self.table.size} classes from A = {len(self.table.theta)}",
             )
 
 
@@ -335,12 +322,12 @@ class _ScenarioClasses:
     attribute_of_cell: np.ndarray  # the table's, one byte each
 
     @classmethod
-    def of(cls, config: TrialConfig, profile: PopularityProfile) -> "_ScenarioClasses":
-        table = ScenarioTable.of(config.files, config.capacities, config.thresholds)
+    def of(cls, config: TrialConfig) -> "_ScenarioClasses":
+        table = config.table
         # validate keeps A <= 181 attributes, so an index fits a byte
         return cls(
             table,
-            _bisection_table(table.cdf_at_starts(profile)),
+            _bisection_table(table.cdf_at_starts(config.zeta, config.zipf_convention)),
             table.attribute_of_cell.astype(np.uint8),
         )
 
@@ -431,16 +418,15 @@ def _run_chunk(task, buffers):
 
 
 def _scenario_groups(configs: Sequence[TrialConfig]):
-    """One ``_ScenarioClasses`` per (profile, cache pair, thresholds) key,
-    and each config paired with its key."""
-    profiles, groups, keyed = {}, {}, []
+    """One ``_ScenarioClasses`` per (popularity, cache pair, thresholds)
+    key, and each config paired with its key."""
+    groups, keyed = {}, []
     for config in configs:
-        profile_key = (config.files, config.zeta, config.zipf_convention)
-        key = (profile_key, config.capacities, config.thresholds)
+        key = (
+            config.files, config.zeta, config.zipf_convention, config.capacities, config.thresholds
+        )
         if key not in groups:
-            if profile_key not in profiles:
-                profiles[profile_key] = zipf_profile(*profile_key)
-            groups[key] = _ScenarioClasses.of(config, profiles[profile_key])
+            groups[key] = _ScenarioClasses.of(config)
         keyed.append((key, config))
     return groups, keyed
 
@@ -474,13 +460,13 @@ def _simulate(
 
     The configs must share the fields that fix the draws (seed,
     n_trials, link_specs, ordering).  Each SFC64 block is drawn once,
-    classified once per popularity profile, cache pair and threshold
-    table, and every (config, scheme) looks its trials up in that group's
+    classified once per popularity, cache pair and threshold table, and
+    every (config, scheme) looks its trials up in that group's
     scenario-class table, whose (a, b) it decodes once per run for every
-    class.  Popularity profiles are read while the classes are built
-    and dropped before any block is drawn.  Chunks run on
-    ``_thread_count(workers, n_trials)`` threads, each in buffers this
-    thread allocates once.  Returns, per config,
+    class.  Each group reads the popularity CDF at its table's few change
+    points only, so no array is sized by the catalog or the caches.
+    Chunks run on ``_thread_count(workers, n_trials)`` threads, each in
+    buffers this thread allocates once.  Returns, per config,
     ``{scheme: (estimate, outcomes)}``, outcomes being an (n, 2)
     vehicle-indexed boolean array when requested and None otherwise.
     """

@@ -38,7 +38,7 @@ from scipy.special import gammaincc, gammaln, kve, xlogy
 
 from .access import INFEASIBLE, DecodeThresholds, gain_thresholds
 from .channel import LinkSpec
-from .content import PopularityProfile, ScenarioTable, zipf_profile
+from .content import ScenarioTable
 from .engine import TrialConfig
 from .errors import OracleUnsupportedError, ParameterError
 
@@ -267,14 +267,16 @@ def conditional_success_prob(
     return (p_strong, p_weak, p_joint)
 
 
-def _class_weights(table: ScenarioTable, profile: PopularityProfile, policy: str):
-    """The probability of every class code of ``table``: the product of
-    its two attributes' request masses and of its strong-vehicle share.
+def _class_weights(table: ScenarioTable, cdf: np.ndarray, policy: str):
+    """The probability of every class code of ``table``, given the
+    popularity CDF at its change points (``table.cdf_at_starts``): the
+    product of its two attributes' request masses and of its
+    strong-vehicle share.
 
     A cell's mass is the difference of the CDF at its two ends, and an
     attribute's mass is the sum over its cells.
     """
-    cells = np.diff(np.concatenate(([0.0], table.cdf_at_starts(profile), [1.0])))
+    cells = np.diff(np.concatenate(([0.0], cdf, [1.0])))
     mass = np.bincount(table.attribute_of_cell, weights=cells, minlength=len(table.theta))
     # index (a1, a2, s) of the product is class code 2 * (a1 * A + a2) + s
     return np.multiply.outer(np.outer(mass, mass), _STRONG_SHARES[policy]).ravel()
@@ -325,10 +327,10 @@ def success_prob(
         self_hit_power=self_hit_power,
     )
     config.validate()
-    profile = zipf_profile(config.files, config.zeta, config.zipf_convention)
-    table = ScenarioTable.of(config.files, config.capacities, config.thresholds)
+    table = config.table
     a, b = gain_thresholds(scheme, total, alpha, *table.columns(), self_hit_power)
-    weight = _class_weights(table, profile, policy)
+    cdf = table.cdf_at_starts(config.zeta, config.zipf_convention)
+    weight = _class_weights(table, cdf, policy)
     codes = np.flatnonzero(weight)
     weight = weight[codes]
     events = list(zip(a[codes].tolist(), b[codes].tolist()))

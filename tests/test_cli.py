@@ -11,7 +11,7 @@ import pytest
 
 import canoma.cli as cli
 import canoma.engine as engine
-from canoma import __version__
+from canoma import ScenarioTable, TrialConfig, __version__
 from canoma.cli import main
 
 BASE = [
@@ -82,11 +82,13 @@ class TestPoint:
         assert code == 2
         assert flag in err
 
-    def test_catalog_that_cannot_fit_names_the_flag(self, monkeypatch):
-        monkeypatch.setattr(engine, "_physical_memory", lambda: 2**30)
-        code, out, err = run_cli(["point", "--files", "100000000"])
+    def test_catalog_beyond_memory_computes(self):
+        code, out, err = run_cli(["point", "--files", "100000000", "--trials", "20000"])
+        assert code == 0, err
+        assert len(data_rows(out)) == 2  # the header and one row
+        code, out, err = run_cli(["point", "--files", "1" + "0" * 400])
         assert code == 2
-        assert err.startswith("error: --files: files must fit in memory")
+        assert err.startswith("error: --files: files must be an integer in 1..2**53")
         assert out == ""
 
     def test_bad_link_spec(self):
@@ -292,6 +294,21 @@ class TestOracleCheck:
         assert config["files_cache"] == [[10, 0], [10, 2], [10, 5], [50, 2]]
         # the default link has integer shapes: every CCDF is closed-form
         assert "# oracle max abs_err: 0\n" in out
+
+    def test_bare_run_builds_one_table_per_config(self, monkeypatch):
+        # every TrialConfig is validated before its table is read, so the
+        # validated configs bound the tables a run may build
+        built, validated = [], []
+        of = ScenarioTable.of.__func__
+        counted = classmethod(lambda cls, *args: built.append(args) or of(cls, *args))
+        monkeypatch.setattr(ScenarioTable, "of", counted)
+        validate = TrialConfig.validate
+        monkeypatch.setattr(
+            TrialConfig, "validate", lambda self: validated.append(self) or validate(self)
+        )
+        code, _, _ = run_cli(["oracle-check", "--trials", "1000"])
+        assert code == 0
+        assert 0 < len(built) <= len({id(c) for c in validated})
 
     def test_quadrature_error_is_reported(self):
         _, out, _ = run_cli(

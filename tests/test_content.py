@@ -12,8 +12,11 @@ from canoma import (
     PopularityProfile,
     ScenarioTable,
     request_from_uniform,
+    zipf_cdf_at,
     zipf_profile,
 )
+import canoma.content as content
+from canoma.content import _HEAD_FILES as HEAD
 from canoma.oracle import _class_weights
 from reference import (
     CacheContents,
@@ -70,13 +73,19 @@ class TestZipfProfile:
     @pytest.mark.parametrize("convention", ["reciprocal", "direct"])
     def test_bits_equal_the_plain_expression(self, zeta, convention):
         # the in-place build must not move a bit of the profile or its CDF:
-        # engine class codes compare uniforms with CDF values
+        # the tests' request map compares uniforms with CDF values.  Up to
+        # T0 files the normaliser is the plain sum; above, the files past
+        # T0 are summed by the Euler-Maclaurin tail
         exponent = 1.0 / zeta if convention == "reciprocal" else zeta
-        weights = np.arange(1, 50_001, dtype=float) ** (-exponent)
-        plain = weights / weights.sum()
-        profile = zipf_profile(50_000, zeta, convention)
-        assert np.array_equal(profile.probs, plain)
-        assert np.array_equal(profile.cdf[:-1], np.cumsum(plain)[:-1])
+        for t in (HEAD, 50_000):
+            weights = np.arange(1, t + 1, dtype=float) ** (-exponent)
+            if t == HEAD:
+                plain = weights / weights.sum()
+            else:
+                plain = weights / content._zipf_total(weights[:HEAD], exponent, t)
+            profile = zipf_profile(t, zeta, convention)
+            assert np.array_equal(profile.probs, plain)
+            assert np.array_equal(profile.cdf[:-1], np.cumsum(plain)[:-1])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -87,6 +96,97 @@ class TestZipfProfile:
         profile = zipf_profile(t, zeta)
         assert abs(profile.probs.sum() - 1.0) <= 1e-12
         assert np.all(np.diff(profile.probs) <= 0)
+
+
+def exact_sum(mpmath, exponent, k):
+    """The sum of j^-s over files 1..k at the working precision: the
+    harmonic number at s = 1, else Hurwitz zeta(s, 1) - zeta(s, k + 1)."""
+    s = mpmath.mpf(exponent)
+    return mpmath.harmonic(k) if s == 1 else mpmath.zeta(s, 1) - mpmath.zeta(s, k + 1)
+
+
+def running_sum_tol(k, value):
+    """What the running sum over files 1..k may be off by: 2e-15 for the
+    normaliser, plus one rounding per addition, the division and the power."""
+    return 2e-15 + (k + 1) * 2.0**-52 * value
+
+
+class TestZipfCdfAt:
+    """``zipf_cdf_at`` against 40-digit sums, and bit for bit against the
+    T-long profile up to T0 files."""
+
+    @pytest.mark.parametrize(
+        "s", [1e-9, 0.1, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.25, 2.5, 10.0, 1000.0]
+    )
+    @pytest.mark.parametrize("convention", ["reciprocal", "direct"])
+    def test_matches_exact_sums(self, s, convention):
+        mpmath = pytest.importorskip("mpmath")
+        zeta = 1.0 / s if convention == "reciprocal" else s
+        for t in (HEAD, HEAD + 1, 10**5, 10**6, 10**9):
+            _, exponent = content._zipf_exponent(t, zeta, convention)
+            head = np.arange(1, min(t, HEAD) + 1, dtype=float) ** -exponent
+            with mpmath.workdps(40):
+                total = exact_sum(mpmath, exponent, t)
+                assert abs(content._zipf_total(head, exponent, t) - total) <= 2e-15 * total
+                files = [1, 2, 10, 500, HEAD - 1, HEAD, HEAD + 1, HEAD + 2, t // 2, t - 1, t]
+                files = sorted({k for k in files if 1 <= k <= t})
+                for k, value in zip(files, zipf_cdf_at(t, zeta, files, convention)):
+                    exact = exact_sum(mpmath, exponent, k) / total
+                    # files 1..T0 are the profile's running sum
+                    tol = running_sum_tol(k, float(exact)) if k <= HEAD else 2e-15
+                    assert abs(value - exact) <= tol, (t, k, float(value - exact))
+
+    @pytest.mark.parametrize("t", [1, 2, 7, 500, HEAD])
+    @pytest.mark.parametrize("zeta", [0.01, 0.8, 2.0])
+    @pytest.mark.parametrize("convention", ["reciprocal", "direct"])
+    def test_bits_equal_the_profile_up_to_the_head(self, t, zeta, convention):
+        profile = zipf_profile(t, zeta, convention)
+        assert np.array_equal(zipf_cdf_at(t, zeta, np.arange(1, t + 1), convention), profile.cdf)
+        theta_of = {1: 0.5, 3: 2.0, t // 2 + 1: 4.0, t: 0.25}  # a later file wins
+        overrides = DecodeThresholds(1.0, tuple(theta_of.items()))
+        for capacities, thresholds in itertools.product(
+            [(0, 0), (min(2, t), min(5, t)), (t, t // 3)], [DecodeThresholds(), overrides]
+        ):
+            table = ScenarioTable.of(t, capacities, thresholds)
+            want = profile.cdf[table.starts - 2]
+            assert np.array_equal(table.cdf_at_starts(zeta, convention), want)
+
+    def test_large_catalog_agrees_with_the_profile(self):
+        # the T-long profile's own running sum drifts from the exact CDF
+        # (by 1.4e-14 at file 5e5 here), so it bounds the agreement
+        t = 10**6
+        thresholds = DecodeThresholds(1.0, ((500_000, 2.0),))
+        table = ScenarioTable.of(t, (500, 2000), thresholds)
+        k = table.starts - 1
+        assert k.tolist() == [500, 2000, 499_999, 500_000]
+        cdf = table.cdf_at_starts(0.8)
+        long = zipf_profile(t, 0.8).cdf[k - 1]
+        assert np.all(np.abs(cdf - long) <= running_sum_tol(k, long))
+        assert np.all(np.diff(cdf) > 0)
+
+    @pytest.mark.parametrize(
+        "zeta,convention",
+        # at s = 4.05 the head's running sum ends 3.5e-14 above the sum
+        # over files 1..T0 + 1 at T = 1e6, so the tail must be floored
+        [(1e-300, "reciprocal"), (0.8, "reciprocal"), (1.0, "reciprocal"),
+         (1e300, "reciprocal"), (4.05, "direct")],
+    )
+    def test_ascending_and_within_0_1_at_any_catalog(self, zeta, convention):
+        for t in (HEAD + 1, 10**6, 10**9, 2**53):
+            files = sorted({1, 500, HEAD, HEAD + 1, (t + HEAD) // 2, t - 1, t})
+            cdf = zipf_cdf_at(t, zeta, files, convention)
+            assert np.all(np.isfinite(cdf)) and np.all(np.diff(cdf) >= 0)
+            assert 0.0 < cdf[0] and cdf[-1] == 1.0
+
+    @pytest.mark.parametrize("files", [[0], [11], [-1, 3]])
+    def test_rejects_files_outside_the_catalog(self, files):
+        with pytest.raises(ParameterError):
+            zipf_cdf_at(10, 0.8, files)
+
+    @pytest.mark.parametrize("catalog", [0, 2**53 + 1, 10**400, True, 2.0])
+    def test_rejects_bad_catalogs(self, catalog):
+        with pytest.raises(ParameterError, match="catalog size"):
+            zipf_cdf_at(catalog, 0.8, [1])
 
 
 class TestProfileValidation:
@@ -206,11 +306,13 @@ class TestClassifyScenario:
             classify_scenario((1, 2), (CacheContents(frozenset(), 0),))
 
 
-def class_probabilities(profile, capacities, thresholds=DecodeThresholds(), policy="by-gain"):
-    """The scenario table and the probability of each of its class codes,
-    as the oracle weights them."""
-    table = ScenarioTable.of(profile.t, capacities, thresholds)
-    return table, _class_weights(table, profile, policy)
+def class_probabilities(
+    t, zeta, capacities, thresholds=DecodeThresholds(), policy="by-gain", convention="reciprocal"
+):
+    """The scenario table of a t-file catalog and the probability of each
+    of its class codes, as the oracle weights them."""
+    table = ScenarioTable.of(t, capacities, thresholds)
+    return table, _class_weights(table, table.cdf_at_starts(zeta, convention), policy)
 
 
 def attribute_of(table, files):
@@ -231,28 +333,24 @@ class TestScenarioDistribution:
     oracle weights and the engine classifies by."""
 
     def test_full_caches_always_self_hit(self):
-        profile = zipf_profile(4, 0.7)
-        table, weight = class_probabilities(profile, (4, 4))
+        table, weight = class_probabilities(4, 0.7, (4, 4))
         hit1, hit2 = vehicle_flags(table)
         assert weight[hit1 & hit2].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_two_files_no_cache(self):
-        profile = zipf_profile(2, 1e12)
-        table, weight = class_probabilities(profile, (0, 0))
+        table, weight = class_probabilities(2, 1e12, (0, 0))
         assert table.held.tolist() == [[False, False]]
         assert weight.tolist() == [pytest.approx(0.5, abs=1e-12)] * 2
 
     def test_top_one_hit_mass(self):
-        profile = zipf_profile(3, 1.0)
-        table, weight = class_probabilities(profile, (1, 1))
+        table, weight = class_probabilities(3, 1.0, (1, 1))
         hit1, _ = vehicle_flags(table)
         assert weight[hit1].sum() == pytest.approx(6 / 11, abs=1e-14)
 
     @pytest.mark.parametrize("c1,c2", [(0, 0), (2, 2), (2, 5), (7, 3)])
     def test_probabilities_sum_to_one(self, c1, c2):
-        profile = zipf_profile(9, 0.8)
         for policy in ("by-gain", "fixed"):
-            _, weight = class_probabilities(profile, (c1, c2), policy=policy)
+            _, weight = class_probabilities(9, 0.8, (c1, c2), policy=policy)
             assert abs(weight.sum() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("t", [1, 2, 7])
@@ -269,7 +367,7 @@ class TestScenarioDistribution:
         ):
             if max(c1, c2) > t:
                 continue
-            table, weight = class_probabilities(profile, (c1, c2), thresholds, policy)
+            table, weight = class_probabilities(t, 0.8, (c1, c2), thresholds, policy, convention)
             columns = np.array(table.columns())
             caches = (place_cache(profile, c1), place_cache(profile, c2))
             expected = np.zeros(table.size)
@@ -299,7 +397,7 @@ class TestScenarioDistribution:
         n = 1_000_000
         profile = zipf_profile(6, 0.8)
         caches = (place_cache(profile, 2), place_cache(profile, 3))
-        table, weight = class_probabilities(profile, (2, 3))
+        table, weight = class_probabilities(6, 0.8, (2, 3))
         rng = make_rng(17)
         r1 = sample_request(profile, rng, size=n)
         r2 = sample_request(profile, rng, size=n)

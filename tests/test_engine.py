@@ -3,6 +3,7 @@ import math
 import pickle
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -162,13 +163,15 @@ class TestConfigValidation:
     def test_accepts_defaults(self):
         TrialConfig().validate()
 
-    def test_refuses_a_catalog_that_cannot_fit(self, monkeypatch):
-        # 24 B per file: a 1000-file profile fits in 24000 bytes, 1001 files do not
-        monkeypatch.setattr(engine, "_physical_memory", lambda: 24_000)
-        config(files=1000).validate()
-        with pytest.raises(ParameterError, match="fit in memory") as exc:
-            config(files=1001).validate()
-        assert exc.value.field == "files"
+    def test_catalog_beyond_memory_validates(self):
+        # no array grows with T, so a catalog is bounded only by the
+        # exact float range of its file indices, not by physical memory
+        config(files=10**12, cache=(500, 10**9)).validate()
+        config(files=2**53).validate()
+        for files in (2**53 + 1, 10**400):
+            with pytest.raises(ParameterError, match=r"1\.\.2\*\*53") as exc:
+                config(files=files).validate()
+            assert exc.value.field == "files"
 
     @pytest.mark.parametrize(
         "field,value",
@@ -186,12 +189,29 @@ class TestConfigValidation:
             success_prob(**oracle_kwargs(**{ORACLE_KEYWORDS[field]: value}))
         assert exc.value.field == field
 
-    def test_success_prob_refuses_a_catalog_that_cannot_fit(self, monkeypatch):
-        monkeypatch.setattr(engine, "_physical_memory", lambda: 24_000)
-        assert 0.0 < success_prob(**oracle_kwargs(catalog_t=1000)).p_joint < 1.0
-        with pytest.raises(ParameterError, match="fit in memory") as exc:
-            success_prob(**oracle_kwargs(catalog_t=1001))
+    def test_success_prob_computes_a_catalog_beyond_memory(self):
+        small = success_prob(**oracle_kwargs(catalog_t=10**12, capacities=(500, 500)))
+        large = success_prob(**oracle_kwargs(catalog_t=10**12, capacities=(10**9, 10**9)))
+        assert 0.0 < small.p_joint < large.p_joint < 1.0
+        with pytest.raises(ParameterError) as exc:
+            success_prob(**oracle_kwargs(catalog_t=10**400))
         assert exc.value.field == "files"
+
+    def test_each_config_builds_its_table_once(self, monkeypatch):
+        built = []
+        of = ScenarioTable.of.__func__
+        counted = classmethod(lambda cls, *args: built.append(args) or of(cls, *args))
+        monkeypatch.setattr(ScenarioTable, "of", counted)
+        cfg = config(n_trials=1000, cache=(2, 5))
+        cfg.validate()
+        cfg.validate()
+        run_point_multi(cfg, SCHEMES)
+        assert len(built) == 1
+        assert cfg.table is cfg.table
+        # a new config builds its own table, and the oracle's config one
+        assert dataclasses.replace(cfg).table is not cfg.table
+        success_prob(**oracle_kwargs())
+        assert len(built) == 3
 
     def test_numpy_integers_are_counts(self):
         config(files=np.int64(10), cache=(np.int64(2), np.int64(2))).validate()
@@ -505,6 +525,38 @@ class TestClassesFromBreakpoints:
         cfg = config(n_trials=1000, files=1_000_000, cache=(1000, 300), thresholds=thresholds)
         run_point_multi(cfg, SCHEMES)
         assert sizes and max(sizes) < 64 * 1024
+
+
+class TestFixedMemory:
+    """Neither the catalog size T nor the cache size C sizes any array on
+    the Monte Carlo or the oracle path."""
+
+    @staticmethod
+    def traced(call):
+        """(tracemalloc peak in bytes, seconds) of one call."""
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            call()
+            return tracemalloc.get_traced_memory()[1], time.perf_counter() - start
+        finally:
+            tracemalloc.stop()
+
+    def peaks(self, files, cache):
+        cfg = config(n_trials=CHUNK, files=files, cache=cache)
+        kwargs = oracle_kwargs(catalog_t=files, capacities=(cache, cache))
+        return (
+            self.traced(lambda: run_point(cfg, workers=1)),
+            self.traced(lambda: success_prob(**kwargs)),
+        )
+
+    def test_peak_does_not_grow_with_the_catalog_or_the_cache(self):
+        self.peaks(10**4, 500)  # first-call allocations and the CCDF memo
+        base = self.peaks(10**4, 500)
+        for files, cache in [(10**8, 500), (10**9, 500), (10**9, 10**8)]:
+            for (peak, seconds), (base_peak, _) in zip(self.peaks(files, cache), base):
+                assert peak - base_peak <= 2**20, (files, cache, peak, base_peak)
+                assert seconds < 1.0, (files, cache, seconds)
 
 
 def _cells(breakpoints, u):
