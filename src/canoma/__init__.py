@@ -14,16 +14,9 @@ from .access import (
 from .channel import (
     LinkSpec,
     NakagamiStage,
-    sample_gamma,
     sample_link_gain,
 )
-from .content import (
-    PopularityProfile,
-    ScenarioTable,
-    request_from_uniform,
-    zipf_cdf_at,
-    zipf_profile,
-)
+from .content import ScenarioTable, zipf_cdf_at
 from .engine import (
     METRICS,
     DEFAULT_LINK_SPEC,
@@ -58,14 +51,10 @@ __all__ = [
     # channel
     "NakagamiStage",
     "LinkSpec",
-    "sample_gamma",
     "sample_link_gain",
     # content
-    "PopularityProfile",
     "ScenarioTable",
-    "zipf_profile",
     "zipf_cdf_at",
-    "request_from_uniform",
     # access
     "SCHEMES",
     "DecodeThresholds",

@@ -90,14 +90,6 @@ class DecodeThresholds:
                 )
         object.__setattr__(self, "overrides", tuple(sorted(overrides)))
 
-    def table(self, t: int) -> np.ndarray:
-        """Thresholds for files 1..t as an array (index file-1)."""
-        out = np.full(t, self.default)
-        for f, theta in self.overrides:
-            if 1 <= f <= t:
-                out[f - 1] = theta
-        return out
-
 
 def gain_thresholds(
     scheme: str,

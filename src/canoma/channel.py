@@ -24,7 +24,6 @@ __all__ = [
     "NakagamiStage",
     "LinkSpec",
     "SAMPLER",
-    "sample_gamma",
     "sample_link_gain",
 ]
 
@@ -45,6 +44,12 @@ class NakagamiStage:
         if not (isfinite(self.omega) and self.omega > 0):
             raise ParameterError(
                 f"stage spread omega must be positive and finite, got {self.omega!r}"
+            )
+        # the sampler multiplies every draw by this scale and checks nothing
+        if not (isfinite(self.gamma_scale) and self.gamma_scale > 0):
+            raise ParameterError(
+                f"stage scale omega/m must be positive and finite, got {self.gamma_scale!r} "
+                f"from m={self.m!r}, omega={self.omega!r}"
             )
 
     @property
@@ -88,34 +93,22 @@ def _exponential_terms(shape: float) -> int:
     return int(shape) if shape <= _MAX_EXPONENTIAL_TERMS and shape == int(shape) else 0
 
 
-def sample_gamma(shape: float, scale: float, rng: np.random.Generator, size=None, out=None):
-    """Draw gamma variates with the given shape and scale.
+def _sample_stage(stage: NakagamiStage, rng: np.random.Generator, out: np.ndarray):
+    """Write one squared stage amplitude, Gamma(m, omega/m), into each
+    entry of ``out`` (a C-contiguous float64 array) and return ``out``.
 
     An integer shape m <= 3 is drawn as the sum of m full-length
     ``standard_exponential`` draws (numpy's exponential ziggurat), every
-    other shape by ``standard_gamma``; the draw is then multiplied by
-    ``scale``, so two runs from identical generator states with scales
-    differing by a factor c produce values differing by exactly c.
-
-    Scalar when ``size`` and ``out`` are None, ndarray otherwise; with
-    ``out`` (a C-contiguous float64 array) the variates are written there
-    and ``out`` is returned, and nothing of its size is allocated: each
+    other shape by ``standard_gamma``; the draw is then multiplied by the
+    stage's scale, so two stages whose scales differ by a factor c give
+    values differing by exactly c from identical generator states.  Each
     further exponential is added in blocks, which consumes the generator
-    exactly as one full draw does.
+    exactly as one full draw does, so nothing of ``out``'s size is
+    allocated.
     """
-    if not (isfinite(shape) and shape > 0):
-        raise ParameterError(f"gamma shape must be positive and finite, got {shape!r}")
-    if not (isfinite(scale) and scale > 0):
-        raise ParameterError(f"gamma scale must be positive and finite, got {scale!r}")
-    terms = _exponential_terms(shape)
-    if out is None and size is None:
-        if not terms:
-            return rng.standard_gamma(shape) * scale
-        return sum(rng.standard_exponential() for _ in range(terms)) * scale
-    if out is None:
-        out = np.empty(size)
+    terms = _exponential_terms(stage.gamma_shape)
     if not terms:
-        rng.standard_gamma(shape, out=out)
+        rng.standard_gamma(stage.gamma_shape, out=out)
     else:
         rng.standard_exponential(out=out)
         flat = out.reshape(-1)  # a view: the draw above refused a non-contiguous ``out``
@@ -124,30 +117,28 @@ def sample_gamma(shape: float, scale: float, rng: np.random.Generator, size=None
             for lo in range(0, flat.size, _BLOCK):
                 part = block[: flat.size - lo]
                 flat[lo : lo + part.size] += rng.standard_exponential(out=part)
-    out *= scale
+    out *= stage.gamma_scale
     return out
 
 
 def sample_link_gain(spec: LinkSpec, rng: np.random.Generator, size=None, out=None, work=None):
-    """Sample the squared gain of a cascaded link: the product of one
+    """Sample ``size`` squared gains of a cascaded link: the product of one
     gamma variate per stage, drawn in stage order.
 
     With ``out`` (a C-contiguous float64 array, whose shape is then the
     size) the gains are written there, bit-equal to the allocating call.
     A later stage is drawn in full into ``work``, an array like ``out``,
     and multiplied in; given ``work``, nothing of that size is allocated.
+    A gain past the float range is inf, which compares correctly with
+    every threshold, so the overflow is not reported.
     """
-    if out is None and size is None:
-        gain = 1.0
-        for stage in spec.stages:
-            gain = gain * sample_gamma(stage.gamma_shape, stage.gamma_scale, rng)
-        return gain
     if out is None:
         out = np.empty(size)
     first, *rest = spec.stages
-    sample_gamma(first.gamma_shape, first.gamma_scale, rng, out=out)
     if rest and work is None:
         work = np.empty_like(out)
-    for stage in rest:
-        out *= sample_gamma(stage.gamma_shape, stage.gamma_scale, rng, out=work)
+    with np.errstate(over="ignore"):
+        _sample_stage(first, rng, out)
+        for stage in rest:
+            out *= _sample_stage(stage, rng, work)
     return out

@@ -32,6 +32,7 @@ from .engine import (
     TrialConfig,
     _config_at,
     _simulate,
+    _standard_errors,
     _thread_count,
     db_to_linear,
     sweep,
@@ -358,11 +359,11 @@ def _check_points(args):
     if explicit:
         return [base], schemes, {}
     axes = _DEFAULT_CHECK_AXES
-    configs = [_config_at(base, "snr_db", snr) for snr in axes["snr_db"]]
-    configs = [_config_at(c, "zeta", zeta) for c in configs for zeta in axes["zeta"]]
+    # each grid point replaces fields of the checked base; _simulate validates it
     configs = [
-        _config_at(_config_at(c, "catalog_t", files), "cache_size", cache)
-        for c in configs
+        dataclasses.replace(base, rho=db_to_linear(snr), zeta=zeta, files=files, cache=cache)
+        for snr in axes["snr_db"]
+        for zeta in axes["zeta"]
         for files, cache in axes["files_cache"]
     ]
     return configs, schemes, {"axes": axes}
@@ -394,12 +395,16 @@ def _cmd_oracle_check(args) -> int:
                 policy=config.ordering,
             )
             max_abs_err = max(max_abs_err, oracle.abs_err)
-            for metric, p_mc, se in (
-                ("joint", est.p_joint, est.stderr_joint),
-                ("marg-product", est.p_marg_product, est.stderr_marg_product),
+            # a Monte Carlo count of 0 or n has stderr 0; such a row is
+            # judged by the stderr the oracle's probabilities give n trials
+            null_se = _standard_errors(oracle.p1, oracle.p2, oracle.p_joint, est.n)
+            for metric, p_mc, se, se_if_0 in (
+                ("joint", est.p_joint, est.stderr_joint, null_se[0]),
+                ("marg-product", est.p_marg_product, est.stderr_marg_product, null_se[1]),
             ):
                 p_or = oracle.value(metric)
                 delta = abs(p_mc - p_or)
+                se = se if se > 0 else se_if_0
                 ok = delta <= 4.0 * se
                 all_ok = all_ok and ok
                 z = 0.0 if delta == 0.0 else (delta / se if se > 0 else float("inf"))

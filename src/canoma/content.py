@@ -1,6 +1,6 @@
 """Content popularity and the one two-vehicle scenario-class table.
 
-Files 1..T at the base station carry a Zipf-derived popularity profile;
+Files 1..T at the base station carry a Zipf-derived popularity;
 every vehicle caches the top-C most popular files during the placement
 phase and requests one file per delivery trial.  A request's decode
 depends on two attributes of its file: which caches hold it (one of at
@@ -9,20 +9,21 @@ groups files by those attributes; a scenario class is one attribute per
 vehicle plus which vehicle is the strong one.  The Monte Carlo engine
 classifies trials by the table and the oracle weights its classes, so
 the cached contents enter both paths through this one table.  The
-per-trial placement and classification by set membership is the tests'
+per-trial placement, the T-long popularity profile, the inverse-CDF
+request map and the classification by set membership are the tests'
 reference.
 
 Both paths read the popularity CDF only at the table's few change
 points (:func:`zipf_cdf_at`).  Files 1..T0 are weighed one by one and
 the rest of any catalog is summed by the Euler-Maclaurin formula, so
-that CDF costs O(T0 + K) time and memory at any catalog size T; only
-:func:`zipf_profile`, the T-long profile the tests and the per-file
-request map read, grows with T.
+that CDF costs O(T0 + K) time and memory at any catalog size T: no
+array grows with T.
 
-Requests map from uniforms by inverse CDF on the cumulative probability
-table.  This is deliberate: under shared uniforms the requested index is
-monotone in the profile's concentration, which turns the trend claims of
-the study into deterministic per-trial comparisons.
+A uniform u requests file k iff the CDF at k - 1 is below u and the CDF
+at k is not (inverse CDF).  This is deliberate: under shared uniforms
+the requested index is monotone in the popularity's concentration, which
+turns the trend claims of the study into deterministic per-trial
+comparisons.
 """
 
 from __future__ import annotations
@@ -37,14 +38,9 @@ from .access import DecodeThresholds
 from .errors import ParameterError
 
 __all__ = [
-    "PopularityProfile",
     "ScenarioTable",
-    "zipf_profile",
     "zipf_cdf_at",
-    "request_from_uniform",
 ]
-
-_SUM_TOL = 1e-12
 
 # files 1..T0 are weighed one by one; the sum over the files above T0
 # takes the Euler-Maclaurin form, whose first omitted term is below
@@ -53,49 +49,6 @@ _HEAD_FILES = 10_000
 
 # the largest catalog whose every file index is exact in float arithmetic
 _MAX_FILES = 2**53
-
-
-class PopularityProfile:
-    """File-request probabilities over a catalog of T files.
-
-    Entries are non-negative, non-increasing in file index (file 1 is
-    the most popular) and sum to one within 1e-12.
-    """
-
-    def __init__(self, probs) -> None:
-        probs = np.asarray(probs, dtype=float)
-        if probs.ndim != 1 or probs.size < 1:
-            raise ParameterError("profile must be a non-empty 1-d probability vector")
-        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-            raise ParameterError("profile entries must be finite and non-negative")
-        if abs(probs.sum() - 1.0) > _SUM_TOL:
-            raise ParameterError(f"profile entries must sum to 1, got {probs.sum()!r}")
-        if np.any(probs[1:] > probs[:-1]):
-            raise ParameterError("profile entries must be non-increasing in file index")
-        self._probs = probs
-        self._probs.setflags(write=False)
-        cdf = np.cumsum(probs)
-        cdf[-1] = 1.0  # guard searchsorted against cumulative rounding
-        self._cdf = cdf
-        self._cdf.setflags(write=False)
-
-    @property
-    def t(self) -> int:
-        return int(self._probs.size)
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self._probs
-
-    @property
-    def cdf(self) -> np.ndarray:
-        return self._cdf
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PopularityProfile) and np.array_equal(self._probs, other._probs)
-
-    def __repr__(self) -> str:
-        return f"PopularityProfile(t={self.t})"
 
 
 def _zipf_exponent(catalog: int, zeta: float, convention: str) -> tuple[int, float]:
@@ -158,39 +111,27 @@ def _tail_sums(exponent: float, ends) -> np.ndarray:
 def _zipf_total(head: np.ndarray, exponent: float, t: int) -> float:
     """The Zipf normaliser, the sum of j^-s over files 1..T, from the
     weights of files 1..min(T, T0): their plain sum, plus the tail above
-    T0.  Profiles and CDF reads all take their normaliser from here."""
+    T0.  Every CDF read takes its normaliser from here."""
     total = head.sum()
     if t > _HEAD_FILES:
         total += _tail_sums(exponent, [t])[0]
     return total
 
 
-def zipf_profile(catalog: int, zeta: float, convention: str = "reciprocal") -> PopularityProfile:
-    """Zipf-derived popularity over files 1..T.
+def zipf_cdf_at(catalog: int, zeta: float, files, convention: str = "reciprocal") -> np.ndarray:
+    """P(request <= k) under the Zipf popularity of files 1..T for each
+    file index k of ``files`` (integers in 1..T), in O(T0 + K) time and
+    memory for K indices: no array grows with T.
 
     With the default ``reciprocal`` convention the rank exponent is
     1/zeta, so zeta -> 0 concentrates all mass on file 1 and large zeta
-    approaches a uniform profile.  ``direct`` exposes the textbook
-    convention (exponent = zeta) for cross-checks against other tools.
-    The profile is T long; :func:`zipf_cdf_at` reads its CDF at a few
-    files without building it.
-    """
-    t, exponent = _zipf_exponent(catalog, zeta, convention)
-    weights = _zipf_weights(t, exponent)
-    weights /= _zipf_total(weights[:_HEAD_FILES], exponent, t)
-    return PopularityProfile(weights)
-
-
-def zipf_cdf_at(catalog: int, zeta: float, files, convention: str = "reciprocal") -> np.ndarray:
-    """P(request <= k) under ``zipf_profile(catalog, zeta, convention)``
-    for each file index k of ``files`` (integers in 1..T), in O(T0 + K)
-    time and memory for K indices: no array grows with T.
-
-    Files 1..min(T, T0) are weighed, summed and accumulated as the
-    profile does, so at T <= T0 every value is bit-identical to
-    ``zipf_profile(...).cdf[k - 1]``.  Above T0 the normaliser and the
-    sum over files 1..k are the head's sum plus the Euler-Maclaurin
-    tail, each within 2e-15 relative of the exact sum.
+    approaches a uniform popularity; ``direct`` takes the textbook
+    exponent zeta, for cross-checks against other tools.  Files
+    1..min(T, T0) are weighed, normalised and accumulated one by one, so
+    at T <= T0 every value is the plain running sum of the normalised
+    weights.  Above T0 the normaliser and the sum over files 1..k are
+    the head's sum plus the Euler-Maclaurin tail, each within 2e-15
+    relative of the exact sum.
     """
     t, exponent = _zipf_exponent(catalog, zeta, convention)
     k = np.asarray(files, dtype=np.int64)
@@ -207,22 +148,8 @@ def zipf_cdf_at(catalog: int, zeta: float, files, convention: str = "reciprocal"
         # about 1e-14 of the normaliser) and may end above the first
         # tail value; flooring there keeps the CDF ascending
         cdf[past] = np.maximum(partial / total, head_cdf[-1])
-    cdf[k == t] = 1.0  # as the profile's last CDF entry
+    cdf[k == t] = 1.0  # the whole catalog, without the running sum's drift
     return cdf
-
-
-def request_from_uniform(profile: PopularityProfile, u):
-    """Inverse-CDF map from uniform draws in [0, 1) to file indices.
-
-    File k is returned iff cdf[k-1] < u <= cdf[k]; accepts scalars or
-    arrays.  The engine never forms a request; this per-file map is what
-    the coupled-monotonicity tests feed the same uniforms through.
-    """
-    idx = np.searchsorted(profile.cdf, u, side="left") + 1
-    idx = np.minimum(idx, profile.t)
-    if np.ndim(u) == 0:
-        return int(idx)
-    return idx.astype(np.int64)
 
 
 def _by_position(strong_is_1, v1, v2):
@@ -278,9 +205,9 @@ class ScenarioTable:
         return 2 * len(self.theta) ** 2
 
     def cdf_at_starts(self, zeta: float, convention: str = "reciprocal") -> np.ndarray:
-        """The Zipf CDF at file k - 1 for each change point k, ascending:
-        ``zipf_profile(T, zeta, convention).cdf[k - 2]`` without the
-        profile.  A request r(u) is >= k iff that value is below u, so a
+        """The Zipf CDF at file k - 1 for each change point k, ascending,
+        through :func:`zipf_cdf_at`.  A request r(u) is >= k iff that
+        value is below u, so a
         uniform's cell is the number of these values below it, and cell
         masses are their differences."""
         return zipf_cdf_at(self.files, zeta, self.starts - 1, convention)

@@ -15,7 +15,7 @@ size, catalog size, or the popularity parameter never changes the
 sampled gains, and requests always map through the inverse CDF of the
 same two uniforms.  A stage of integer fading shape m <= 3 is drawn
 as the sum of m exponentials, every other shape by numpy's gamma
-sampler (``channel.sample_gamma``).  The SFC64 streams and the
+sampler (``channel.sample_link_gain``).  The SFC64 streams and the
 exponential sums are a declared sampler change: they replaced Philox
 streams and ``standard_gamma`` at every shape, so every Monte Carlo row
 moved once, within its sampling error.
@@ -235,6 +235,21 @@ class ResultTable:
     rows: tuple[SweepRow, ...]
 
 
+def _standard_errors(p1: float, p2: float, p_joint: float, n: int) -> tuple[float, float]:
+    """(joint, marginal-product) standard errors of estimates from ``n``
+    trials of success probabilities ``p1``, ``p2`` and ``p_joint``: the
+    binomial one for the joint, and the delta method with the covariance
+    of the two marginals for their product."""
+    se_joint = math.sqrt(p_joint * (1.0 - p_joint) / n)
+    cov = (p_joint - p1 * p2) / n
+    var_mp = (
+        p2 * p2 * p1 * (1.0 - p1) / n
+        + p1 * p1 * p2 * (1.0 - p2) / n
+        + 2.0 * p1 * p2 * cov
+    )
+    return se_joint, math.sqrt(max(var_mp, 0.0))
+
+
 def summarize(successes: Sequence[int], n: int, metric: str = "marg-product") -> Estimate:
     """Aggregate (strong, weak, joint) success counts into an Estimate."""
     if metric not in METRICS:
@@ -250,14 +265,7 @@ def summarize(successes: Sequence[int], n: int, metric: str = "marg-product") ->
     p2 = s2 / n
     p_joint = s_joint / n
     p_mp = p1 * p2
-    se_joint = math.sqrt(p_joint * (1.0 - p_joint) / n)
-    cov = (p_joint - p1 * p2) / n
-    var_mp = (
-        p2 * p2 * p1 * (1.0 - p1) / n
-        + p1 * p1 * p2 * (1.0 - p2) / n
-        + 2.0 * p1 * p2 * cov
-    )
-    se_mp = math.sqrt(max(var_mp, 0.0))
+    se_joint, se_mp = _standard_errors(p1, p2, p_joint, n)
     p_hat, se = (p_joint, se_joint) if metric == "joint" else (p_mp, se_mp)
     return Estimate(
         metric=metric,

@@ -1,5 +1,6 @@
 """SINR-level reference decoders for the tests: general-N NOMA and OMA
-from one trial's requests and cache contents.
+from one trial's requests and cache contents, and the T-long Zipf
+popularity they are drawn from.
 
 The library decodes two vehicles through one rule,
 ``canoma.access.gain_thresholds``: per scenario class, "strong gain >= a
@@ -7,7 +8,10 @@ and weak gain >= b".  The Monte Carlo engine and the oracle both apply
 it, so their agreement cannot catch a fault in the rule itself.  The
 scalar decoders here work at SINR level instead, from each vehicle's
 requested file, its cache contents and the power ladder, and the tests
-hold the rule (and through it both paths) to them.
+hold the rule (and through it both paths) to them.  The popularity here
+is the plain T-long one: every file weighed, normalised by the sum over
+all T files and accumulated, with requests mapped from uniforms through
+its CDF; the library's O(T0 + K) CDF reads are checked against it.
 
 To stay independent this module imports only data types and errors from
 ``canoma``, never the rule, the engine or the oracle; a test checks that.
@@ -43,7 +47,6 @@ from canoma import (
     DecodeThresholds,
     LinkSpec,
     ParameterError,
-    PopularityProfile,
 )
 
 # Positions (strongest first) -> vehicle indices.
@@ -104,6 +107,32 @@ class Outcome:
     ok: tuple[bool, ...]
 
 
+class PopularityProfile:
+    """Request probabilities of files 1..T, most popular first, and their
+    running sum, whose last entry is 1."""
+
+    def __init__(self, probs) -> None:
+        self.probs = np.asarray(probs, dtype=float)
+        self.t = len(self.probs)
+        self.cdf = np.cumsum(self.probs)
+        self.cdf[-1] = 1.0  # the whole catalog, without the running sum's drift
+
+
+def zipf_profile(catalog: int, zeta: float, convention: str = "reciprocal") -> PopularityProfile:
+    """Zipf popularity over files 1..T: rank exponent 1/zeta under the
+    ``reciprocal`` convention, zeta under ``direct``."""
+    exponent = 1.0 / zeta if convention == "reciprocal" else zeta
+    weights = np.arange(1, catalog + 1, dtype=float) ** -exponent
+    return PopularityProfile(weights / weights.sum())
+
+
+def request_from_uniform(profile: PopularityProfile, u):
+    """Inverse-CDF map from uniforms in [0, 1) to file indices: file k
+    iff cdf[k-2] < u <= cdf[k-1].  Scalar for a scalar ``u``."""
+    idx = np.minimum(np.searchsorted(profile.cdf, u, side="left") + 1, profile.t)
+    return int(idx) if np.ndim(u) == 0 else idx.astype(np.int64)
+
+
 def place_cache(profile: PopularityProfile, capacity: int) -> CacheContents:
     """Deterministic top-C placement: cache files {1, ..., capacity}."""
     if not isinstance(capacity, Integral) or capacity < 0:
@@ -114,10 +143,8 @@ def place_cache(profile: PopularityProfile, capacity: int) -> CacheContents:
 
 
 def sample_request(profile: PopularityProfile, rng: np.random.Generator, size=None):
-    """Sample file indices from the profile by inverse CDF: file k is drawn
-    iff cdf[k-1] < u <= cdf[k]."""
-    idx = np.minimum(np.searchsorted(profile.cdf, rng.random(size), side="left") + 1, profile.t)
-    return int(idx) if size is None else idx.astype(np.int64)
+    """Sample file indices from the profile by inverse CDF."""
+    return request_from_uniform(profile, rng.random(size))
 
 
 def classify_scenario(requests, caches) -> CacheScenario:
@@ -149,6 +176,11 @@ def theta_for(thresholds: DecodeThresholds, file: int) -> float:
         if f == file:
             return theta
     return thresholds.default
+
+
+def threshold_table(thresholds: DecodeThresholds, t: int) -> np.ndarray:
+    """The thresholds of files 1..t, file f at index f - 1."""
+    return np.array([theta_for(thresholds, f) for f in range(1, t + 1)])
 
 
 def order_users(gains: Sequence[float], policy: str = "by-gain") -> UserOrdering:

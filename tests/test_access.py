@@ -15,6 +15,7 @@ from reference import (
     order_users,
     split_power,
     theta_for,
+    threshold_table,
 )
 
 UNIT_THETA = DecodeThresholds()
@@ -109,7 +110,7 @@ class TestDecodeThresholds:
         th = DecodeThresholds(default=1.0, overrides=((3, 0.5),))
         assert theta_for(th, 3) == 0.5
         assert theta_for(th, 4) == 1.0
-        np.testing.assert_allclose(th.table(4), [1.0, 1.0, 0.5, 1.0])
+        np.testing.assert_allclose(threshold_table(th, 4), [1.0, 1.0, 0.5, 1.0])
 
     def test_rejects_non_positive(self):
         with pytest.raises(ParameterError):

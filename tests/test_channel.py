@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from canoma import (
     NakagamiStage,
     ParameterError,
     product_gain_ccdf,
-    sample_gamma,
     sample_link_gain,
 )
+from canoma.channel import _sample_stage
 from reference import mean_link_gain
 
 PAPER_LINK = LinkSpec.from_pairs([(1, 1), (2, 2)])
@@ -26,6 +27,14 @@ def engine_rng(seed):
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
 
 
+def draw_gamma(shape, scale, rng, size):
+    """Gamma(shape, scale) variates of the stage that has them; a size of
+    None draws one variate into a 0-d array."""
+    stage = NakagamiStage(shape, shape * scale)
+    assert stage.gamma_scale == scale
+    return _sample_stage(stage, rng, np.empty(() if size is None else size))
+
+
 @pytest.mark.parametrize("m,omega", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.nan, 1.0)])
 def test_stage_rejects_bad_parameters(m, omega):
     with pytest.raises(ParameterError):
@@ -37,25 +46,37 @@ def test_link_spec_rejects_empty():
         LinkSpec(stages=())
 
 
-@pytest.mark.parametrize("shape,scale", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -1.0)])
-def test_sample_gamma_rejects_bad_parameters(shape, scale):
-    with pytest.raises(ParameterError):
-        sample_gamma(shape, scale, make_rng())
+# omega / m is the gamma scale every draw of the stage is multiplied by
+@pytest.mark.parametrize("m,omega", [(1e300, 1e-300), (1e-300, 1e300)])
+def test_stage_rejects_a_gamma_scale_outside_the_float_range(m, omega):
+    with pytest.raises(ParameterError, match="omega/m must be positive and finite"):
+        NakagamiStage(m, omega)
+    # so no link that success_prob or the engine is given can hold it
+    with pytest.raises(ParameterError, match="omega/m"):
+        LinkSpec.from_pairs([(1, 1), (m, omega)])
+
+
+def test_a_gain_past_the_float_range_is_inf_without_a_warning():
+    spec = LinkSpec.from_pairs([(1, 1e300), (2, 1e300)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = sample_link_gain(spec, make_rng(), size=10_000)
+    assert np.isinf(draws).any() and not np.isnan(draws).any()
 
 
 def test_gamma_unit_mean():
-    draws = sample_gamma(1.0, 1.0, make_rng(), size=1_000_000)
+    draws = draw_gamma(1.0, 1.0, make_rng(), size=1_000_000)
     assert abs(draws.mean() - 1.0) < 0.005
 
 
 def test_gamma_mean_shape_scale():
-    draws = sample_gamma(2.0, 2.0, make_rng(), size=1_000_000)
+    draws = draw_gamma(2.0, 2.0, make_rng(), size=1_000_000)
     assert abs(draws.mean() - 4.0) < 0.02
 
 
 def test_gamma_exponential_tail():
     # shape 1 is the exponential distribution: P(X > 1) = exp(-1)
-    draws = sample_gamma(1.0, 1.0, make_rng(), size=1_000_000)
+    draws = draw_gamma(1.0, 1.0, make_rng(), size=1_000_000)
     assert abs((draws > 1.0).mean() - math.exp(-1.0)) < 0.0015
 
 
@@ -135,7 +156,7 @@ def test_empirical_cdf_matches_quadrature_ccdf():
 @pytest.mark.parametrize("size", [None, 1, 8193, 20_000])
 def test_integer_shape_is_a_sum_of_full_exponential_draws(m, size):
     rng_a, rng_b = engine_rng(17), engine_rng(17)
-    got = sample_gamma(float(m), 0.75, rng_a, size=size)
+    got = draw_gamma(float(m), 0.75, rng_a, size=size)
     want = sum(rng_b.standard_exponential(size) for _ in range(m)) * 0.75
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     # and the generator is left where m full exponential draws leave it
@@ -145,7 +166,7 @@ def test_integer_shape_is_a_sum_of_full_exponential_draws(m, size):
 @pytest.mark.parametrize("shape", [0.5, 2.5, 4.0, 7.0])
 def test_other_shapes_are_standard_gamma_draws(shape):
     rng_a, rng_b = engine_rng(18), engine_rng(18)
-    got = sample_gamma(shape, 0.75, rng_a, size=20_000)
+    got = draw_gamma(shape, 0.75, rng_a, size=20_000)
     assert got.tobytes() == (rng_b.standard_gamma(shape, 20_000) * 0.75).tobytes()
     assert repr(rng_a.bit_generator.state) == repr(rng_b.bit_generator.state)
 
@@ -155,7 +176,7 @@ def test_exceedance_matches_the_gamma_tail_down_to_1e_5(shape):
     # 1e6 draws of Gamma(m, 1/m), the stage of spread 1; at each tail
     # probability p the count above the exact quantile is binomial(n, p)
     n, scale = 1_000_000, 1.0 / shape
-    draws = sample_gamma(shape, scale, engine_rng(int(shape * 10)), size=n)
+    draws = draw_gamma(shape, scale, engine_rng(int(shape * 10)), size=n)
     for p in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
         level = gammainccinv(shape, p) * scale
         assert gammaincc(shape, level / scale) == pytest.approx(p, rel=1e-9)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import canoma.cli as cli
 import canoma.engine as engine
+import canoma.oracle as oracle
 from canoma import ScenarioTable, TrialConfig, __version__
 from canoma.cli import main
 
@@ -95,6 +97,21 @@ class TestPoint:
         code, _, err = run_cli(["point", "--link-spec", "1,1,2"])
         assert code == 2
         assert "--link-spec" in err
+
+    @pytest.mark.parametrize("spec", ["1e300,1e-300,1,1", "1e-300,1e300,1,1"])
+    def test_stage_scale_outside_the_float_range_names_the_flag(self, monkeypatch, spec):
+        monkeypatch.setattr(engine, "_run_chunk", None)  # no draw may start
+        code, out, err = run_cli(["point", "--link-spec", spec, "--trials", "65536"])
+        assert code == 2
+        assert err.startswith("error: --link-spec: stage scale omega/m must be positive")
+        assert out == ""
+
+    def test_gain_past_the_float_range_runs_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["point", "--link-spec", "1,1e300,2,1e300", "--trials", "65536"])
+        assert code == 0 and err == ""
+        assert len(data_rows(out)) == 2
 
     def test_unknown_scheme_is_usage_error(self):
         code, _, _ = run_cli(["point", "--scheme", "tdma"])
@@ -309,6 +326,36 @@ class TestOracleCheck:
         code, _, _ = run_cli(["oracle-check", "--trials", "1000"])
         assert code == 0
         assert 0 < len(built) <= len({id(c) for c in validated})
+        # the base, the 60 grid configs, and the oracle's 4 per grid config
+        assert len(built) <= 1 + 60 + 240
+
+    @pytest.mark.parametrize(
+        "flags,n_rows", [(["--snr-db", "300"], 8), (["--theta", "1e-300"], 480)]
+    )
+    def test_rows_of_zero_monte_carlo_stderr_are_judged_by_the_oracle(self, flags, n_rows):
+        # every trial succeeds, so p_mc is 1 and its binomial stderr 0,
+        # while the oracle is below 1 by rounding
+        code, out, _ = run_cli(["oracle-check", *flags, "--trials", "65536"])
+        assert code == 0
+        rows = [r.split(",") for r in data_rows(out)[1:]]
+        assert len(rows) == n_rows and all(r[-1] == "pass" for r in rows)
+        certain = [r for r in rows if float(r[6]) == 1.0]
+        assert len(certain) >= 8
+        # each prints the stderr it was judged by, 0 only where the oracle is 1 too
+        assert all(float(r[8]) < 1e-6 and float(r[9]) < 1e-3 for r in certain)
+        assert any(float(r[8]) > 0 for r in certain)
+
+    def test_certain_monte_carlo_row_against_an_uncertain_oracle_fails(self, monkeypatch):
+        monkeypatch.setattr(
+            oracle, "success_prob", lambda *a, **k: oracle.OracleResult(0.99, 0.99, 0.99, 0.9801)
+        )
+        code, out, _ = run_cli(
+            ["oracle-check", "--scheme", "canoma", "--snr-db", "300", "--trials", "65536"]
+        )
+        assert code == 3
+        rows = [r.split(",") for r in data_rows(out)[1:]]
+        assert [r[6] for r in rows] == ["1", "1"]
+        assert all(r[-1] == "FAIL" and float(r[9]) > 4 for r in rows)
 
     def test_quadrature_error_is_reported(self):
         _, out, _ = run_cli(

@@ -6,24 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canoma import (
-    DecodeThresholds,
-    ParameterError,
-    PopularityProfile,
-    ScenarioTable,
-    request_from_uniform,
-    zipf_cdf_at,
-    zipf_profile,
-)
+from canoma import DecodeThresholds, ParameterError, ScenarioTable, zipf_cdf_at
 import canoma.content as content
 from canoma.content import _HEAD_FILES as HEAD
 from canoma.oracle import _class_weights
 from reference import (
     CacheContents,
+    PopularityProfile,
     classify_scenario,
     place_cache,
+    request_from_uniform,
     sample_request,
     theta_for,
+    zipf_profile,
 )
 
 
@@ -31,27 +26,33 @@ def make_rng(seed=1):
     return np.random.Generator(np.random.Philox(seed))
 
 
+def masses(cdf):
+    """Per-file request probabilities from the CDF at files 1..T."""
+    return np.diff(cdf, prepend=0.0)
+
+
 class TestZipfProfile:
+    """The Zipf popularity that ``zipf_cdf_at`` reads, and the checks of its
+    catalog, zeta and convention (``content._zipf_exponent``)."""
+
     def test_harmonic_case(self):
-        profile = zipf_profile(3, 1.0)
-        np.testing.assert_allclose(profile.probs, [6 / 11, 3 / 11, 2 / 11], rtol=1e-14)
+        cdf = zipf_cdf_at(3, 1.0, [1, 2, 3])
+        np.testing.assert_allclose(masses(cdf), [6 / 11, 3 / 11, 2 / 11], rtol=1e-14)
 
     def test_uniform_limit_for_large_zeta(self):
-        profile = zipf_profile(4, 1e9)
-        np.testing.assert_allclose(profile.probs, [0.25] * 4, atol=1e-6)
+        np.testing.assert_allclose(masses(zipf_cdf_at(4, 1e9, [1, 2, 3, 4])), [0.25] * 4, atol=1e-6)
 
     def test_concentration_limit_for_small_zeta(self):
-        profile = zipf_profile(100, 1e-3)
-        assert profile.probs[0] > 0.999
+        assert zipf_cdf_at(100, 1e-3, [1])[0] > 0.999
 
     def test_direct_convention_uses_plain_exponent(self):
-        profile = zipf_profile(3, 2.0, convention="direct")
-        np.testing.assert_allclose(profile.probs, [36 / 49, 9 / 49, 4 / 49], rtol=1e-14)
+        cdf = zipf_cdf_at(3, 2.0, [1, 2, 3], convention="direct")
+        np.testing.assert_allclose(masses(cdf), [36 / 49, 9 / 49, 4 / 49], rtol=1e-14)
 
     @pytest.mark.parametrize("t,zeta", [(0, 1.0), (3, 0.0), (3, -1.0), (3, math.nan)])
     def test_rejects_bad_parameters(self, t, zeta):
         with pytest.raises(ParameterError):
-            zipf_profile(t, zeta)
+            zipf_cdf_at(t, zeta, [1])
 
     @pytest.mark.parametrize(
         "t,zeta", [(2.5, 0.8), (2.0, 0.8), (True, 0.8), ("3", 0.8), (3, True), (3, "0.8")]
@@ -59,33 +60,31 @@ class TestZipfProfile:
     def test_refuses_what_validate_refuses(self, t, zeta):
         # a float or bool catalog must not run as int(t) files, nor a bool zeta as 1.0
         with pytest.raises(ParameterError):
-            zipf_profile(t, zeta)
+            zipf_cdf_at(t, zeta, [1])
 
     def test_accepts_numpy_numbers(self):
-        assert zipf_profile(np.int64(3), np.float64(1.0)) == zipf_profile(3, 1.0)
-        assert zipf_profile(np.uint16(3), 1.0) == zipf_profile(3, 1.0)
+        want = zipf_cdf_at(3, 1.0, [1, 2, 3])
+        assert np.array_equal(zipf_cdf_at(np.int64(3), np.float64(1.0), [1, 2, 3]), want)
+        assert np.array_equal(zipf_cdf_at(np.uint16(3), 1.0, [1, 2, 3]), want)
 
     def test_rejects_unknown_convention(self):
         with pytest.raises(ParameterError):
-            zipf_profile(3, 1.0, convention="zipfian")
+            zipf_cdf_at(3, 1.0, [1], convention="zipfian")
 
     @pytest.mark.parametrize("zeta", [0.01, 0.5, 0.8, 1.0, 2.0])
     @pytest.mark.parametrize("convention", ["reciprocal", "direct"])
     def test_bits_equal_the_plain_expression(self, zeta, convention):
-        # the in-place build must not move a bit of the profile or its CDF:
-        # the tests' request map compares uniforms with CDF values.  Up to
+        # the in-place build must not move a bit of the head's CDF.  Up to
         # T0 files the normaliser is the plain sum; above, the files past
         # T0 are summed by the Euler-Maclaurin tail
         exponent = 1.0 / zeta if convention == "reciprocal" else zeta
         for t in (HEAD, 50_000):
-            weights = np.arange(1, t + 1, dtype=float) ** (-exponent)
+            head = np.arange(1, HEAD + 1, dtype=float) ** (-exponent)
+            total = head.sum() if t == HEAD else content._zipf_total(head, exponent, t)
+            want = np.cumsum(head / total)
             if t == HEAD:
-                plain = weights / weights.sum()
-            else:
-                plain = weights / content._zipf_total(weights[:HEAD], exponent, t)
-            profile = zipf_profile(t, zeta, convention)
-            assert np.array_equal(profile.probs, plain)
-            assert np.array_equal(profile.cdf[:-1], np.cumsum(plain)[:-1])
+                want[-1] = 1.0
+            assert np.array_equal(zipf_cdf_at(t, zeta, np.arange(1, HEAD + 1), convention), want)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -93,6 +92,7 @@ class TestZipfProfile:
         zeta=st.floats(min_value=1e-3, max_value=1e3),
     )
     def test_normalised_and_non_increasing(self, t, zeta):
+        # the tests' T-long reference profile
         profile = zipf_profile(t, zeta)
         assert abs(profile.probs.sum() - 1.0) <= 1e-12
         assert np.all(np.diff(profile.probs) <= 0)
@@ -187,20 +187,6 @@ class TestZipfCdfAt:
     def test_rejects_bad_catalogs(self, catalog):
         with pytest.raises(ParameterError, match="catalog size"):
             zipf_cdf_at(catalog, 0.8, [1])
-
-
-class TestProfileValidation:
-    def test_rejects_increasing_entries(self):
-        with pytest.raises(ParameterError):
-            PopularityProfile([0.2, 0.8])
-
-    def test_rejects_unnormalised(self):
-        with pytest.raises(ParameterError):
-            PopularityProfile([0.5, 0.4])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ParameterError):
-            PopularityProfile([1.2, -0.2])
 
 
 class TestPlaceCache:

@@ -24,11 +24,8 @@ from canoma import (
     success_prob,
     summarize,
     sweep,
-    zipf_profile,
 )
-import canoma.content as content
 import canoma.engine as engine
-from canoma.content import request_from_uniform
 from canoma.engine import CHUNK
 from reference import (
     CacheContents,
@@ -36,7 +33,10 @@ from reference import (
     decode_noma,
     decode_oma,
     order_users,
+    request_from_uniform,
     split_power,
+    threshold_table,
+    zipf_profile,
 )
 
 
@@ -449,7 +449,7 @@ class TestEngineMatchesScalarPath:
         if over is MANY_LEVELS:
             # the largest table validate accepts, with over 100 of its levels requested
             assert ScenarioTable.of(cfg.files, cfg.capacities, cfg.thresholds).size == 65522
-            requested = cfg.thresholds.table(cfg.files)[np.concatenate([r1, r2]) - 1]
+            requested = threshold_table(cfg.thresholds, cfg.files)[np.concatenate([r1, r2]) - 1]
             assert len(set(requested)) > 100
         caches = tuple(
             CacheContents(frozenset(range(1, c + 1)), c) for c in cfg.capacities
@@ -501,16 +501,6 @@ class TestClassTableBound:
 
 
 class TestClassesFromBreakpoints:
-    def test_no_request_is_formed(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a request was formed")
-
-        monkeypatch.setattr(content, "request_from_uniform", refuse)
-        monkeypatch.setattr(engine, "request_from_uniform", refuse, raising=False)
-        cfg = config(n_trials=CHUNK + 5, thresholds=DecodeThresholds(1.0, ((1, 0.5), (3, 2.0))))
-        run_point_multi(cfg, SCHEMES)
-        sweep(cfg, "catalog_t", [10, 50], SCHEMES)
-
     def test_chunk_task_carries_no_catalog(self, monkeypatch):
         # a T-long profile would be 16 MB at T = 1e6
         sizes = []
