@@ -21,14 +21,11 @@ from .engine import (
     METRICS,
     DEFAULT_LINK_SPEC,
     Estimate,
-    ResultTable,
-    SweepRow,
     TrialConfig,
     db_to_linear,
     run_point,
     run_point_multi,
     summarize,
-    sweep,
 )
 from .errors import CanomaError, OracleUnsupportedError, ParameterError
 
@@ -67,13 +64,10 @@ __all__ = [
     "DEFAULT_LINK_SPEC",
     "TrialConfig",
     "Estimate",
-    "SweepRow",
-    "ResultTable",
     "db_to_linear",
     "summarize",
     "run_point",
     "run_point_multi",
-    "sweep",
 ]
 
 

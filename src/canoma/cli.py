@@ -30,12 +30,10 @@ from .engine import (
     CHUNK,
     METRICS,
     TrialConfig,
-    _config_at,
     _simulate,
     _standard_errors,
     _thread_count,
     db_to_linear,
-    sweep,
 )
 from .errors import OracleUnsupportedError, ParameterError
 
@@ -44,12 +42,20 @@ __all__ = ["main", "entry"]
 _HEADER = "param,value,scheme,metric,p_joint,p_marg_product,p1,p2,stderr_joint,trials,seed"
 _ORACLE_HEADER = "snr_db,zeta,files,cache,scheme,metric,p_mc,p_oracle,stderr,z,status"
 
-# CLI sweep names -> engine parameter names
-_SWEEP_NAMES = {
-    "snr_db": "snr_db",
-    "cache": "cache_size",
-    "zeta": "zeta",
-    "files": "catalog_t",
+
+def _integral(value) -> int:
+    v = int(value)
+    if v != value:
+        raise ParameterError("must be an integer")
+    return v
+
+
+# --sweep name -> (CSV param, TrialConfig field, grid value -> field value)
+_AXES = {
+    "snr_db": ("snr_db", "rho", lambda v: db_to_linear(float(v))),
+    "cache": ("cache_size", "cache", _integral),
+    "zeta": ("zeta", "zeta", float),
+    "files": ("catalog_t", "files", _integral),
 }
 
 # TrialConfig field -> the flag that sets it
@@ -102,12 +108,13 @@ def _parse_schemes(text: str) -> tuple[str, ...]:
     return names
 
 
-def _add_model_flags(sp: argparse.ArgumentParser, defaults: bool = True) -> None:
-    d = (lambda v: v) if defaults else (lambda v: None)
-    sp.add_argument("--snr-db", type=float, default=d(10.0), help="total transmit SNR in dB")
-    sp.add_argument("--zeta", type=float, default=d(0.8), help="popularity parameter")
-    sp.add_argument("--files", type=int, default=d(10), help="catalog size T")
-    sp.add_argument("--cache", type=int, default=d(0), help="per-vehicle cache capacity C")
+def _add_model_flags(sp: argparse.ArgumentParser) -> None:
+    # the four model flags default to the TrialConfig defaults, and a bare
+    # oracle-check tells them apart from given values
+    sp.add_argument("--snr-db", type=float, help="total transmit SNR in dB")
+    sp.add_argument("--zeta", type=float, help="popularity parameter")
+    sp.add_argument("--files", type=int, help="catalog size T")
+    sp.add_argument("--cache", type=int, help="per-vehicle cache capacity C")
     sp.add_argument("--alpha", type=float, default=0.2, help="power fraction of the strong vehicle")
     sp.add_argument("--theta", type=float, default=1.0, help="SINR threshold (all files)")
     sp.add_argument("--trials", type=int, default=1_000_000, help="Monte Carlo trials")
@@ -143,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter over a grid")
     p_sweep.add_argument("--schemes", default="canoma", help="comma-separated scheme list")
-    p_sweep.add_argument("--sweep", choices=sorted(_SWEEP_NAMES), required=True)
+    p_sweep.add_argument("--sweep", choices=sorted(_AXES), required=True)
     p_sweep.add_argument("--grid", required=True, help="comma-separated grid values")
     _add_model_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -155,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--scheme", choices=list(SCHEMES), default=None)
     p_check.add_argument("--schemes", default=None, help="comma-separated scheme list")
-    p_check.add_argument("--sweep", choices=sorted(_SWEEP_NAMES), default=None)
+    p_check.add_argument("--sweep", choices=sorted(_AXES), default=None)
     p_check.add_argument("--grid", default=None, help="comma-separated grid values")
     p_check.add_argument(
         "--oracle-alpha",
@@ -163,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="verification hook: feed this alpha to the oracle side only",
     )
-    _add_model_flags(p_check, defaults=False)
+    _add_model_flags(p_check)
     p_check.set_defaults(func=_cmd_oracle_check)
 
     p_version = sub.add_parser("version", help="print the tool version")
@@ -179,48 +186,82 @@ def _blame(flag: str, build, *args):
         raise UsageError(f"{flag}: {exc}") from None
 
 
-def _config_from(args, scheme: str, parameter: str | None = None, values=()) -> TrialConfig:
-    """The configuration the flags give, checked.
+def _flag_error(exc: ParameterError) -> Exception:
+    """``exc`` blamed on the flag that sets its field, if a flag does."""
+    if exc.field not in _FIELD_FLAGS:
+        return exc
+    return UsageError(f"{_FIELD_FLAGS[exc.field]}: {exc}")
 
-    Under a sweep of ``parameter`` the swept field is taken from the grid:
-    the flags need only hold at every grid value, and a failure is blamed
-    on a flag only when the flags fail the same way without the grid.
+
+def _grid_configs(config: TrialConfig, sweep: str, grid) -> list[TrialConfig]:
+    """``config`` at each value of ``grid`` on the ``sweep`` axis, in grid
+    order, each checked.  A failure is blamed on a flag only when
+    ``config`` fails the same way without the grid."""
+    param, name, convert = _AXES[sweep]
+    configs = []
+    for value in grid:
+        try:
+            at_value = dataclasses.replace(config, **{name: convert(value)})
+            at_value.validate()
+        except (TypeError, ValueError, OverflowError) as exc:
+            try:
+                config.validate()
+            except ParameterError as flag_exc:
+                if str(flag_exc) == str(exc):
+                    raise _flag_error(flag_exc) from None
+            raise ParameterError(f"grid value {value!r} invalid for {param}: {exc}") from None
+        configs.append(at_value)
+    return configs
+
+
+def _configs(args, scheme: str, bare: bool = False):
+    """The command's configurations, each checked once, and the
+    ``_manifest`` keywords that record the grid they span: the flags'
+    own configuration; under ``--sweep``, one per grid value in grid
+    order; for a ``bare`` oracle-check, the default criterion grid.
+
+    A model flag left unset keeps its ``TrialConfig`` default.  Under a
+    sweep the swept field is taken from the grid, so the flags need only
+    hold at every grid value.
     """
+    sweep = getattr(args, "sweep", None)
+    grid = None if sweep is None else _parse_grid(args.grid, sweep)
     if args.workers is not None and args.workers < 1:
         raise UsageError(f"--workers must be a positive integer, got {args.workers}")
     base = _parse_link_spec(args.link_spec, "--link-spec")
     link1 = _parse_link_spec(args.link_spec_1, "--link-spec-1") if args.link_spec_1 else base
     link2 = _parse_link_spec(args.link_spec_2, "--link-spec-2") if args.link_spec_2 else base
+    model = {"files": args.files, "zeta": args.zeta, "cache": args.cache}
+    if args.snr_db is not None:
+        model["rho"] = _blame("--snr-db", db_to_linear, args.snr_db)
     config = TrialConfig(
         n_trials=args.trials,
         seed=args.seed,
         scheme=scheme,
-        files=args.files,
-        zeta=args.zeta,
-        cache=args.cache,
         alpha=args.alpha,
-        rho=_blame("--snr-db", db_to_linear, args.snr_db),
         thresholds=_blame("--theta", DecodeThresholds, args.theta),
         link_specs=(link1, link2),
         ordering=args.ordering,
         metric=args.metric,
+        **{name: value for name, value in model.items() if value is not None},
     )
+    if grid is not None:
+        return _grid_configs(config, sweep, grid), {"grid": grid}
     try:
         config.validate()
-        return config
     except ParameterError as exc:
-        flag_error = exc
-    if parameter is not None:
-        try:
-            for value in values:
-                _config_at(config, parameter, value)
-            return config  # the flags hold at every grid value
-        except ParameterError as exc:
-            if str(exc.__cause__) != str(flag_error):
-                raise  # a grid value's own failure
-    if flag_error.field not in _FIELD_FLAGS:
-        raise flag_error
-    raise UsageError(f"{_FIELD_FLAGS[flag_error.field]}: {flag_error}") from None
+        raise _flag_error(exc) from None
+    if not bare:
+        return [config], {}
+    axes = _DEFAULT_CHECK_AXES
+    # each grid point replaces fields of the checked flags; _simulate validates it
+    configs = [
+        dataclasses.replace(config, rho=db_to_linear(snr), zeta=zeta, files=files, cache=cache)
+        for snr in axes["snr_db"]
+        for zeta in axes["zeta"]
+        for files, cache in axes["files_cache"]
+    ]
+    return configs, {"axes": axes}
 
 
 def _manifest(
@@ -273,35 +314,41 @@ def _write(lines) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _write_table(args, config: TrialConfig, schemes: tuple[str, ...], table, grid=None) -> None:
-    lines = _manifest(args, config, schemes, grid)
+def _write_table(args, param: str, values, configs, schemes: tuple[str, ...], **recorded):
+    """Run ``configs``, the configurations at ``values`` of ``param``, in
+    one pass, and write a row per distinct value and scheme, sorted by
+    value, then scheme."""
+    points = sorted(dict(zip(map(float, values), configs)).items())
+    results = _simulate([config for _, config in points], schemes, args.workers)
+    lines = _manifest(args, configs[0], schemes, **recorded)
     lines.append(_HEADER)
-    for row in table.rows:
-        lines.append(
-            ",".join(
-                [
-                    row.param,
-                    _fmt(row.value),
-                    row.scheme,
-                    row.metric,
-                    _fmt(row.p_joint),
-                    _fmt(row.p_marg_product),
-                    _fmt(row.p1),
-                    _fmt(row.p2),
-                    _fmt(row.stderr_joint),
-                    str(row.trials),
-                    str(row.seed),
-                ]
+    for (value, config), estimates in zip(points, results):
+        for scheme in sorted(schemes):
+            est = estimates[scheme][0]
+            lines.append(
+                ",".join(
+                    [
+                        param,
+                        _fmt(value),
+                        scheme,
+                        config.metric,
+                        _fmt(est.p_joint),
+                        _fmt(est.p_marg_product),
+                        _fmt(est.p1),
+                        _fmt(est.p2),
+                        _fmt(est.stderr_joint),
+                        str(config.n_trials),
+                        str(config.seed),
+                    ]
+                )
             )
-        )
     _write(lines)
 
 
 def _cmd_point(args) -> int:
-    # a point is the one-value SNR sweep at its own configuration
-    config = _config_from(args, args.scheme)
-    table = sweep(config, "snr_db", [args.snr_db], (args.scheme,), workers=args.workers)
-    _write_table(args, config, (args.scheme,), table)
+    (config,), _ = _configs(args, args.scheme)
+    value = config.snr_db if args.snr_db is None else args.snr_db
+    _write_table(args, "snr_db", [value], [config], (args.scheme,))
     return 0
 
 
@@ -320,21 +367,14 @@ def _parse_grid(text: str, cli_param: str) -> list:
 
 def _cmd_sweep(args) -> int:
     schemes = _parse_schemes(args.schemes)
-    parameter = _SWEEP_NAMES[args.sweep]
-    values = _parse_grid(args.grid, args.sweep)
-    config = _config_from(args, schemes[0], parameter, values)
-    table = sweep(config, parameter, values, schemes, workers=args.workers)
-    _write_table(args, config, schemes, table, values)
+    configs, recorded = _configs(args, schemes[0])
+    _write_table(args, _AXES[args.sweep][0], recorded["grid"], configs, schemes, **recorded)
     return 0
 
 
-def _check_points(args):
-    """Resolve the oracle-check schemes, the configurations to check and
-    the manifest's record of the grid they span, as ``_manifest`` keywords."""
-    explicit = any(
-        v is not None
-        for v in (args.snr_db, args.zeta, args.files, args.cache, args.scheme, args.schemes)
-    )
+def _cmd_oracle_check(args) -> int:
+    from .oracle import _success_prob  # scipy loads for this command only
+
     if args.schemes is not None:
         schemes = _parse_schemes(args.schemes)
     elif args.scheme is not None:
@@ -345,55 +385,21 @@ def _check_points(args):
         raise UsageError("--sweep needs --grid")
     if args.grid is not None and args.sweep is None:
         raise UsageError("--grid needs --sweep")
-
-    args.snr_db = 10.0 if args.snr_db is None else args.snr_db
-    args.zeta = 0.8 if args.zeta is None else args.zeta
-    args.files = 10 if args.files is None else args.files
-    args.cache = 0 if args.cache is None else args.cache
-    if args.sweep is not None:
-        parameter = _SWEEP_NAMES[args.sweep]
-        values = _parse_grid(args.grid, args.sweep)
-        base = _config_from(args, schemes[0], parameter, values)
-        return [_config_at(base, parameter, v) for v in values], schemes, {"grid": values}
-    base = _config_from(args, schemes[0])
-    if explicit:
-        return [base], schemes, {}
-    axes = _DEFAULT_CHECK_AXES
-    # each grid point replaces fields of the checked base; _simulate validates it
-    configs = [
-        dataclasses.replace(base, rho=db_to_linear(snr), zeta=zeta, files=files, cache=cache)
-        for snr in axes["snr_db"]
-        for zeta in axes["zeta"]
-        for files, cache in axes["files_cache"]
-    ]
-    return configs, schemes, {"axes": axes}
-
-
-def _cmd_oracle_check(args) -> int:
-    from .oracle import success_prob  # scipy loads for this command only
-
-    configs, schemes, recorded_grid = _check_points(args)
+    given = (args.sweep, args.snr_db, args.zeta, args.files, args.cache, args.scheme, args.schemes)
+    configs, recorded = _configs(args, schemes[0], bare=all(v is None for v in given))
+    oracle_configs = configs
     if args.oracle_alpha is not None:  # refused before any trial runs
-        _blame("--oracle-alpha", dataclasses.replace(configs[0], alpha=args.oracle_alpha).validate)
+        oracle_configs = [dataclasses.replace(c, alpha=args.oracle_alpha) for c in configs]
+        _blame("--oracle-alpha", oracle_configs[0].validate)
     all_ok = True
     rows = []
     max_abs_err = 0.0
     # one pass over the trials decodes every configuration
     results = _simulate(configs, schemes, args.workers)
-    for config, estimates in zip(configs, results):
+    for config, oracle_config, estimates in zip(configs, oracle_configs, results):
         for scheme in schemes:
             est = estimates[scheme][0]
-            oracle = success_prob(
-                scheme,
-                catalog_t=config.files,
-                zeta=config.zeta,
-                capacities=config.capacities,
-                total=config.rho,
-                alpha=config.alpha if args.oracle_alpha is None else args.oracle_alpha,
-                thresholds=config.thresholds,
-                link_specs=config.link_specs,
-                policy=config.ordering,
-            )
+            oracle = _success_prob(oracle_config, scheme)
             max_abs_err = max(max_abs_err, oracle.abs_err)
             # a Monte Carlo count of 0 or n has stderr 0; such a row is
             # judged by the stderr the oracle's probabilities give n trials
@@ -425,7 +431,7 @@ def _cmd_oracle_check(args) -> int:
                         ]
                     )
                 )
-    lines = _manifest(args, configs[0], tuple(schemes), **recorded_grid)
+    lines = _manifest(args, configs[0], schemes, **recorded)
     lines.append(f"# oracle max abs_err: {_fmt(max_abs_err)}")
     lines.append(_ORACLE_HEADER)
     lines.extend(rows)

@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo engine: trial execution, estimates, parameter sweeps.
+"""Seeded Monte Carlo engine: trial execution and estimates.
 
 Trials are organised in fixed blocks of 65536; block c draws from an
 SFC64 stream keyed by SeedSequence((seed, c)), so any trial's variates
@@ -32,14 +32,13 @@ each trial's minimum gains by class code, compares and counts.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,17 +51,13 @@ __all__ = [
     "CHUNK",
     "BIT_GENERATOR",
     "METRICS",
-    "SWEEP_PARAMETERS",
     "DEFAULT_LINK_SPEC",
     "TrialConfig",
     "Estimate",
-    "SweepRow",
-    "ResultTable",
     "db_to_linear",
     "summarize",
     "run_point",
     "run_point_multi",
-    "sweep",
 ]
 
 CHUNK = 1 << 16
@@ -208,31 +203,6 @@ class Estimate:
     p_marg_product: float
     stderr_joint: float
     stderr_marg_product: float
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    param: str
-    value: float
-    scheme: str
-    metric: str
-    p_joint: float
-    p_marg_product: float
-    p1: float
-    p2: float
-    stderr_joint: float
-    trials: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class ResultTable:
-    param: str
-    grid: tuple[float, ...]
-    schemes: tuple[str, ...]
-    metric: str
-    seed: int
-    rows: tuple[SweepRow, ...]
 
 
 def _standard_errors(p1: float, p2: float, p_joint: float, n: int) -> tuple[float, float]:
@@ -478,6 +448,11 @@ def _simulate(
     ``{scheme: (estimate, outcomes)}``, outcomes being an (n, 2)
     vehicle-indexed boolean array when requested and None otherwise.
     """
+    # a bare string would run as its letters, and no scheme as no result
+    if isinstance(schemes, str) or not schemes:
+        raise ParameterError(
+            f"schemes must be a non-empty sequence of scheme names, got {schemes!r}", "schemes"
+        )
     schemes = tuple(schemes)
     for config in configs:
         config.validate()
@@ -559,92 +534,3 @@ def run_point_multi(
     several schemes at once (the schemes share all randomness)."""
     results = _simulate([config], schemes, workers, return_outcomes)[0]
     return {s: r if return_outcomes else r[0] for s, r in results.items()}
-
-
-def _integral(value) -> int:
-    v = int(value)
-    if v != value:
-        raise ParameterError("must be an integer")
-    return v
-
-
-# sweep parameter -> (TrialConfig field, grid value -> field value)
-_SWEEP_FIELDS = {
-    "snr_db": ("rho", lambda v: db_to_linear(float(v))),
-    "cache_size": ("cache", _integral),
-    "zeta": ("zeta", float),
-    "catalog_t": ("files", _integral),
-}
-SWEEP_PARAMETERS = tuple(_SWEEP_FIELDS)
-
-
-def _config_at(config: TrialConfig, parameter: str, value) -> TrialConfig:
-    """``config`` with ``parameter`` set to the grid value, validated."""
-    if parameter not in _SWEEP_FIELDS:
-        raise ParameterError(
-            f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}"
-        )
-    name, convert = _SWEEP_FIELDS[parameter]
-    try:
-        cfg = dataclasses.replace(config, **{name: convert(value)})
-        cfg.validate()
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"grid value {value!r} invalid for {parameter}: {exc}") from exc
-    return cfg
-
-
-def sweep(
-    config: TrialConfig,
-    parameter: str,
-    grid: Iterable,
-    schemes: Sequence[str] | None = None,
-    workers: int | None = None,
-) -> ResultTable:
-    """One estimate per (grid value, scheme) under a shared base seed.
-
-    All runs reuse the same trial-indexed randomness, so comparisons
-    down the grid are coupled by common random numbers.  Rows are sorted
-    by grid value, then scheme name.  ``config`` need only be valid with
-    the swept field taken from each grid value.
-    """
-    if schemes is None:
-        schemes = (config.scheme,)
-    schemes = tuple(schemes)
-    if not schemes:
-        raise ParameterError("at least one scheme is required")
-    # every grid value is checked before any trial runs
-    configs = {}
-    for value in grid:
-        configs[float(value)] = _config_at(config, parameter, value)
-    if not configs:
-        raise ParameterError("sweep grid must not be empty")
-    values = sorted(configs)
-
-    results = _simulate([configs[v] for v in values], schemes, workers)
-    rows = []
-    for value, estimates in zip(values, results):
-        for scheme in sorted(schemes):
-            est = estimates[scheme][0]
-            rows.append(
-                SweepRow(
-                    param=parameter,
-                    value=value,
-                    scheme=scheme,
-                    metric=config.metric,
-                    p_joint=est.p_joint,
-                    p_marg_product=est.p_marg_product,
-                    p1=est.p1,
-                    p2=est.p2,
-                    stderr_joint=est.stderr_joint,
-                    trials=config.n_trials,
-                    seed=config.seed,
-                )
-            )
-    return ResultTable(
-        param=parameter,
-        grid=tuple(values),
-        schemes=tuple(sorted(schemes)),
-        metric=config.metric,
-        seed=config.seed,
-        rows=tuple(rows),
-    )

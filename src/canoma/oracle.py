@@ -327,18 +327,27 @@ def success_prob(
         self_hit_power=self_hit_power,
     )
     config.validate()
+    return _success_prob(config, scheme)
+
+
+def _success_prob(config: TrialConfig, scheme: str) -> OracleResult:
+    """``success_prob`` of a validated ``config`` under ``scheme``, read
+    from the scenario table the config already holds."""
     table = config.table
-    a, b = gain_thresholds(scheme, total, alpha, *table.columns(), self_hit_power)
+    specs, policy = config.link_specs, config.ordering
+    a, b = gain_thresholds(
+        scheme, config.rho, config.alpha, *table.columns(), config.self_hit_power
+    )
     cdf = table.cdf_at_starts(config.zeta, config.zipf_convention)
     weight = _class_weights(table, cdf, policy)
     codes = np.flatnonzero(weight)
     weight = weight[codes]
     events = list(zip(a[codes].tolist(), b[codes].tolist()))
-    terms = weight[:, None] * [conditional_success_prob(*e, link_specs, policy) for e in events]
+    terms = weight[:, None] * [conditional_success_prob(*e, specs, policy) for e in events]
     # the class weights sum to 1 only within accumulation error;
     # normalising keeps certain events at exactly 1
     p1, p2, p_joint = (math.fsum(column) / math.fsum(weight) for column in terms.T)
-    ccdf_err = max(_ccdf_abs_err(spec, x) for e in events for spec, x in zip(link_specs, e))
+    ccdf_err = max(_ccdf_abs_err(spec, x) for e in events for spec, x in zip(specs, e))
     # every probability above is a weighted mean of polynomials in the
     # CCDF values whose gradients have 1-norm <= 2, so p1, p2 and p_joint
     # move by at most 2 * ccdf_err and their product by 4 * ccdf_err

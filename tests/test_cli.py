@@ -170,7 +170,7 @@ class TestSweep:
             # BASE sets --cache 2, which a one-file catalog cannot hold
             for case in (("cache", "0,12", "12"), ("snr_db", "0,4000", "4000"),
                          ("snr_db", "0,-4000", "-4000"), ("zeta", "0.5,0", "0"),
-                         ("files", "1", "1"))
+                         ("zeta", "0.5,-0.5", "-0.5"), ("files", "1", "1"))
         ],
     )
     def test_out_of_range_grid_value(self, command, sweep, grid, bad):
@@ -326,8 +326,8 @@ class TestOracleCheck:
         code, _, _ = run_cli(["oracle-check", "--trials", "1000"])
         assert code == 0
         assert 0 < len(built) <= len({id(c) for c in validated})
-        # the base, the 60 grid configs, and the oracle's 4 per grid config
-        assert len(built) <= 1 + 60 + 240
+        # the flags' own config and the 60 grid configs, whose tables the oracle reads
+        assert len(built) <= 61
 
     @pytest.mark.parametrize(
         "flags,n_rows", [(["--snr-db", "300"], 8), (["--theta", "1e-300"], 480)]
@@ -347,7 +347,7 @@ class TestOracleCheck:
 
     def test_certain_monte_carlo_row_against_an_uncertain_oracle_fails(self, monkeypatch):
         monkeypatch.setattr(
-            oracle, "success_prob", lambda *a, **k: oracle.OracleResult(0.99, 0.99, 0.99, 0.9801)
+            oracle, "_success_prob", lambda *a, **k: oracle.OracleResult(0.99, 0.99, 0.99, 0.9801)
         )
         code, out, _ = run_cli(
             ["oracle-check", "--scheme", "canoma", "--snr-db", "300", "--trials", "65536"]
@@ -402,6 +402,27 @@ class TestOracleCheck:
              "--trials", "60000", "--seed", "2", "--cache", "2"]
         )
         assert code == 0, out
+
+
+@pytest.mark.parametrize(
+    "argv,tables",
+    [
+        (["point"], 1),
+        (["sweep", "--sweep", "snr_db", "--grid", "0,5,10,15,20"], 5),
+        (["oracle-check", "--sweep", "cache", "--grid", "0,2,5"], 3),
+    ],
+    ids=["point", "sweep", "oracle-check-sweep"],
+)
+def test_one_scenario_table_per_config(monkeypatch, argv, tables):
+    # each command validates each of its configs once, and the engine and
+    # the oracle read the table that config holds
+    built = []
+    of = ScenarioTable.of.__func__
+    counted = classmethod(lambda cls, *args: built.append(args) or of(cls, *args))
+    monkeypatch.setattr(ScenarioTable, "of", counted)
+    code, _, err = run_cli([*argv, "--trials", "1000"])
+    assert code == 0, err
+    assert len(built) == tables
 
 
 class TestVersion:

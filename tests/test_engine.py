@@ -1,10 +1,12 @@
 import dataclasses
+import io
 import math
 import pickle
 import sys
 import threading
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -23,8 +25,8 @@ from canoma import (
     run_point_multi,
     success_prob,
     summarize,
-    sweep,
 )
+import canoma.cli as cli
 import canoma.engine as engine
 from canoma.engine import CHUNK
 from reference import (
@@ -494,10 +496,9 @@ class TestClassTableBound:
     def test_sweep_names_the_grid_value_before_any_trial(self, monkeypatch):
         # at 180 files the overrides of files 1..181 give A = 180, 64800 classes
         monkeypatch.setattr(engine, "_run_chunk", None)
-        cfg = config(**{**MANY_LEVELS, "thresholds": many_levels(181)})
-        engine._config_at(cfg, "catalog_t", 180)
+        cfg = config(**{**MANY_LEVELS, "files": 180, "thresholds": many_levels(181)})
         with pytest.raises(ParameterError, match="grid value 400 invalid for catalog_t"):
-            sweep(cfg, "catalog_t", [180, 400])
+            cli._grid_configs(cfg, "files", [180, 400])
 
 
 class TestClassesFromBreakpoints:
@@ -584,6 +585,32 @@ class TestBisection:
         assert np.array_equal(_cells(breakpoints, u), want)
 
 
+def run_cli(argv):
+    """(exit code, data rows) of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, [line for line in out.getvalue().splitlines() if not line.startswith("#")][1:]
+
+
+SNR_SWEEP = ["sweep", "--sweep", "snr_db", "--grid", "0,5,10,15,20", "--schemes", ",".join(SCHEMES)]
+
+# CSV param -> the --sweep name of its axis in the CLI's table
+SWEEP_NAMES = {param: name for name, (param, _, _) in cli._AXES.items()}
+
+
+def sweep(cfg, parameter, grid, schemes=("canoma",)):
+    """{(grid value, scheme): Estimate} of one shared pass over ``cfg`` at
+    each grid value of the CSV ``parameter``, as the CLI builds them."""
+    configs = cli._grid_configs(cfg, SWEEP_NAMES[parameter], grid)
+    results = engine._simulate(configs, schemes)
+    return {
+        (value, scheme): estimate
+        for value, per_scheme in zip(grid, results)
+        for scheme, (estimate, _) in per_scheme.items()
+    }
+
+
 class TestDecodeTablesOncePerRun:
     def test_sweep_decodes_each_config_and_scheme_once(self, monkeypatch):
         calls = []
@@ -594,7 +621,7 @@ class TestDecodeTablesOncePerRun:
             return decode(*args, **kwargs)
 
         monkeypatch.setattr(engine, "gain_thresholds", counted)
-        sweep(config(n_trials=3 * CHUNK), "snr_db", [0, 5, 10, 15, 20], SCHEMES)
+        assert run_cli([*SNR_SWEEP, "--trials", str(3 * CHUNK)])[0] == 0
         assert len(calls) == 5 * len(SCHEMES)
 
 
@@ -617,15 +644,12 @@ class TestSweep:
     )
     def test_rows_equal_per_value_points(self, parameter, grid, over):
         cfg = config(n_trials=2 * CHUNK + 99, **over)
-        rows = {(r.value, r.scheme): r for r in sweep(cfg, parameter, grid, SCHEMES).rows}
-        assert len(rows) == len(grid) * len(SCHEMES)
-        for value in grid:
-            estimates = run_point_multi(engine._config_at(cfg, parameter, value), SCHEMES)
-            for scheme, est in estimates.items():
-                row = rows[(float(value), scheme)]
-                assert (row.p_joint, row.p_marg_product, row.p1, row.p2, row.stderr_joint) == (
-                    est.p_joint, est.p_marg_product, est.p1, est.p2, est.stderr_joint
-                )
+        shared = sweep(cfg, parameter, grid, SCHEMES)
+        assert len(shared) == len(grid) * len(SCHEMES)
+        configs = cli._grid_configs(cfg, SWEEP_NAMES[parameter], grid)
+        for value, point in zip(grid, configs):
+            for scheme, est in run_point_multi(point, SCHEMES).items():
+                assert shared[(value, scheme)] == est
 
     @pytest.mark.parametrize(
         "over",
@@ -636,6 +660,13 @@ class TestSweep:
         with pytest.raises(ParameterError, match="must share"):
             engine._simulate([config(), config(**over)], SCHEMES)
 
+    @pytest.mark.parametrize("schemes", [(), [], "canoma"])
+    def test_no_scheme_or_a_string_is_refused_before_any_draw(self, monkeypatch, schemes):
+        monkeypatch.setattr(engine, "_run_chunk", None)  # no chunk may run
+        with pytest.raises(ParameterError, match="schemes must be a non-empty sequence") as exc:
+            run_point_multi(TrialConfig(n_trials=1 << 22), schemes)
+        assert exc.value.field == "schemes"
+
     def test_sweep_draws_each_chunk_once(self, monkeypatch):
         chunks = []
         draw = engine._chunk_generator
@@ -645,59 +676,50 @@ class TestSweep:
             return draw(seed, chunk)
 
         monkeypatch.setattr(engine, "_chunk_generator", counted)
-        sweep(config(n_trials=3 * CHUNK), "snr_db", [0, 5, 10, 15, 20], SCHEMES)
+        assert run_cli([*SNR_SWEEP, "--trials", str(3 * CHUNK)])[0] == 0
         assert sorted(chunks) == [0, 1, 2]
 
     def test_rows_sorted_by_value_then_scheme(self):
-        table = sweep(config(n_trials=20_000), "cache_size", [4, 0, 2], ("noma", "canoma"))
-        keys = [(r.value, r.scheme) for r in table.rows]
-        assert keys == sorted(keys)
-        assert len(table.rows) == 6
+        # a value given twice, in either spelling, is one row per scheme
+        code, rows = run_cli(
+            ["sweep", "--sweep", "cache", "--grid", "4,0,2,4.0,0", "--schemes", "noma,canoma",
+             "--trials", "20000"]
+        )
+        assert code == 0
+        keys = [(float(r.split(",")[1]), r.split(",")[2]) for r in rows]
+        assert keys == sorted(set(keys))
+        assert len(keys) == 6
 
     def test_zero_cache_rows_identical(self):
-        table = sweep(config(n_trials=50_000), "cache_size", [0, 2], ("canoma", "noma"))
-        by_key = {(r.value, r.scheme): r for r in table.rows}
-        a = by_key[(0.0, "canoma")]
-        b = by_key[(0.0, "noma")]
+        shared = sweep(config(n_trials=50_000), "cache_size", [0, 2], ("canoma", "noma"))
+        a, b = shared[(0, "canoma")], shared[(0, "noma")]
         assert (a.p_joint, a.p_marg_product, a.p1, a.p2) == (b.p_joint, b.p_marg_product, b.p1, b.p2)
 
     def test_cache_sweep_is_monotone(self):
-        table = sweep(config(n_trials=50_000), "cache_size", list(range(0, 11, 2)))
-        vals = [r.p_marg_product for r in table.rows]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
+        vals = list(sweep(config(n_trials=50_000), "cache_size", list(range(0, 11, 2))).values())
+        assert all(a.p_marg_product <= b.p_marg_product for a, b in zip(vals, vals[1:]))
 
     def test_snr_sweep_is_monotone_for_every_scheme(self):
-        table = sweep(
-            config(n_trials=50_000), "snr_db", [0, 5, 10, 15, 20],
-            ("canoma", "noma", "oma-cache", "oma"),
-        )
-        for scheme in ("canoma", "noma", "oma-cache", "oma"):
-            vals = [r.p_marg_product for r in table.rows if r.scheme == scheme]
+        grid = [0, 5, 10, 15, 20]
+        shared = sweep(config(n_trials=50_000), "snr_db", grid, SCHEMES)
+        for scheme in SCHEMES:
+            vals = [shared[(value, scheme)].p_marg_product for value in grid]
             assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_catalog_sweep_is_non_increasing(self):
-        table = sweep(config(n_trials=50_000), "catalog_t", [10, 20, 50])
-        vals = [r.p_marg_product for r in table.rows]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
+        vals = list(sweep(config(n_trials=50_000), "catalog_t", [10, 20, 50]).values())
+        assert all(a.p_marg_product >= b.p_marg_product for a, b in zip(vals, vals[1:]))
 
     def test_zeta_sweep_is_non_increasing(self):
-        table = sweep(config(n_trials=50_000), "zeta", [0.2, 0.8, 3.2])
-        vals = [r.p_marg_product for r in table.rows]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
+        vals = list(sweep(config(n_trials=50_000), "zeta", [0.2, 0.8, 3.2]).values())
+        assert all(a.p_marg_product >= b.p_marg_product for a, b in zip(vals, vals[1:]))
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ParameterError):
-            sweep(config(), "zeta", [])
-
-    def test_offending_grid_value_is_named(self):
-        with pytest.raises(ParameterError, match="12"):
-            sweep(config(), "cache_size", [0, 12])
-        with pytest.raises(ParameterError, match="-0.5"):
-            sweep(config(), "zeta", [0.5, -0.5])
+        # separators alone list no value
+        assert run_cli(["sweep", "--sweep", "zeta", "--grid", " , "])[0] == 2
 
     def test_unknown_parameter_rejected(self):
-        with pytest.raises(ParameterError):
-            sweep(config(), "bandwidth", [1, 2])
+        assert run_cli(["sweep", "--sweep", "bandwidth", "--grid", "1,2"])[0] == 2
 
     def test_catalog_grid_must_cover_cache(self):
         with pytest.raises(ParameterError, match="1"):

@@ -58,3 +58,37 @@ def test_oracle_names_resolve_to_the_oracle():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         canoma.no_such_name
+
+
+def test_public_surface():
+    # a change to the public names has to change this list
+    assert canoma.__all__ == [
+        "__version__",
+        "CanomaError",
+        "ParameterError",
+        "OracleUnsupportedError",
+        "NakagamiStage",
+        "LinkSpec",
+        "sample_link_gain",
+        "ScenarioTable",
+        "zipf_cdf_at",
+        "SCHEMES",
+        "DecodeThresholds",
+        "INFEASIBLE",
+        "gain_thresholds",
+        "OracleResult",
+        "gamma_ccdf",
+        "product_gain_ccdf",
+        "conditional_success_prob",
+        "success_prob",
+        "METRICS",
+        "DEFAULT_LINK_SPEC",
+        "TrialConfig",
+        "Estimate",
+        "db_to_linear",
+        "summarize",
+        "run_point",
+        "run_point_multi",
+    ]
+    for name in canoma.__all__:
+        getattr(canoma, name)
