@@ -99,7 +99,8 @@ def _parse_link_spec(text: str, flag: str) -> LinkSpec:
 
 
 def _parse_schemes(text: str) -> tuple[str, ...]:
-    names = tuple(s.strip() for s in text.split(",") if s.strip())
+    # a repeated name keeps its first place and runs once
+    names = tuple(dict.fromkeys(s.strip() for s in text.split(",") if s.strip()))
     if not names:
         raise UsageError("--schemes expects a comma-separated list of schemes")
     for name in names:
@@ -315,10 +316,10 @@ def _write(lines) -> None:
 
 
 def _write_table(args, param: str, values, configs, schemes: tuple[str, ...], **recorded):
-    """Run ``configs``, the configurations at ``values`` of ``param``, in
-    one pass, and write a row per distinct value and scheme, sorted by
-    value, then scheme."""
-    points = sorted(dict(zip(map(float, values), configs)).items())
+    """Run ``configs``, the configurations at the distinct ``values`` of
+    ``param``, in one pass, and write a row per value and scheme, sorted
+    by value, then scheme."""
+    points = sorted(zip(map(float, values), configs), key=lambda point: point[0])
     results = _simulate([config for _, config in points], schemes, args.workers)
     lines = _manifest(args, configs[0], schemes, **recorded)
     lines.append(_HEADER)
@@ -362,7 +363,8 @@ def _parse_grid(text: str, cli_param: str) -> list:
             values.append(int(item) if item.lstrip("+-").isdigit() else float(item))
         except ValueError:
             raise UsageError(f"--grid value {item!r} is not valid for sweep {cli_param}") from None
-    return values
+    # a repeated value (2 and 2.0 alike) keeps its first place and runs once
+    return list(dict.fromkeys(values))
 
 
 def _cmd_sweep(args) -> int:
@@ -373,7 +375,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    from .oracle import _success_prob  # scipy loads for this command only
+    from .oracle import _success_prob  # only this command needs the oracle
 
     if args.schemes is not None:
         schemes = _parse_schemes(args.schemes)

@@ -454,6 +454,8 @@ def _simulate(
             f"schemes must be a non-empty sequence of scheme names, got {schemes!r}", "schemes"
         )
     schemes = tuple(schemes)
+    if not configs:
+        raise ParameterError("configs must hold at least one TrialConfig", "configs")
     for config in configs:
         config.validate()
         if _draw_fields(config) != _draw_fields(configs[0]):

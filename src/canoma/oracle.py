@@ -30,11 +30,11 @@ Carlo path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaincc, gammaln, kve, xlogy
 
 from .access import INFEASIBLE, DecodeThresholds, gain_thresholds
 from .channel import LinkSpec
@@ -60,6 +60,12 @@ _MAX_BESSEL_TERMS = 1000
 
 # relative tolerance of the quadrature, the only CCDF path that has an error
 _QUAD_EPSREL = 1e-12
+
+# the Bessel-K integrand is summed until it falls this far (in log) below its peak
+_KVE_LOG_DROP = 60.0
+
+# log of the largest finite float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 # above this shape the gamma log-density takes its saddle-point form
 _SADDLE_SHAPE = 100.0
@@ -104,6 +110,8 @@ def gamma_ccdf(shape: float, scale: float, x: float) -> float:
         raise ParameterError(f"x must be >= 0, got {x!r}")
     if math.isinf(x):
         return 0.0
+    from scipy.special import gammaincc  # only one-stage links need it
+
     return float(gammaincc(shape, x / scale))
 
 
@@ -117,6 +125,8 @@ def _gamma_logpdf(g: float, shape: float, scale: float) -> float:
     log pdf = -bd0(k, g/scale) - log(2 pi k)/2 - stirlerr(k) - log(scale).
     """
     if shape <= _SADDLE_SHAPE:
+        from scipy.special import gammaln, xlogy  # only the quadrature needs them
+
         return xlogy(shape - 1.0, g) - g / scale - gammaln(shape) - shape * math.log(scale)
     k = shape - 1.0
     # Stirling's series for log k! - ((k + 1/2) log k - k + log(2 pi)/2)
@@ -138,6 +148,38 @@ def _bd0(k: float, y: float) -> float:
         total, j = step, j + 1
 
 
+def _log_kve(orders, z: float) -> np.ndarray:
+    """log(K_v(z) e^z) at every order v >= 0 of ``orders`` for one 0 < z < inf.
+
+    The trapezoidal rule on K_v(z) e^z = int_0^inf exp(-2 z sinh(t/2)^2)
+    cosh(v t) dt, whose integrand is even and analytic in a strip, so the
+    rule converges geometrically (Trefethen and Weideman, "The
+    exponentially convergent trapezoidal rule", SIAM Review 2014).  The
+    largest order's integrand peaks near t = asinh(v/z) with width
+    sigma = (z^2 + v^2)^(-1/4); the step is min(0.1, sigma/3), and the
+    nodes run from 0 to where that integrand is e^-60 below the peak.  A
+    smaller order peaks earlier and falls faster, so the same nodes serve
+    it.  Summed in log space, so no value overflows.
+    """
+    v = np.asarray(orders, dtype=float)
+    v_max = float(v.max())
+    kappa = math.hypot(z, v_max)  # z cosh(peak), the curvature at the peak
+    h = min(0.1, kappa**-0.5 / 3.0)
+    # past the peak the log integrand falls by at least kappa (cosh d - 1)
+    # at distance d, so it has fallen by the drop y at d = acosh(1 + y / kappa)
+    y = _KVE_LOG_DROP / kappa
+    end = math.asinh(v_max / z) + math.log1p(y + math.sqrt(y * (y + 2.0)))
+    t = h * np.arange(math.ceil(end / h) + 1)
+    vt = v[:, None] * t
+    # log cosh(v t) - 2 z sinh(t/2)^2; sqrt(z) keeps the square in range
+    # at z near the float maximum
+    terms = vt + np.log1p(np.exp(-2.0 * vt)) - math.log(2.0)
+    terms -= 2.0 * (math.sqrt(z) * np.sinh(0.5 * t)) ** 2
+    terms[:, 0] -= math.log(2.0)  # the node at 0 takes half weight
+    top = terms.max(axis=1)
+    return top + np.log(np.exp(terms - top[:, None]).sum(axis=1)) + math.log(h)
+
+
 def _bessel_k_ccdf(m1: int, scale1: float, shape2: float, scale2: float, x: float) -> float:
     """P(G1 * G2 > x) for G1 ~ Gamma(m1, scale1) with integer m1 and
     G2 ~ Gamma(shape2, scale2):
@@ -145,24 +187,29 @@ def _bessel_k_ccdf(m1: int, scale1: float, shape2: float, scale2: float, x: floa
         sum_{k<m1} 2 (z/2)^(shape2+k) K_{shape2-k}(z) / (k! Gamma(shape2)),
 
     with z = 2 sqrt(x / (scale1 scale2)).  The terms are summed in log
-    space from the exponentially scaled ``kve``, so a deep tail does not
-    underflow before the end; nan when a term leaves the float range.
+    space from ``_log_kve``, so a deep tail does not underflow before the
+    end; nan when z or a term's K_v(z) e^z leaves the float range.
     """
     z = 2.0 * math.sqrt(x / scale1 / scale2)
     k = np.arange(m1)
-    scaled = kve(np.abs(shape2 - k), z)  # K_v(z) e^z; K_{-v} = K_v
-    if not (0.0 < z < math.inf and np.all((scaled > 0.0) & (scaled < math.inf))):
+    orders = np.abs(shape2 - k)  # K_{-v} = K_v
+    # K_v(z) e^z grows with v, so the largest order is the first to leave
+    # the float range; testing it alone spares the other orders' nodes then
+    if not (0.0 < z < math.inf and _log_kve(orders.max(keepdims=True), z)[0] < _LOG_FLOAT_MAX):
         return math.nan
-    log_terms = (shape2 + k) * math.log(z / 2.0) + np.log(scaled) - gammaln(k + 1.0)
+    log_scaled = _log_kve(orders, z)
+    log_factorials = [math.lgamma(i + 1.0) for i in range(m1)]
+    log_terms = (shape2 + k) * math.log(z / 2.0) + log_scaled - log_factorials
     top = log_terms.max()
     log_sum = top + math.log(np.exp(log_terms - top).sum())
-    return math.exp(log_sum + math.log(2.0) - gammaln(shape2) - z)
+    return math.exp(log_sum + math.log(2.0) - math.lgamma(shape2) - z)
 
 
 def _quadrature_ccdf(spec: LinkSpec, x: float) -> tuple[float, float]:
     """(P(G1 * G2 > x), error estimate) as the integral of
     ccdf_1(x/g) * pdf_2(g) over g > 0."""
     from scipy import integrate  # only this path needs it
+    from scipy.special import gammaincc
 
     s1, s2 = spec.stages
 

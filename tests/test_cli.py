@@ -149,6 +149,26 @@ class TestSweep:
         keys = [(float(r.split(",")[1]), r.split(",")[2]) for r in data_rows(out)[1:]]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize(
+        "argv,once",
+        [
+            (
+                ["sweep", "--sweep", "cache", "--grid", "4,0,4,2.0,2",
+                 "--schemes", "noma,canoma,noma"],
+                ["sweep", "--sweep", "cache", "--grid", "0,2,4", "--schemes", "canoma,noma"],
+            ),
+            (
+                ["oracle-check", "--sweep", "cache", "--grid", "5,0,5", "--schemes", "noma,noma"],
+                ["oracle-check", "--sweep", "cache", "--grid", "5,0", "--schemes", "noma"],
+            ),
+        ],
+        ids=["sweep", "oracle-check"],
+    )
+    def test_repeated_schemes_and_grid_values_run_once(self, argv, once):
+        code, out, err = run_cli([*argv, *BASE])
+        assert code == 0, err
+        assert data_rows(out) == data_rows(run_cli([*once, *BASE])[1])
+
     def test_empty_grid_is_usage_error(self):
         code, _, err = run_cli(["sweep", "--sweep", "cache", "--grid", "", *BASE])
         assert code == 2
@@ -333,8 +353,8 @@ class TestOracleCheck:
         "flags,n_rows", [(["--snr-db", "300"], 8), (["--theta", "1e-300"], 480)]
     )
     def test_rows_of_zero_monte_carlo_stderr_are_judged_by_the_oracle(self, flags, n_rows):
-        # every trial succeeds, so p_mc is 1 and its binomial stderr 0,
-        # while the oracle is below 1 by rounding
+        # every trial succeeds, so p_mc is 1 and its binomial stderr 0;
+        # at 300 dB the oracle is below 1 by rounding
         code, out, _ = run_cli(["oracle-check", *flags, "--trials", "65536"])
         assert code == 0
         rows = [r.split(",") for r in data_rows(out)[1:]]
@@ -343,7 +363,11 @@ class TestOracleCheck:
         assert len(certain) >= 8
         # each prints the stderr it was judged by, 0 only where the oracle is 1 too
         assert all(float(r[8]) < 1e-6 and float(r[9]) < 1e-3 for r in certain)
-        assert any(float(r[8]) > 0 for r in certain)
+        if "--theta" in flags:
+            # at gain thresholds near 1e-301 the CCDF is 1 to about 600 digits
+            assert all(float(r[7]) == 1.0 and float(r[9]) == 0.0 for r in certain)
+        else:
+            assert any(float(r[8]) > 0 for r in certain)
 
     def test_certain_monte_carlo_row_against_an_uncertain_oracle_fails(self, monkeypatch):
         monkeypatch.setattr(

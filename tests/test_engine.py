@@ -667,6 +667,12 @@ class TestSweep:
             run_point_multi(TrialConfig(n_trials=1 << 22), schemes)
         assert exc.value.field == "schemes"
 
+    def test_no_config_is_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(engine, "_run_chunk", None)  # no chunk may run
+        with pytest.raises(ParameterError, match="at least one TrialConfig") as exc:
+            engine._simulate([], SCHEMES)
+        assert exc.value.field == "configs"
+
     def test_sweep_draws_each_chunk_once(self, monkeypatch):
         chunks = []
         draw = engine._chunk_generator

@@ -1,4 +1,6 @@
-"""The Monte Carlo commands never load scipy; the oracle loads on first use."""
+"""The Monte Carlo commands and the closed-form oracle never load scipy;
+the oracle module loads on first use, and scipy only for one-stage links
+and the quadrature."""
 
 import ast
 import os
@@ -43,9 +45,31 @@ import canoma
 canoma.success_prob("canoma", catalog_t=10, zeta=0.8, capacities=(2, 2), total=10.0,
                     alpha=0.2, link_specs=(canoma.DEFAULT_LINK_SPEC,) * 2)
 """
-    loaded = loaded_scipy_modules(code)
+    assert loaded_scipy_modules(code) == []
+
+
+def test_bare_oracle_check_loads_no_scipy():
+    code = """
+import contextlib, io
+from canoma import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["oracle-check", "--trials", "1000"]) == 0
+"""
+    assert loaded_scipy_modules(code) == []
+
+
+def test_one_stage_ccdf_loads_the_special_functions():
+    loaded = loaded_scipy_modules("import canoma\ncanoma.gamma_ccdf(2.0, 1.0, 1.0)")
     assert "scipy.special" in loaded
     assert "scipy.integrate" not in loaded
+
+
+def test_non_integer_two_stage_link_loads_the_quadrature():
+    code = """
+import canoma
+canoma.product_gain_ccdf(canoma.LinkSpec.from_pairs([(1.5, 1.0), (2.5, 1.0)]), 1.0)
+"""
+    assert "scipy.integrate" in loaded_scipy_modules(code)
 
 
 def test_oracle_names_resolve_to_the_oracle():

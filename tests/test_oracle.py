@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import gammaincc, kv
+from scipy.special import gammaincc, kv, kve
 
 from canoma import (
     DEFAULT_LINK_SPEC,
@@ -19,7 +19,7 @@ from canoma import (
     sample_link_gain,
     success_prob,
 )
-from canoma.oracle import INFEASIBLE, _product_ccdf_two_stage
+from canoma.oracle import INFEASIBLE, _bessel_k_ccdf, _log_kve, _product_ccdf_two_stage
 
 PAPER_LINK = LinkSpec.from_pairs([(1, 1), (2, 2)])
 EXP_LINK = LinkSpec.from_pairs([(1, 1)])
@@ -147,6 +147,40 @@ class TestProductGainCcdf:
         spec = LinkSpec.from_pairs([(1, 1), (1, 1), (1, 1)])
         with pytest.raises(OracleUnsupportedError):
             product_gain_ccdf(spec, 1.0)
+
+
+class TestLogKve:
+    """The trapezoidal log(K_v(z) e^z) against 30-digit mpmath, and against
+    scipy's ``kve`` over orders to 999.5 and z from 1e-6 to 1e6."""
+
+    ORDERS = np.array([0.0, 0.5, 1.0, 2.5, 10.0, 40.5, 100.0, 333.3, 999.5])
+    ZS = np.logspace(-6.0, 6.0, 49)
+
+    def test_within_1e_13_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        orders = np.array([0.0, 0.3, 0.5, 0.7, 1.0, 1.3, 2.0, 2.5, 10.25, 40.0])
+        with mpmath.workdps(30):
+            for z in np.logspace(-3.0, math.log10(50.0), 25):
+                for v, log_value in zip(orders, _log_kve(orders, float(z))):
+                    exact = mpmath.besselk(v, z) * mpmath.exp(z)
+                    assert abs(mpmath.exp(log_value) / exact - 1) <= 1e-13, (v, z)
+
+    def test_within_1e_12_of_scipy_wherever_it_is_finite(self):
+        for z in self.ZS:
+            ref = kve(self.ORDERS, z)
+            finite = (ref > 0.0) & (ref < math.inf)
+            got = np.exp(_log_kve(self.ORDERS, float(z))[finite])
+            assert np.all(np.abs(got / ref[finite] - 1.0) <= 1e-12), z
+
+    @pytest.mark.parametrize("m1", [1, 3])
+    def test_bessel_sum_is_nan_exactly_where_a_term_leaves_the_float_range(self, m1):
+        # orders |shape2 - k| for k < m1; the sum is nan where kve is 0 or inf
+        for shape2 in self.ORDERS[1:]:
+            for z in self.ZS:
+                x = (z / 2.0) ** 2
+                ref = kve(np.abs(shape2 - np.arange(m1)), 2.0 * math.sqrt(x))
+                outside = not np.all((ref > 0.0) & (ref < math.inf))
+                assert math.isnan(_bessel_k_ccdf(m1, 1.0, shape2, 1.0, x)) == outside, (shape2, z)
 
 
 class TestMpmathReference:

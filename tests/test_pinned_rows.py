@@ -11,7 +11,8 @@ cache sweep on heterogeneous links.
 
 The rows depend on numpy's ``Generator`` streams (SFC64, ``random``,
 ``standard_exponential``, ``standard_gamma``) and on the sampler that
-draws from them; ``p_oracle`` also depends on scipy's special functions
+draws from them; ``p_oracle`` also depends on the oracle's own Bessel-K
+kernel and, on the heterogeneous links, on scipy's special functions
 and quadrature.  The three sweep files were last regenerated for a
 declared sampler change: SFC64 streams in place of Philox, and a stage
 of integer shape m <= 3 drawn as the sum of m exponentials in place of
