@@ -5,7 +5,8 @@ scatterers.  The link amplitude is the product of the per-stage
 amplitudes, so the squared channel gain is a product of independent
 gamma variates: stage (m, omega) contributes Gamma(shape=m,
 scale=omega/m), whose mean is exactly omega; a stage of integer shape
-m <= 3 is drawn as a sum of m exponentials.  Only squared gains are
+m <= 3 is drawn by inversion, as -log of a product of m uniforms (the
+Erlang distribution as a sum of m exponentials).  Only squared gains are
 ever materialised; the success metric is SINR-threshold based, so
 amplitudes and phases are never needed.
 """
@@ -78,13 +79,12 @@ class LinkSpec:
         return cls(tuple(NakagamiStage(float(m), float(omega)) for m, omega in pairs))
 
 
-# integer shapes up to this are drawn as a sum of exponentials: on SFC64
-# three exponential draws cost less than one standard_gamma(3), four more
-# than one standard_gamma(4)
+# integer shapes up to this are drawn by inversion: on SFC64 the log of a
+# product of three uniforms costs less than one standard_gamma(3)
 _MAX_EXPONENTIAL_TERMS = 3
 # how the draws are made, as the CLI manifest records it
-SAMPLER = f"exponential-sum m<={_MAX_EXPONENTIAL_TERMS}, else standard_gamma"
-# variates of each further exponential term drawn per step into ``out``
+SAMPLER = f"inverse-erlang -log(prod 1-U) m<={_MAX_EXPONENTIAL_TERMS}, else standard_gamma"
+# variates of each further uniform term drawn per step into ``out``
 _BLOCK = 8192
 
 
@@ -97,27 +97,36 @@ def _sample_stage(stage: NakagamiStage, rng: np.random.Generator, out: np.ndarra
     """Write one squared stage amplitude, Gamma(m, omega/m), into each
     entry of ``out`` (a C-contiguous float64 array) and return ``out``.
 
-    An integer shape m <= 3 is drawn as the sum of m full-length
-    ``standard_exponential`` draws (numpy's exponential ziggurat), every
-    other shape by ``standard_gamma``; the draw is then multiplied by the
-    stage's scale, so two stages whose scales differ by a factor c give
-    values differing by exactly c from identical generator states.  Each
-    further exponential is added in blocks, which consumes the generator
-    exactly as one full draw does, so nothing of ``out``'s size is
-    allocated.
+    An integer shape m <= 3 is drawn by inversion as the sum of m
+    exponentials -log(V_i), taken as one log of their product:
+    -log(V_1 ... V_m) with V_i = 1 - U_i in (0, 1] and U_i from m
+    full-length ``random`` draws, multiplied left to right.  Every other
+    shape is drawn by ``standard_gamma``.  The draw is then multiplied by
+    the stage's scale (skipped at a scale of exactly 1.0, since x * 1.0 is
+    x), so two stages whose scales differ by a factor c give values
+    differing by exactly c from identical generator states.  Each further
+    uniform term is drawn and multiplied in blocks, which consumes the
+    generator exactly as one full draw does, so nothing of ``out``'s size
+    is allocated.  The sign is taken as 0 - log(...), so the product 1
+    gives +0.0, never -0.0.
     """
     terms = _exponential_terms(stage.gamma_shape)
     if not terms:
         rng.standard_gamma(stage.gamma_shape, out=out)
     else:
-        rng.standard_exponential(out=out)
+        rng.random(out=out)
+        np.subtract(1.0, out, out=out)
         flat = out.reshape(-1)  # a view: the draw above refused a non-contiguous ``out``
         block = np.empty(min(flat.size, _BLOCK)) if terms > 1 else None
         for _ in range(terms - 1):
             for lo in range(0, flat.size, _BLOCK):
-                part = block[: flat.size - lo]
-                flat[lo : lo + part.size] += rng.standard_exponential(out=part)
-    out *= stage.gamma_scale
+                part = rng.random(out=block[: flat.size - lo])
+                np.subtract(1.0, part, out=part)
+                flat[lo : lo + part.size] *= part
+        np.log(out, out=out)
+        np.subtract(0.0, out, out=out)
+    if stage.gamma_scale != 1.0:
+        out *= stage.gamma_scale
     return out
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import importlib.metadata
+import functools
 import json
 import sys
 
@@ -265,6 +265,15 @@ def _configs(args, scheme: str, bare: bool = False):
     return configs, {"axes": axes}
 
 
+@functools.cache
+def _scipy_version() -> str:
+    """scipy's installed version, read from its metadata once per process
+    and without importing scipy."""
+    import importlib.metadata
+
+    return importlib.metadata.version("scipy")
+
+
 def _manifest(
     args, config: TrialConfig, schemes: tuple[str, ...], grid=None, axes=None
 ) -> list[str]:
@@ -299,7 +308,7 @@ def _manifest(
         "chunk": CHUNK,
         "numpy": np.__version__,
         "sampler": SAMPLER,
-        "scipy": importlib.metadata.version("scipy"),
+        "scipy": _scipy_version(),
     }
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     return [

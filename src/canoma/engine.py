@@ -14,11 +14,12 @@ same randomness per trial (common random numbers): sweeping SNR, cache
 size, catalog size, or the popularity parameter never changes the
 sampled gains, and requests always map through the inverse CDF of the
 same two uniforms.  A stage of integer fading shape m <= 3 is drawn
-as the sum of m exponentials, every other shape by numpy's gamma
-sampler (``channel.sample_link_gain``).  The SFC64 streams and the
-exponential sums are a declared sampler change: they replaced Philox
-streams and ``standard_gamma`` at every shape, so every Monte Carlo row
-moved once, within its sampling error.
+by inversion, as -log of the product of m factors 1 - U from full-length
+uniform draws, every other shape by numpy's gamma sampler
+(``channel.sample_link_gain``).  The SFC64 streams with exponential sums
+in place of ``standard_gamma``, and then those sums by inversion in place
+of m ziggurat exponentials, are declared sampler changes: each moved
+every Monte Carlo row once, within its sampling error.
 
 A run therefore draws each block once for all the configurations it
 covers -- every value of a sweep, every point of an oracle check -- and

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gammaincc, gammainccinv
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
 from canoma import (
     LinkSpec,
@@ -155,12 +155,44 @@ def test_empirical_cdf_matches_quadrature_ccdf():
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("size", [None, 1, 8193, 20_000])
 def test_integer_shape_is_a_sum_of_full_exponential_draws(m, size):
+    # the sum of m exponentials -log(1 - U_i) by inversion, taken as one
+    # log of the product of the m factors 1 - U_i, each from a full-length
+    # ``random`` draw and multiplied in left to right; the sign is 0 - log
     rng_a, rng_b = engine_rng(17), engine_rng(17)
     got = draw_gamma(float(m), 0.75, rng_a, size=size)
-    want = sum(rng_b.standard_exponential(size) for _ in range(m)) * 0.75
+    product = 1.0 - rng_b.random(size)
+    for _ in range(m - 1):
+        product = product * (1.0 - rng_b.random(size))
+    want = (0.0 - np.log(product)) * 0.75
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-    # and the generator is left where m full exponential draws leave it
+    # and the generator is left where m full uniform draws leave it
     assert repr(rng_a.bit_generator.state) == repr(rng_b.bit_generator.state)
+
+
+class ConstantUniforms:
+    """A stub generator whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        out[...] = self.u
+        return out
+
+
+@pytest.mark.parametrize(
+    "pairs", [[(1, 1)], [(2, 2)], [(3, 0.75)], [(1, 1), (2, 2)], [(1, 1), (3, 3), (2, 1)]]
+)
+def test_extreme_uniforms_give_finite_non_negative_gains(pairs):
+    spec = LinkSpec.from_pairs(pairs)
+    # U = 0 is V = 1 in every factor: -log 1 is +0.0, not -0.0
+    zero = sample_link_gain(spec, ConstantUniforms(0.0), size=3)
+    assert zero.tobytes() == np.zeros(3).tobytes()
+    # the largest uniform, 1 - 2^-53, is V = 2^-53: the deepest draw is finite
+    top = sample_link_gain(spec, ConstantUniforms(1.0 - 2.0**-53), size=3)
+    assert np.isfinite(top).all()
+    want = math.prod(53 * math.log(2) * s.m * s.gamma_scale for s in spec.stages)
+    np.testing.assert_allclose(top, want, rtol=1e-14)
 
 
 @pytest.mark.parametrize("shape", [0.5, 2.5, 4.0, 7.0])
@@ -181,4 +213,17 @@ def test_exceedance_matches_the_gamma_tail_down_to_1e_5(shape):
         level = gammainccinv(shape, p) * scale
         assert gammaincc(shape, level / scale) == pytest.approx(p, rel=1e-9)
         z = (np.count_nonzero(draws > level) - n * p) / math.sqrt(n * p * (1.0 - p))
+        assert abs(z) <= 4.0, (shape, p, z)
+
+
+@pytest.mark.parametrize("shape", [1.0, 2.0, 3.0])
+def test_deep_fades_match_the_gamma_lower_tail_down_to_1e_5(shape):
+    # the lower tail of the integer shapes drawn by inversion: at each
+    # probability p the count below the exact p-quantile is binomial(n, p)
+    n, scale = 1_000_000, 1.0 / shape
+    draws = draw_gamma(shape, scale, engine_rng(int(shape * 10) + 1), size=n)
+    for p in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
+        level = gammaincinv(shape, p) * scale
+        assert gammainc(shape, level / scale) == pytest.approx(p, rel=1e-9)
+        z = (np.count_nonzero(draws < level) - n * p) / math.sqrt(n * p * (1.0 - p))
         assert abs(z) <= 4.0, (shape, p, z)

@@ -243,7 +243,7 @@ class TestSweep:
             "bit_generator": "SFC64",
             "chunk": 65536,
             "numpy": np.__version__,
-            "sampler": "exponential-sum m<=3, else standard_gamma",
+            "sampler": "inverse-erlang -log(prod 1-U) m<=3, else standard_gamma",
             "scipy": importlib.metadata.version("scipy"),
         }
 

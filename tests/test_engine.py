@@ -404,8 +404,8 @@ class TestEngineMatchesScalarPath:
 
     Rebuilds chunk 0's draws from the documented derivation
     (SeedSequence((seed, chunk)) -> SFC64; request uniforms first, then
-    per-stage gammas, an integer shape m <= 3 as the sum of m full-length
-    exponential draws) and pushes every trial through classify + decode.
+    per-stage gammas, an integer shape m <= 3 as -log of the product of
+    1 - U over m full-length uniform draws) and pushes every trial through classify + decode.
     """
 
     @pytest.mark.parametrize(
@@ -440,7 +440,10 @@ class TestEngineMatchesScalarPath:
             x = np.ones(CHUNK)
             for stage in spec.stages:
                 if stage.m in (1, 2, 3):
-                    g = sum(rng.standard_exponential(CHUNK) for _ in range(int(stage.m)))
+                    product = 1.0 - rng.random(CHUNK)
+                    for _ in range(int(stage.m) - 1):
+                        product = product * (1.0 - rng.random(CHUNK))
+                    g = 0.0 - np.log(product)
                 else:
                     g = rng.standard_gamma(stage.m, size=CHUNK)
                 x *= g * (stage.omega / stage.m)

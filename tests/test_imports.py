@@ -1,6 +1,6 @@
 """The Monte Carlo commands and the closed-form oracle never load scipy;
 the oracle module loads on first use, and scipy only for one-stage links
-and the quadrature."""
+and the quadrature.  Importing the CLI reads no package metadata."""
 
 import ast
 import os
@@ -16,9 +16,9 @@ import canoma.oracle
 SRC = Path(canoma.__file__).resolve().parent.parent
 
 
-def loaded_scipy_modules(code: str) -> list[str]:
-    """The scipy modules a fresh interpreter has loaded after ``code``."""
-    code += "\nimport sys\nprint([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+def loaded_modules(code: str) -> list[str]:
+    """The modules a fresh interpreter has loaded after ``code``."""
+    code += "\nimport sys\nprint(list(sys.modules))"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -26,6 +26,16 @@ def loaded_scipy_modules(code: str) -> list[str]:
     )
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout.strip())
+
+
+def loaded_scipy_modules(code: str) -> list[str]:
+    """The scipy modules a fresh interpreter has loaded after ``code``."""
+    return [m for m in loaded_modules(code) if m.split(".")[0] == "scipy"]
+
+
+def test_importing_the_cli_reads_no_package_metadata():
+    # the manifest reads scipy's version on its first use
+    assert "importlib.metadata" not in loaded_modules("import canoma.cli")
 
 
 def test_point_and_sweep_load_no_scipy():

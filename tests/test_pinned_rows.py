@@ -10,13 +10,13 @@ beside the Monte Carlo one: the bare 480-row grid and a fixed-order
 cache sweep on heterogeneous links.
 
 The rows depend on numpy's ``Generator`` streams (SFC64, ``random``,
-``standard_exponential``, ``standard_gamma``) and on the sampler that
-draws from them; ``p_oracle`` also depends on the oracle's own Bessel-K
+``standard_gamma``) and on the sampler that draws from them; ``p_oracle`` also depends on the oracle's own Bessel-K
 kernel and, on the heterogeneous links, on scipy's special functions
-and quadrature.  The three sweep files were last regenerated for a
-declared sampler change: SFC64 streams in place of Philox, and a stage
-of integer shape m <= 3 drawn as the sum of m exponentials in place of
-``standard_gamma``.  The two oracle files were pinned after it.  A numpy
+and quadrature.  All five files were last regenerated for a declared
+sampler change: a stage of integer shape m <= 3 drawn by inversion, as
+-log of the product of m factors 1 - U, in place of the sum of m
+``standard_exponential`` draws; the ``p_oracle`` columns did not move.
+A numpy
 release that changes one of the streams, or a scipy release that moves a
 ``p_oracle`` digit, starts a new output epoch too: the rows change with
 no fault here, and the files are regenerated in a change that says so
