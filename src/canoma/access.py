@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isfinite
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -59,68 +59,32 @@ def _is_positive_real(value) -> bool:
 
 @dataclass(frozen=True)
 class DecodeThresholds:
-    """Per-file SINR thresholds (linear scale), default 1 for every file.
-
-    Each override names a distinct file index >= 1; files beyond the
-    catalog keep their override unused.
-    """
+    """The SINR threshold (linear scale) of every file, default 1."""
 
     default: float = 1.0
-    overrides: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self) -> None:
         if not _is_positive_real(self.default):
             raise ParameterError(f"threshold must be a positive real, got {self.default!r}")
-        try:
-            overrides = tuple((file, theta) for file, theta in self.overrides)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(
-                f"overrides must be (file, threshold) pairs, got {self.overrides!r}"
-            ) from exc
-        seen = set()
-        for file, theta in overrides:
-            if not isinstance(file, Integral) or isinstance(file, bool) or file < 1:
-                raise ParameterError(f"override file must be an integer >= 1, got {file!r}")
-            if file in seen:
-                raise ParameterError(f"file {file} has more than one threshold override")
-            seen.add(file)
-            if not _is_positive_real(theta):
-                raise ParameterError(
-                    f"threshold for file {file} must be a positive real, got {theta!r}"
-                )
-        object.__setattr__(self, "overrides", tuple(sorted(overrides)))
 
 
-def gain_thresholds(
-    scheme: str,
-    total,
-    alpha,
-    th_s,
-    th_w,
-    hit_s,
-    hit_w,
-    cross_s,
-    cross_w,
-    self_hit_power: str = "reallocate",
-):
+def gain_thresholds(scheme: str, total, alpha, theta, hit_s, hit_w, cross_s, cross_w):
     """Two-vehicle decode as minimum gains ``(a, b)``: the strong-ordered
     vehicle succeeds iff its gain is >= a, the weak one iff its gain is >= b.
 
-    Inputs are by ordered position: ``th_s``/``th_w`` are the thresholds
-    of the strong/weak vehicle's requested files, ``hit_s``/``hit_w``
-    their self-cache flags, ``cross_s`` is True when the strong vehicle
-    holds the weak vehicle's file and ``cross_w`` the reverse.  Scalars
-    and broadcastable arrays both work; the results are arrays.  A
+    ``theta`` is the SINR threshold of every file.  The flags are by
+    ordered position: ``hit_s``/``hit_w`` are the strong/weak vehicle's
+    self-cache flags, ``cross_s`` is True when the strong vehicle holds
+    the weak vehicle's file and ``cross_w`` the reverse.  Scalars and
+    broadcastable arrays both work; the results are arrays.  A
     self-served vehicle gets 0 and a stage no gain can pass gets
     ``INFEASIBLE``.  Every SINR condition p*X / (q*X + 1) >= theta
     becomes X >= theta / (p - theta*q) when p > theta*q.
     """
     if scheme not in SCHEMES:
         raise ParameterError(f"unknown scheme {scheme!r}")
-    if self_hit_power not in ("reallocate", "idle"):
-        raise ParameterError(f"unknown self-hit power policy {self_hit_power!r}")
-    th_s = np.asarray(th_s, dtype=float)
-    th_w = np.asarray(th_w, dtype=float)
+    # an array, so that a zero SIC margin divides to inf, not ZeroDivisionError
+    theta = np.asarray(theta, dtype=float)
     hit_s = np.asarray(hit_s, dtype=bool)
     hit_w = np.asarray(hit_w, dtype=bool)
 
@@ -130,26 +94,24 @@ def gain_thresholds(
         if scheme in ("oma-cache", "oma"):
             # equal slices at full power; no interference, so cross flags are moot
             served = 2.0 - hit_s - hit_w if scheme == "oma-cache" else 2.0
-            a = np.where(hit_s, 0.0, ((1.0 + th_s) ** served - 1.0) / total)
-            b = np.where(hit_w, 0.0, ((1.0 + th_w) ** served - 1.0) / total)
-            return a, b
+            need = ((1.0 + theta) ** served - 1.0) / total
+            return np.where(hit_s, 0.0, need), np.where(hit_w, 0.0, need)
 
         p_s = alpha * total
         p_w = total - p_s
-        margin = p_w - th_w * p_s
+        margin = p_w - theta * p_s
         # the weak message against the strong one as noise: the strong
         # vehicle's SIC stage and the weak vehicle's plain decode
-        sic = np.where(margin > 0.0, th_w / margin, INFEASIBLE)
-        own_s = th_s / p_s
+        sic = np.where(margin > 0.0, theta / margin, INFEASIBLE)
+        own_s = theta / p_s
         if scheme == "noma":
             # the BS is cache-blind: both messages are always on the air
             return np.where(hit_s, 0.0, np.maximum(sic, own_s)), np.where(hit_w, 0.0, sic)
 
-        # a lone active vehicle decodes interference-free; its power is the
-        # full budget or its own position share, per the policy
-        solo_s, solo_w = (total, total) if self_hit_power == "reallocate" else (p_s, p_w)
+        # a lone active vehicle decodes interference-free at the full budget
+        solo = theta / total
         a = np.where(cross_s, own_s, np.maximum(sic, own_s))
-        b = np.where(cross_w, th_w / p_w, sic)
-        a = np.where(hit_s, 0.0, np.where(hit_w, th_s / solo_s, a))
-        b = np.where(hit_w, 0.0, np.where(hit_s, th_w / solo_w, b))
+        b = np.where(cross_w, theta / p_w, sic)
+        a = np.where(hit_s, 0.0, np.where(hit_w, solo, a))
+        b = np.where(hit_w, 0.0, np.where(hit_s, solo, b))
         return a, b

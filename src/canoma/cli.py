@@ -3,7 +3,8 @@
 Output is a ``#``-prefixed manifest block (resolved configuration, tool
 version, seed, timestamp, the library versions, bit generator and block
 size the output bits depend on, and for ``oracle-check`` the largest
-error bound of its oracle values) followed by a fixed-column CSV table.
+error bound of its oracle values) followed by a fixed-column CSV table;
+``oracle-check`` ends with a ``# verdict:`` line after the table.
 Given the same command line and seed the data rows are byte-identical
 across runs and worker counts; only the manifest timestamp varies.
 
@@ -292,7 +293,6 @@ def _manifest(
         "seed": config.seed,
         "ordering": config.ordering,
         "metric": config.metric,
-        "self_hit_power": config.self_hit_power,
         "link_spec_1": [[s.m, s.omega] for s in config.link_specs[0].stages],
         "link_spec_2": [[s.m, s.omega] for s in config.link_specs[1].stages],
         "workers": _thread_count(args.workers, config.n_trials),
@@ -402,8 +402,9 @@ def _cmd_oracle_check(args) -> int:
     if args.oracle_alpha is not None:  # refused before any trial runs
         oracle_configs = [dataclasses.replace(c, alpha=args.oracle_alpha) for c in configs]
         _blame("--oracle-alpha", oracle_configs[0].validate)
-    all_ok = True
     rows = []
+    fails = 0
+    worst = None  # (z, the row's key fields) of the largest z
     max_abs_err = 0.0
     # one pass over the trials decodes every configuration
     results = _simulate(configs, schemes, args.workers)
@@ -423,31 +424,35 @@ def _cmd_oracle_check(args) -> int:
                 delta = abs(p_mc - p_or)
                 se = se if se > 0 else se_if_0
                 ok = delta <= 4.0 * se
-                all_ok = all_ok and ok
+                fails += not ok
                 z = 0.0 if delta == 0.0 else (delta / se if se > 0 else float("inf"))
+                key = [
+                    _fmt(config.snr_db),
+                    _fmt(config.zeta),
+                    str(config.files),
+                    str(config.cache),
+                    scheme,
+                    metric,
+                ]
+                if worst is None or z > worst[0]:
+                    worst = (z, key)
                 rows.append(
                     ",".join(
-                        [
-                            _fmt(config.snr_db),
-                            _fmt(config.zeta),
-                            str(config.files),
-                            str(config.cache),
-                            scheme,
-                            metric,
-                            _fmt(p_mc),
-                            _fmt(p_or),
-                            _fmt(se),
-                            _fmt(z),
-                            "pass" if ok else "FAIL",
-                        ]
+                        [*key, _fmt(p_mc), _fmt(p_or), _fmt(se), _fmt(z), "pass" if ok else "FAIL"]
                     )
                 )
     lines = _manifest(args, configs[0], schemes, **recorded)
     lines.append(f"# oracle max abs_err: {_fmt(max_abs_err)}")
     lines.append(_ORACLE_HEADER)
     lines.extend(rows)
+    # a "#" line after the rows leaves the CSV table as it is
+    where = " ".join(f"{k}={v}" for k, v in zip(_ORACLE_HEADER.split(","), worst[1]))
+    lines.append(
+        f"# verdict: {len(rows)} checks, {fails} FAIL, worst z {_fmt(worst[0])} at {where}, "
+        f"max abs_err {_fmt(max_abs_err)}"
+    )
     _write(lines)
-    return 0 if all_ok else 3
+    return 0 if fails == 0 else 3
 
 
 def _cmd_version(args) -> int:

@@ -2,16 +2,16 @@
 
 Files 1..T at the base station carry a Zipf-derived popularity;
 every vehicle caches the top-C most popular files during the placement
-phase and requests one file per delivery trial.  A request's decode
-depends on two attributes of its file: which caches hold it (one of at
-most three top-C regions) and its SINR threshold.  :class:`ScenarioTable`
-groups files by those attributes; a scenario class is one attribute per
-vehicle plus which vehicle is the strong one.  The Monte Carlo engine
-classifies trials by the table and the oracle weights its classes, so
-the cached contents enter both paths through this one table.  The
-per-trial placement, the T-long popularity profile, the inverse-CDF
-request map and the classification by set membership are the tests'
-reference.
+phase and requests one file per delivery trial.  Every file has the
+same SINR threshold, so a request's decode depends only on which caches
+hold its file: one of at most three top-C regions, its attribute.
+:class:`ScenarioTable` groups files by region; a scenario class is one
+region per vehicle plus which vehicle is the strong one.  The Monte
+Carlo engine classifies trials by the table and the oracle weights its
+classes, so the cached contents enter both paths through this one
+table.  The per-trial placement, the T-long popularity profile, the
+inverse-CDF request map and the classification by set membership are
+the tests' reference.
 
 Both paths read the popularity CDF only at the table's few change
 points (:func:`zipf_cdf_at`).  Files 1..T0 are weighed one by one and
@@ -34,7 +34,6 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .access import DecodeThresholds
 from .errors import ParameterError
 
 __all__ = [
@@ -51,8 +50,8 @@ _HEAD_FILES = 10_000
 _MAX_FILES = 2**53
 
 
-def _zipf_exponent(catalog: int, zeta: float, convention: str) -> tuple[int, float]:
-    """(T, rank exponent s) of a checked Zipf catalog."""
+def _zipf_exponent(catalog: int, zeta: float) -> tuple[int, float]:
+    """(T, rank exponent s = 1/zeta) of a checked Zipf catalog."""
     # a bool is a number to Python, but never a catalog size or a zeta
     if (
         isinstance(catalog, bool)
@@ -62,11 +61,7 @@ def _zipf_exponent(catalog: int, zeta: float, convention: str) -> tuple[int, flo
         raise ParameterError(f"catalog size must be an integer in 1..2**53, got {catalog!r}")
     if isinstance(zeta, bool) or not (isinstance(zeta, Real) and isfinite(zeta) and zeta > 0):
         raise ParameterError(f"zeta must be positive and finite, got {zeta!r}")
-    if convention == "reciprocal":
-        return int(catalog), 1.0 / zeta
-    if convention == "direct":
-        return int(catalog), zeta
-    raise ParameterError(f"unknown zipf convention {convention!r}")
+    return int(catalog), 1.0 / zeta
 
 
 def _zipf_weights(n: int, exponent: float) -> np.ndarray:
@@ -118,22 +113,20 @@ def _zipf_total(head: np.ndarray, exponent: float, t: int) -> float:
     return total
 
 
-def zipf_cdf_at(catalog: int, zeta: float, files, convention: str = "reciprocal") -> np.ndarray:
+def zipf_cdf_at(catalog: int, zeta: float, files) -> np.ndarray:
     """P(request <= k) under the Zipf popularity of files 1..T for each
     file index k of ``files`` (integers in 1..T), in O(T0 + K) time and
     memory for K indices: no array grows with T.
 
-    With the default ``reciprocal`` convention the rank exponent is
-    1/zeta, so zeta -> 0 concentrates all mass on file 1 and large zeta
-    approaches a uniform popularity; ``direct`` takes the textbook
-    exponent zeta, for cross-checks against other tools.  Files
-    1..min(T, T0) are weighed, normalised and accumulated one by one, so
-    at T <= T0 every value is the plain running sum of the normalised
-    weights.  Above T0 the normaliser and the sum over files 1..k are
-    the head's sum plus the Euler-Maclaurin tail, each within 2e-15
-    relative of the exact sum.
+    The rank exponent is 1/zeta, so zeta -> 0 concentrates all mass on
+    file 1 and large zeta approaches a uniform popularity; a textbook
+    exponent s is zeta = 1/s.  Files 1..min(T, T0) are weighed,
+    normalised and accumulated one by one, so at T <= T0 every value is
+    the plain running sum of the normalised weights.  Above T0 the
+    normaliser and the sum over files 1..k are the head's sum plus the
+    Euler-Maclaurin tail, each within 2e-15 relative of the exact sum.
     """
-    t, exponent = _zipf_exponent(catalog, zeta, convention)
+    t, exponent = _zipf_exponent(catalog, zeta)
     k = np.asarray(files, dtype=np.int64)
     if np.any((k < 1) | (k > t)):
         raise ParameterError(f"file indices must lie in 1..{t}")
@@ -159,15 +152,14 @@ def _by_position(strong_is_1, v1, v2):
 
 @dataclass(frozen=True, eq=False)
 class ScenarioTable:
-    """The scenario classes of one catalog size, cache pair and threshold
-    table; no popularity profile is needed to build it, and it holds
-    O(K) arrays for K change points at any catalog size.
+    """The scenario classes of one catalog size and cache pair; no
+    popularity profile is needed to build it, and it holds arrays of at
+    most three entries at any catalog size.
 
-    Under top-C placement a request's attributes -- which caches hold its
-    file (its region) and its threshold level -- change only at a few
-    files: c1+1, c2+1, and each override file f and f+1.  Those change
-    points cut files 1..T into cells whose files all share their first
-    file's attributes.  With A distinct attributes, class code
+    Under top-C placement a request's attribute -- which caches hold its
+    file, its region -- changes only at files c1+1 and c2+1.  Those
+    change points cut files 1..T into at most three cells, each of one
+    region.  With A distinct regions (A <= 3), class code
     ``2 * (a1 * A + a2) + s`` holds vehicle 1's attribute a1, vehicle 2's
     a2, and s = 1 when vehicle 1 is the strong one.
     """
@@ -176,50 +168,38 @@ class ScenarioTable:
     starts: np.ndarray  # change points, in 2..T ascending
     attribute_of_cell: np.ndarray  # attribute index of each cell
     held: np.ndarray  # (in cache 1, in cache 2) by attribute
-    theta: np.ndarray  # threshold by attribute
 
     @classmethod
-    def of(
-        cls, files: int, capacities: tuple[int, int], thresholds: DecodeThresholds
-    ) -> "ScenarioTable":
+    def of(cls, files: int, capacities: tuple[int, int]) -> "ScenarioTable":
         c1, c2 = capacities
-        theta_of = dict(thresholds.overrides)
-        overridden = [f for f in theta_of if 1 <= f <= files]
-        starts = np.unique([c1 + 1, c2 + 1, *overridden, *(f + 1 for f in overridden)])
+        starts = np.unique([c1 + 1, c2 + 1])
         starts = starts[(starts >= 2) & (starts <= files)]
         first = np.concatenate(([1], starts))
-        levels, level = np.unique(
-            [theta_of.get(f, thresholds.default) for f in first.tolist()], return_inverse=True
-        )
         # under top-C placement (in 1, in 2) takes at most 3 of its 4 values
-        region = (first <= c1) + 2 * (first <= c2)
-        attributes, attribute_of_cell = np.unique(
-            region * len(levels) + level, return_inverse=True
+        regions, attribute_of_cell = np.unique(
+            (first <= c1) + 2 * (first <= c2), return_inverse=True
         )
-        region, level = np.divmod(attributes, len(levels))
-        held = np.column_stack((region & 1 == 1, region & 2 == 2))
-        return cls(int(files), starts, attribute_of_cell, held, levels[level])
+        held = np.column_stack((regions & 1 == 1, regions & 2 == 2))
+        return cls(int(files), starts, attribute_of_cell, held)
 
     @property
     def size(self) -> int:
-        return 2 * len(self.theta) ** 2
+        return 2 * len(self.held) ** 2
 
-    def cdf_at_starts(self, zeta: float, convention: str = "reciprocal") -> np.ndarray:
+    def cdf_at_starts(self, zeta: float) -> np.ndarray:
         """The Zipf CDF at file k - 1 for each change point k, ascending,
         through :func:`zipf_cdf_at`.  A request r(u) is >= k iff that
-        value is below u, so a
-        uniform's cell is the number of these values below it, and cell
-        masses are their differences."""
-        return zipf_cdf_at(self.files, zeta, self.starts - 1, convention)
+        value is below u, so a uniform's cell is the number of these
+        values below it, and cell masses are their differences."""
+        return zipf_cdf_at(self.files, zeta, self.starts - 1)
 
     def columns(self):
-        """``gain_thresholds``' position-ordered inputs for every class code:
-        (th_s, th_w, hit_s, hit_w, cross_s, cross_w)."""
+        """``gain_thresholds``' position-ordered cache flags for every
+        class code: (hit_s, hit_w, cross_s, cross_w)."""
         pair, strong_is_1 = np.divmod(np.arange(self.size), 2)
-        a1, a2 = np.divmod(pair, len(self.theta))
+        a1, a2 = np.divmod(pair, len(self.held))
         strong_is_1 = strong_is_1 == 1
         return (
-            *_by_position(strong_is_1, self.theta[a1], self.theta[a2]),
             *_by_position(strong_is_1, self.held[a1, 0], self.held[a2, 1]),
             # whether each vehicle holds the other's requested file
             *_by_position(strong_is_1, self.held[a2, 0], self.held[a1, 1]),

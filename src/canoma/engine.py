@@ -24,9 +24,9 @@ every Monte Carlo row once, within its sampling error.
 A run therefore draws each block once for all the configurations it
 covers -- every value of a sweep, every point of an oracle check -- and
 decodes each (configuration, scheme) from content's scenario-class table
-(cache flags, threshold levels and which vehicle is strong), so a sweep
-costs about one point.  A trial's class comes from its two uniforms by a
-branchless bisection over a few CDF breakpoints.  Each (configuration,
+(cache regions and which vehicle is strong), so a sweep costs about one
+point.  A trial's class comes from its two uniforms by a branchless
+bisection over at most two CDF breakpoints.  Each (configuration,
 scheme) decodes its whole class table once per run, so a block gathers
 each trial's minimum gains by class code, compares and counts.
 """
@@ -110,8 +110,6 @@ class TrialConfig:
     link_specs: tuple[LinkSpec, LinkSpec] = (DEFAULT_LINK_SPEC, DEFAULT_LINK_SPEC)
     ordering: str = "by-gain"
     metric: str = "marg-product"
-    zipf_convention: str = "reciprocal"
-    self_hit_power: str = "reallocate"
 
     @property
     def capacities(self) -> tuple[int, int]:
@@ -125,15 +123,14 @@ class TrialConfig:
 
     @cached_property
     def table(self) -> ScenarioTable:
-        """The scenario-class table of this config's catalog, caches and
-        thresholds, built on first use and kept with the config; read it
-        only after ``validate``, which reads it last."""
-        return ScenarioTable.of(self.files, self.capacities, self.thresholds)
+        """The scenario-class table of this config's catalog and caches,
+        built on first use and kept with the config; read it only after
+        ``validate``."""
+        return ScenarioTable.of(self.files, self.capacities)
 
     def validate(self) -> None:
-        def bad(name: str, requirement: str, got: str | None = None) -> ParameterError:
-            got = repr(getattr(self, name)) if got is None else got
-            return ParameterError(f"{name} must {requirement}, got {got}", name)
+        def bad(name: str, requirement: str) -> ParameterError:
+            return ParameterError(f"{name} must {requirement}, got {getattr(self, name)!r}", name)
 
         if not _is_int(self.n_trials) or self.n_trials < 1:
             raise bad("n_trials", "be a positive integer")
@@ -164,21 +161,8 @@ class TrialConfig:
             and all(isinstance(s, LinkSpec) for s in specs)
         ):
             raise bad("link_specs", "be a pair of LinkSpec")
-        if self.zipf_convention not in ("reciprocal", "direct"):
-            raise bad("zipf_convention", "be 'reciprocal' or 'direct'")
-        if self.self_hit_power not in ("reallocate", "idle"):
-            raise bad("self_hit_power", "be 'reallocate' or 'idle'")
         if not isinstance(self.thresholds, DecodeThresholds):
             raise bad("thresholds", "be a DecodeThresholds")
-        # every class's (a, b) is decoded once per run into a table that
-        # must not outgrow a chunk's class codes
-        if self.table.size > CHUNK:
-            raise bad(
-                "thresholds",
-                f"give at most {CHUNK} scenario classes, 2 * A^2 for A distinct "
-                "(cache region, threshold level) pairs",
-                f"{self.table.size} classes from A = {len(self.table.theta)}",
-            )
 
 
 @dataclass(frozen=True)
@@ -291,9 +275,9 @@ class _ScenarioClasses:
     A uniform's cell is the number of the table's CDF values below it: a
     branchless bisection over a few CDF values (``_count_below``), never a
     search over the T-long CDF, and no request is ever formed.  Trials of
-    one class decode alike, and ``TrialConfig.validate`` keeps the table
-    within CHUNK classes, so ``gain_thresholds`` runs once per run over
-    every class and each trial looks its (a, b) up by code.
+    one class decode alike, so ``gain_thresholds`` runs once per run over
+    the table's at most 18 classes and each trial looks its (a, b) up by
+    code.
     """
 
     table: ScenarioTable
@@ -303,10 +287,9 @@ class _ScenarioClasses:
     @classmethod
     def of(cls, config: TrialConfig) -> "_ScenarioClasses":
         table = config.table
-        # validate keeps A <= 181 attributes, so an index fits a byte
         return cls(
             table,
-            _bisection_table(table.cdf_at_starts(config.zeta, config.zipf_convention)),
+            _bisection_table(table.cdf_at_starts(config.zeta)),
             table.attribute_of_cell.astype(np.uint8),
         )
 
@@ -316,15 +299,15 @@ class _ScenarioClasses:
         whether vehicle 1 is the strong one.  ``u`` is the leading rows of
         a C-ordered (rows, 2) array, so it flattens without a copy."""
         attribute = self.attribute_of_cell.take(_count_below(self.breakpoints, u.reshape(-1)))
-        np.multiply(attribute[0::2], len(self.table.theta), out=out, dtype=out.dtype)
+        np.multiply(attribute[0::2], len(self.table.held), out=out, dtype=out.dtype)
         out += attribute[1::2]
 
 
 def _chunk_buffers(groups):
     """One thread's working arrays for ``_run_chunk``: request uniforms for
     one slice of rows, the two links' gains and a spare, the strong flags,
-    three outcome flags, each scenario group's attribute pairs in its
-    narrowest code type, and one shared ``intp`` code row.
+    three outcome flags, each scenario group's attribute pairs (at most 9,
+    so a byte each), and one shared ``intp`` code row.
 
     The calling thread allocates them once per run, so no chunk allocates
     anything CHUNK-sized and the memory never lands in a worker thread's
@@ -336,10 +319,7 @@ def _chunk_buffers(groups):
         np.empty((3, CHUNK)),
         np.empty(CHUNK, dtype=bool),
         np.empty((3, CHUNK), dtype=bool),
-        {
-            key: np.empty(CHUNK, dtype=np.min_scalar_type(g.table.size - 1))
-            for key, g in groups.items()
-        },
+        {key: np.empty(CHUNK, dtype=np.uint8) for key in groups},
         np.empty(CHUNK, dtype=np.intp),
     )
 
@@ -397,13 +377,11 @@ def _run_chunk(task, buffers):
 
 
 def _scenario_groups(configs: Sequence[TrialConfig]):
-    """One ``_ScenarioClasses`` per (popularity, cache pair, thresholds)
-    key, and each config paired with its key."""
+    """One ``_ScenarioClasses`` per (catalog, zeta, cache pair) key, and
+    each config paired with its key."""
     groups, keyed = {}, []
     for config in configs:
-        key = (
-            config.files, config.zeta, config.zipf_convention, config.capacities, config.thresholds
-        )
+        key = (config.files, config.zeta, config.capacities)
         if key not in groups:
             groups[key] = _ScenarioClasses.of(config)
         keyed.append((key, config))
@@ -439,11 +417,11 @@ def _simulate(
 
     The configs must share the fields that fix the draws (seed,
     n_trials, link_specs, ordering).  Each SFC64 block is drawn once,
-    classified once per popularity, cache pair and threshold table, and
-    every (config, scheme) looks its trials up in that group's
-    scenario-class table, whose (a, b) it decodes once per run for every
-    class.  Each group reads the popularity CDF at its table's few change
-    points only, so no array is sized by the catalog or the caches.
+    classified once per popularity and cache pair, and every (config,
+    scheme) looks its trials up in that group's scenario-class table,
+    whose (a, b) it decodes once per run for every class.  Each group
+    reads the popularity CDF at its table's few change points only, so
+    no array is sized by the catalog or the caches.
     Chunks run on ``_thread_count(workers, n_trials)`` threads, each in
     buffers this thread allocates once.  Returns, per config,
     ``{scheme: (estimate, outcomes)}``, outcomes being an (n, 2)
@@ -474,7 +452,7 @@ def _simulate(
     for i, (key, config) in enumerate(keyed_configs):
         tables = {
             scheme: gain_thresholds(
-                scheme, config.rho, config.alpha, *columns[key], config.self_hit_power
+                scheme, config.rho, config.alpha, config.thresholds.default, *columns[key]
             )
             for scheme in schemes
         }

@@ -11,26 +11,26 @@ of the share of trials in which its vehicle is the strong one.
 Combining those weights with the cascaded-fading CCDF gives the success
 probabilities without simulation.  The CCDF is a finite Bessel-K sum
 when a stage has an integer shape and adaptive quadrature otherwise;
-the quadrature's error estimate is carried into every result.  The
-engine counts sampled trials per class instead, so agreement between
-the two checks the sampling; the table and the rule are pinned by the
-request-pair enumeration and the SINR-level scalar decoders in the
-tests.
+the quadrature's error estimate (1 where scipy reports that it did not
+converge) is carried into every result.  The engine counts sampled
+trials per class instead, so agreement between the two checks the
+sampling; the table and the rule are pinned by the request-pair
+enumeration and the SINR-level scalar decoders in the tests.
 
 Under by-gain ordering the two links must be i.i.d.; the joint event
 then follows from the order statistics of two draws:
 P(max >= a, min >= b) = G(b)^2 - (G(b) - G(a))^2 for a >= b.
 
-Support is deliberately narrow: two vehicles and at most two fading
-stages per link.  Per-file thresholds are covered, since each class
-carries its threshold level.  Everything else is left to the Monte
-Carlo path.
+Support is deliberately narrow: two vehicles, one SINR threshold for
+every file and at most two fading stages per link.  Everything else is
+left to the Monte Carlo path.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -207,7 +207,9 @@ def _bessel_k_ccdf(m1: int, scale1: float, shape2: float, scale2: float, x: floa
 
 def _quadrature_ccdf(spec: LinkSpec, x: float) -> tuple[float, float]:
     """(P(G1 * G2 > x), error estimate) as the integral of
-    ccdf_1(x/g) * pdf_2(g) over g > 0."""
+    ccdf_1(x/g) * pdf_2(g) over g > 0.  Where scipy warns that a part did
+    not converge, its estimate bounds nothing, and the error is 1, the
+    only sound bound on a probability."""
     from scipy import integrate  # only this path needs it
     from scipy.special import gammaincc
 
@@ -226,12 +228,19 @@ def _quadrature_ccdf(spec: LinkSpec, x: float) -> tuple[float, float]:
     width = 10.0 * math.sqrt(s2.gamma_shape) * s2.gamma_scale
     cuts = sorted({0.0, max(mode - width, 0.0), mode, mode + width, math.inf})
     val = err = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        part, part_err = integrate.quad(
-            integrand, lo, hi, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=300
-        )
-        val += part
-        err += part_err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", integrate.IntegrationWarning)
+        for lo, hi in zip(cuts, cuts[1:]):
+            part, part_err = integrate.quad(
+                integrand, lo, hi, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=300
+            )
+            val += part
+            err += part_err
+    for w in caught:
+        if issubclass(w.category, integrate.IntegrationWarning):
+            err = 1.0
+        else:  # not ours to keep
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     return min(max(val, 0.0), 1.0), err
 
 
@@ -324,7 +333,7 @@ def _class_weights(table: ScenarioTable, cdf: np.ndarray, policy: str):
     attribute's mass is the sum over its cells.
     """
     cells = np.diff(np.concatenate(([0.0], cdf, [1.0])))
-    mass = np.bincount(table.attribute_of_cell, weights=cells, minlength=len(table.theta))
+    mass = np.bincount(table.attribute_of_cell, weights=cells, minlength=len(table.held))
     # index (a1, a2, s) of the product is class code 2 * (a1 * A + a2) + s
     return np.multiply.outer(np.outer(mass, mass), _STRONG_SHARES[policy]).ravel()
 
@@ -340,8 +349,6 @@ def success_prob(
     thresholds: DecodeThresholds | None = None,
     link_specs: tuple[LinkSpec, LinkSpec],
     policy: str = "by-gain",
-    zipf_convention: str = "reciprocal",
-    self_hit_power: str = "reallocate",
 ) -> OracleResult:
     """Total success probabilities by exact scenario enumeration.
 
@@ -350,9 +357,8 @@ def success_prob(
     engine's ``ParameterError`` naming the same field: ``catalog_t`` sets
     ``files``, ``capacities`` (any two-item sequence) sets ``cache``,
     ``total`` sets ``rho``, ``policy`` sets ``ordering``, and ``scheme``,
-    ``zeta``, ``alpha``, ``thresholds`` (None for the default),
-    ``link_specs``, ``zipf_convention`` and ``self_hit_power`` set the
-    fields of their own names.
+    ``zeta``, ``alpha``, ``thresholds`` (None for the default) and
+    ``link_specs`` set the fields of their own names.
 
     Every class of the scenario table is reduced to gain thresholds and
     weighted by its probability (``_class_weights``).  The marginal
@@ -370,8 +376,6 @@ def success_prob(
         thresholds=DecodeThresholds() if thresholds is None else thresholds,
         link_specs=link_specs,
         ordering=policy,
-        zipf_convention=zipf_convention,
-        self_hit_power=self_hit_power,
     )
     config.validate()
     return _success_prob(config, scheme)
@@ -383,9 +387,9 @@ def _success_prob(config: TrialConfig, scheme: str) -> OracleResult:
     table = config.table
     specs, policy = config.link_specs, config.ordering
     a, b = gain_thresholds(
-        scheme, config.rho, config.alpha, *table.columns(), config.self_hit_power
+        scheme, config.rho, config.alpha, config.thresholds.default, *table.columns()
     )
-    cdf = table.cdf_at_starts(config.zeta, config.zipf_convention)
+    cdf = table.cdf_at_starts(config.zeta)
     weight = _class_weights(table, cdf, policy)
     codes = np.flatnonzero(weight)
     weight = weight[codes]

@@ -120,7 +120,8 @@ class PopularityProfile:
 
 def zipf_profile(catalog: int, zeta: float, convention: str = "reciprocal") -> PopularityProfile:
     """Zipf popularity over files 1..T: rank exponent 1/zeta under the
-    ``reciprocal`` convention, zeta under ``direct``."""
+    ``reciprocal`` convention, zeta under ``direct``.  The library takes
+    the reciprocal one only, so the tests reach ``direct`` at 1/zeta."""
     exponent = 1.0 / zeta if convention == "reciprocal" else zeta
     weights = np.arange(1, catalog + 1, dtype=float) ** -exponent
     return PopularityProfile(weights / weights.sum())
@@ -168,19 +169,6 @@ def mean_link_gain(spec: LinkSpec) -> float:
     for stage in spec.stages:
         out *= stage.omega
     return out
-
-
-def theta_for(thresholds: DecodeThresholds, file: int) -> float:
-    """The SINR threshold of one file."""
-    for f, theta in thresholds.overrides:
-        if f == file:
-            return theta
-    return thresholds.default
-
-
-def threshold_table(thresholds: DecodeThresholds, t: int) -> np.ndarray:
-    """The thresholds of files 1..t, file f at index f - 1."""
-    return np.array([theta_for(thresholds, f) for f in range(1, t + 1)])
 
 
 def order_users(gains: Sequence[float], policy: str = "by-gain") -> UserOrdering:
@@ -249,7 +237,6 @@ def decode_noma(
     scenario: CacheScenario,
     ordering: UserOrdering | None = None,
     cache_aided: bool = True,
-    self_hit_power: str = "reallocate",
 ) -> Outcome:
     """Decode one NOMA trial for any number of vehicles.
 
@@ -261,12 +248,8 @@ def decode_noma(
     message of weaker-positioned vehicles, each cancellation requiring
     SINR >= that message's threshold against the still-superposed rest;
     its own decode then faces whatever is left, stronger-positioned
-    messages included.  Infeasible steps yield failure, never errors.
-
-    ``self_hit_power`` picks what happens to a self-served vehicle's
-    power share in cache-aided mode: ``reallocate`` (default) re-spreads
-    the ladder over the active vehicles, ``idle`` leaves each active
-    message at its original position power and wastes the rest.
+    messages included.  Every message carries the threshold
+    ``thresholds.default``.  Infeasible steps yield failure, never errors.
     """
     gains = [float(x) for x in gains]
     n = len(gains)
@@ -281,19 +264,10 @@ def decode_noma(
     if sorted(ordering) != list(range(n)):
         raise ParameterError(f"ordering must be a permutation of 0..{n - 1}")
 
-    if self_hit_power not in ("reallocate", "idle"):
-        raise ParameterError(f"unknown self-hit power policy {self_hit_power!r}")
     rank = {v: k for k, v in enumerate(ordering)}
     if cache_aided:
         transmitted = [v for v in ordering if not scenario.self_hit[v]]
-        if self_hit_power == "reallocate":
-            powers = _message_powers(alloc.total, alloc.alpha, len(transmitted))
-        else:
-            if len(alloc.powers) != n:
-                raise ParameterError(
-                    f"allocation has {len(alloc.powers)} positions for {n} vehicles"
-                )
-            powers = tuple(alloc.powers[rank[v]] for v in transmitted)
+        powers = _message_powers(alloc.total, alloc.alpha, len(transmitted))
     else:
         transmitted = list(ordering)
         if len(alloc.powers) != n:
@@ -301,10 +275,7 @@ def decode_noma(
                 f"allocation has {len(alloc.powers)} positions for {n} vehicles"
             )
         powers = alloc.powers
-    messages = [
-        (owner, powers[k], theta_for(thresholds, scenario.requests[owner]))
-        for k, owner in enumerate(transmitted)
-    ]
+    messages = [(owner, powers[k], thresholds.default) for k, owner in enumerate(transmitted)]
 
     ok: list[bool] = []
     for i in range(n):
@@ -366,6 +337,6 @@ def decode_oma(
         if scenario.self_hit[i]:
             ok.append(True)
             continue
-        theta = theta_for(thresholds, scenario.requests[i])
-        ok.append(total * gains[i] >= oma_effective_threshold(theta, 1.0 / active))
+        need = oma_effective_threshold(thresholds.default, 1.0 / active)
+        ok.append(total * gains[i] >= need)
     return Outcome(tuple(ok))

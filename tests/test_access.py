@@ -14,8 +14,6 @@ from reference import (
     oma_effective_threshold,
     order_users,
     split_power,
-    theta_for,
-    threshold_table,
 )
 
 UNIT_THETA = DecodeThresholds()
@@ -103,46 +101,22 @@ class TestOmaEffectiveThreshold:
 
 class TestDecodeThresholds:
     def test_default_applies_to_every_file(self):
+        # one slice of two at power 10: (1 + 2)^2 - 1 = 8 needs gain 0.8
         th = DecodeThresholds(default=2.0)
-        assert theta_for(th, 1) == theta_for(th, 999) == 2.0
-
-    def test_overrides(self):
-        th = DecodeThresholds(default=1.0, overrides=((3, 0.5),))
-        assert theta_for(th, 3) == 0.5
-        assert theta_for(th, 4) == 1.0
-        np.testing.assert_allclose(threshold_table(th, 4), [1.0, 1.0, 0.5, 1.0])
+        for requests in ((1, 999), (999, 1)):
+            out = decode_oma([0.81, 0.79], 10.0, th, scenario_with(requests=requests))
+            assert out.ok == (True, False)
 
     def test_rejects_non_positive(self):
         with pytest.raises(ParameterError):
             DecodeThresholds(default=0.0)
         with pytest.raises(ParameterError):
-            DecodeThresholds(overrides=((1, -1.0),))
-
-    def test_rejects_a_file_overridden_twice(self):
-        # theta_for would take the last value and table the first
-        with pytest.raises(ParameterError, match="file 3"):
-            DecodeThresholds(overrides=((3, 2.0), (3, 0.5)))
-
-    @pytest.mark.parametrize("file", [0, -2, 2.0, 1.5, True, "3"])
-    def test_rejects_a_file_index_that_is_not_an_integer_from_1(self, file):
-        with pytest.raises(ParameterError, match="override file"):
-            DecodeThresholds(overrides=((file, 0.5),))
+            DecodeThresholds(default=-1.0)
 
     @pytest.mark.parametrize("theta", ["1", True, None, float("nan")])
     def test_rejects_a_threshold_that_is_not_a_real(self, theta):
         with pytest.raises(ParameterError, match="positive real"):
             DecodeThresholds(default=theta)
-        with pytest.raises(ParameterError, match="file 2"):
-            DecodeThresholds(overrides=((2, theta),))
-
-    @pytest.mark.parametrize("overrides", [None, ((1,),), (1, 0.5), ((1, 0.5, 2),)])
-    def test_rejects_overrides_that_are_not_pairs(self, overrides):
-        with pytest.raises(ParameterError, match="pairs"):
-            DecodeThresholds(overrides=overrides)
-
-    def test_accepts_numpy_integer_files(self):
-        th = DecodeThresholds(overrides=((np.int64(2), 0.5),))
-        assert theta_for(th, 2) == 0.5
 
 
 class TestDecodeNoma:
@@ -206,20 +180,6 @@ class TestDecodeNoma:
         out = decode_noma([1.0, 0.12], self.alloc(), UNIT_THETA, scenario, cache_aided=False)
         assert out.ok == (True, False)
 
-    def test_idle_power_policy_keeps_position_shares(self):
-        # strong vehicle self-served: the weak one keeps P_w = 8 under
-        # the idle policy instead of inheriting the full 10
-        scenario = scenario_with(self_hit=(True, False))
-        gains = [1.0, 0.12]
-        realloc = decode_noma(gains, self.alloc(), UNIT_THETA, scenario)
-        assert realloc.ok == (True, True)  # 10 * 0.12 >= 1
-        idle = decode_noma(
-            gains, self.alloc(), UNIT_THETA, scenario, self_hit_power="idle"
-        )
-        assert idle.ok == (True, False)  # 8 * 0.12 < 1
-        with pytest.raises(ParameterError):
-            decode_noma(gains, self.alloc(), UNIT_THETA, scenario, self_hit_power="waste")
-
     def test_fixed_ordering_assigns_roles_by_index(self):
         scenario = scenario_with()
         # vehicle 1 is "strong" even with the smaller gain
@@ -281,20 +241,18 @@ def closed_form_pair(xs, xw, p_s, p_w, th_s, th_w, cross_s, cross_w):
     return ok_s, ok_w
 
 
-def rule_outcome(scheme, gains, total, alpha, thresholds, scenario, ordering, hit_power):
+def rule_outcome(scheme, gains, total, alpha, thresholds, scenario, ordering):
     """Per-vehicle outcome of the two-vehicle gain-threshold rule."""
     s, w = ordering
     a, b = gain_thresholds(
         scheme,
         total,
         alpha,
-        theta_for(thresholds, scenario.requests[s]),
-        theta_for(thresholds, scenario.requests[w]),
+        thresholds.default,
         scenario.self_hit[s],
         scenario.self_hit[w],
         scenario.cross_cached(w, s),
         scenario.cross_cached(s, w),
-        hit_power,
     )
     ok = [False, False]
     ok[s] = bool(gains[s] >= a)
@@ -302,12 +260,12 @@ def rule_outcome(scheme, gains, total, alpha, thresholds, scenario, ordering, hi
     return tuple(ok)
 
 
-def scalar_outcome(scheme, gains, total, alpha, thresholds, scenario, ordering, hit_power):
+def scalar_outcome(scheme, gains, total, alpha, thresholds, scenario, ordering):
     """Per-vehicle outcome of the SINR-level scalar decoders."""
     if scheme in ("canoma", "noma"):
         return decode_noma(
             list(gains), split_power(total, alpha, 2), thresholds, scenario,
-            ordering=ordering, cache_aided=(scheme == "canoma"), self_hit_power=hit_power,
+            ordering=ordering, cache_aided=(scheme == "canoma"),
         ).ok
     return decode_oma(
         list(gains), total, thresholds, scenario, cache_exploit=(scheme == "oma-cache")
@@ -344,13 +302,11 @@ class TestClosedFormAgreement:
         x2 = rng.exponential(1.0, n)
         total = 10.0 ** rng.uniform(-0.5, 2.0, n)
         alpha = rng.uniform(0.05, 0.95, n)
-        th1 = rng.uniform(0.2, 3.0, n)
-        th2 = rng.uniform(0.2, 3.0, n)
+        theta = rng.uniform(0.2, 3.0, n)
         c21 = rng.random(n) < 0.5
         c12 = rng.random(n) < 0.5
         strong_first = x1 >= x2
         xs, xw = np.where(strong_first, x1, x2), np.where(strong_first, x2, x1)
-        th_s, th_w = np.where(strong_first, th1, th2), np.where(strong_first, th2, th1)
         cross_s = np.where(strong_first, c12, c21)
         cross_w = np.where(strong_first, c21, c12)
         ok_s = np.empty(n, dtype=bool)
@@ -359,19 +315,16 @@ class TestClosedFormAgreement:
             p_s = alpha[i] * total[i]
             p_w = total[i] - p_s
             ok_s[i], ok_w[i] = closed_form_pair(
-                xs[i], xw[i], p_s, p_w, th_s[i], th_w[i], cross_s[i], cross_w[i]
+                xs[i], xw[i], p_s, p_w, theta[i], theta[i], cross_s[i], cross_w[i]
             )
 
-        a, b = gain_thresholds(
-            "canoma", total, alpha, th_s, th_w, False, False, cross_s, cross_w
-        )
+        a, b = gain_thresholds("canoma", total, alpha, theta, False, False, cross_s, cross_w)
         np.testing.assert_array_equal(xs >= a, ok_s)
         np.testing.assert_array_equal(xw >= b, ok_w)
         # scalar arguments broadcast to the same rule
         for i in range(0, n, 997):
             a_i, b_i = gain_thresholds(
-                "canoma", total[i], alpha[i], th_s[i], th_w[i], False, False,
-                cross_s[i], cross_w[i],
+                "canoma", total[i], alpha[i], theta[i], False, False, cross_s[i], cross_w[i]
             )
             assert (bool(xs[i] >= a_i), bool(xw[i] >= b_i)) == (ok_s[i], ok_w[i])
 
@@ -383,14 +336,11 @@ class TestClosedFormAgreement:
             alpha = float(rng.uniform(0.05, 0.95))
             hits = tuple(rng.random(2) < 0.3)
             cross = tuple(rng.random(2) < 0.5)
-            hit_power = "idle" if rng.random() < 0.3 else "reallocate"
-            thresholds = DecodeThresholds(
-                1.0, ((4, float(rng.uniform(0.2, 3.0))), (5, float(rng.uniform(0.2, 3.0))))
-            )
+            thresholds = DecodeThresholds(float(rng.uniform(0.2, 3.0)))
             scenario = scenario_with(self_hit=hits, cross=cross)
             ordering = order_users(x)
             for scheme in SCHEMES:
-                args = (scheme, x, total, alpha, thresholds, scenario, ordering, hit_power)
+                args = (scheme, x, total, alpha, thresholds, scenario, ordering)
                 assert rule_outcome(*args) == scalar_outcome(*args), args
 
     @settings(max_examples=600, deadline=None, derandomize=True)
@@ -398,43 +348,35 @@ class TestClosedFormAgreement:
         gains=st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)),
         total=st.floats(1e-2, 1e3),
         alpha=st.floats(0.01, 0.99),
-        thetas=st.tuples(st.floats(1e-3, 1e2), st.floats(1e-3, 1e2)),
+        theta=st.floats(1e-3, 1e2),
         hits=st.tuples(st.booleans(), st.booleans()),
         cross=st.tuples(st.booleans(), st.booleans()),
         ordering=st.sampled_from([(0, 1), (1, 0)]),
         scheme=st.sampled_from(SCHEMES),
-        hit_power=st.sampled_from(["reallocate", "idle"]),
     )
     def test_rule_matches_scalar_decoder_property(
-        self, gains, total, alpha, thetas, hits, cross, ordering, scheme, hit_power
+        self, gains, total, alpha, theta, hits, cross, ordering, scheme
     ):
         """Property: ``gain >= threshold`` from the rule equals the SINR-level
-        decoder for random gains, flags, per-vehicle thresholds, alpha,
-        total power, ordering, scheme and power policy.
+        decoder for random gains, flags, threshold, alpha, total power,
+        ordering and scheme.
 
         The only draws excluded are those whose gain lies within 8 ULPs of
         a decode boundary (see :func:`near_boundary`), where the two
         algebraically equal forms may round differently."""
         p_s = alpha * total
         p_w = total - p_s
-        conditions = []
-        for theta in thetas:
-            conditions.append((p_w, p_s, theta))  # SIC stage, plain weak decode
-            conditions += [(p, 0.0, theta) for p in (p_s, p_w, total)]  # interference-free
-            conditions += [
-                (total, 0.0, oma_effective_threshold(theta, share)) for share in (0.5, 1.0)
-            ]
+        conditions = [(p_w, p_s, theta)]  # SIC stage, plain weak decode
+        conditions += [(p, 0.0, theta) for p in (p_s, p_w, total)]  # interference-free
+        conditions += [(total, 0.0, oma_effective_threshold(theta, share)) for share in (0.5, 1.0)]
         assume(not any(near_boundary(g, conditions) for g in gains))
-        thresholds = DecodeThresholds(1.0, ((4, thetas[0]), (5, thetas[1])))
         scenario = scenario_with(self_hit=hits, cross=cross)
-        args = (scheme, gains, total, alpha, thresholds, scenario, ordering, hit_power)
+        args = (scheme, gains, total, alpha, DecodeThresholds(theta), scenario, ordering)
         assert rule_outcome(*args) == scalar_outcome(*args)
 
-    def test_rejects_unknown_scheme_and_policy(self):
+    def test_rejects_unknown_scheme(self):
         with pytest.raises(ParameterError):
-            gain_thresholds("tdma", 10.0, 0.2, 1.0, 1.0, False, False, False, False)
-        with pytest.raises(ParameterError):
-            gain_thresholds("canoma", 10.0, 0.2, 1.0, 1.0, False, False, False, False, "waste")
+            gain_thresholds("tdma", 10.0, 0.2, 1.0, False, False, False, False)
 
 
 class TestDecodeInvariants:

@@ -1,6 +1,8 @@
+import dataclasses
 import importlib.metadata
 import io
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -31,6 +33,17 @@ def run_cli(argv):
 
 def data_rows(text):
     return [line for line in text.splitlines() if line and not line.startswith("#")]
+
+
+def verdict(text):
+    """(checks, FAIL count, worst z, its row's key fields, largest abs_err)
+    of the ``# verdict:`` line, which must be the last line."""
+    match = re.fullmatch(
+        r"# verdict: (\d+) checks, (\d+) FAIL, worst z (\S+) at (.*), max abs_err (\S+)",
+        text.splitlines()[-1],
+    )
+    checks, fails, z, where, abs_err = match.groups()
+    return int(checks), int(fails), float(z), where, float(abs_err)
 
 
 def manifest_entry(text, name):
@@ -306,8 +319,8 @@ class TestOracleCheck:
         assert all(r.endswith("pass") for r in rows[1:])
 
     def test_bare_serial_run_passes_and_peaks_below_6_mib(self):
-        # each scenario group keeps its class codes in uint8 or uint16 and
-        # widens them into one shared intp row; one CHUNK-long intp row for
+        # each scenario group keeps its class codes in uint8 and widens
+        # them into one shared intp row; one CHUNK-long intp row for
         # each of the 12 groups would take this run's peak to 9 MiB
         run_cli(["oracle-check", "--workers", "1", "--trials", "1000"])  # first-call allocations
         tracemalloc.start()
@@ -381,6 +394,35 @@ class TestOracleCheck:
         assert [r[6] for r in rows] == ["1", "1"]
         assert all(r[-1] == "FAIL" and float(r[9]) > 4 for r in rows)
 
+    def test_verdict_counts_the_rows(self):
+        code, out, _ = run_cli(["oracle-check", "--trials", "65536"])
+        assert code == 0
+        header, *rows = data_rows(out)
+        rows = [r.split(",") for r in rows]
+        checks, fails, z, where, abs_err = verdict(out)
+        assert (checks, fails) == (len(rows), 0) == (480, 0)
+        worst = max(rows, key=lambda r: float(r[9]))
+        assert z == float(worst[9])
+        assert where == " ".join(f"{k}={v}" for k, v in zip(header.split(",")[:6], worst))
+        assert abs_err == 0.0
+
+    def test_abs_err_bounds_a_quadrature_that_gives_up(self):
+        # at omega = 1e300 the Bessel-K argument underflows, and the
+        # quadrature warns that it did not converge: its estimate bounds
+        # nothing, so the reported error must bound the gap to the true 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                ["oracle-check", "--link-spec", "1,1e300,2,1e300", "--snr-db", "10",
+                 "--scheme", "canoma", "--trials", "65536"]
+            )
+        assert code == 0 and err == ""
+        (line,) = [x for x in out.splitlines() if x.startswith("# oracle max abs_err: ")]
+        abs_err = float(line.split(": ")[1])
+        gaps = [abs(1.0 - float(r.split(",")[7])) for r in data_rows(out)[1:]]
+        assert len(gaps) == 2 and abs_err >= max(gaps) > 0.0
+        assert verdict(out)[4] == abs_err
+
     def test_quadrature_error_is_reported(self):
         _, out, _ = run_cli(
             ["oracle-check", "--scheme", "noma", "--link-spec", "1.5,1,2.5,1", "--trials", "1000"]
@@ -394,7 +436,11 @@ class TestOracleCheck:
              "--zeta", "0.8", "--files", "10", "--cache", "0", "--oracle-alpha", "0.35"]
         )
         assert code == 3
-        assert any(r.endswith("FAIL") for r in data_rows(out)[1:])
+        rows = data_rows(out)[1:]
+        assert any(r.endswith("FAIL") for r in rows)
+        checks, fails, z, _, _ = verdict(out)
+        assert checks == len(rows) and fails == sum(r.endswith("FAIL") for r in rows) > 0
+        assert z > 4
 
     @pytest.mark.parametrize(
         "argv,flag",
@@ -432,14 +478,16 @@ class TestOracleCheck:
     "argv,tables",
     [
         (["point"], 1),
-        (["sweep", "--sweep", "snr_db", "--grid", "0,5,10,15,20"], 5),
+        # five SNR values on one catalog and cache pair share one table
+        (["sweep", "--sweep", "snr_db", "--grid", "0,5,10,15,20"], 1),
         (["oracle-check", "--sweep", "cache", "--grid", "0,2,5"], 3),
     ],
     ids=["point", "sweep", "oracle-check-sweep"],
 )
 def test_one_scenario_table_per_config(monkeypatch, argv, tables):
-    # each command validates each of its configs once, and the engine and
-    # the oracle read the table that config holds
+    # the engine builds one table per catalog and cache pair, from the
+    # first config that has them, and the oracle reads the table each of
+    # its configs holds
     built = []
     of = ScenarioTable.of.__func__
     counted = classmethod(lambda cls, *args: built.append(args) or of(cls, *args))
@@ -447,6 +495,42 @@ def test_one_scenario_table_per_config(monkeypatch, argv, tables):
     code, _, err = run_cli([*argv, "--trials", "1000"])
     assert code == 0, err
     assert len(built) == tables
+
+
+# TrialConfig field -> a `point` flag that moves it from its default
+FIELD_ARGV = {
+    "n_trials": ["--trials", "5000"],
+    "seed": ["--seed", "9"],
+    "scheme": ["--scheme", "noma"],
+    "files": ["--files", "20"],
+    "zeta": ["--zeta", "1.6"],
+    "cache": ["--cache", "3"],
+    "alpha": ["--alpha", "0.3"],
+    "rho": ["--snr-db", "20"],
+    "thresholds": ["--theta", "2"],
+    "link_specs": ["--link-spec", "1,1,3,3"],
+    "ordering": ["--ordering", "fixed"],
+    "metric": ["--metric", "joint"],
+}
+
+
+def resolved_config(argv):
+    """The configuration a `point` command runs."""
+    args = cli._build_parser().parse_args(["point", *argv])
+    (config,), _ = cli._configs(args, args.scheme)
+    return config
+
+
+def test_every_config_field_has_a_flag():
+    # a field no flag reaches is generality no command uses
+    assert set(FIELD_ARGV) == {f.name for f in dataclasses.fields(TrialConfig)}
+
+
+@pytest.mark.parametrize("field", FIELD_ARGV)
+def test_each_flag_moves_its_field_only(field):
+    base, moved = resolved_config([]), resolved_config(FIELD_ARGV[field])
+    for name in FIELD_ARGV:
+        assert (getattr(moved, name) != getattr(base, name)) == (name == field), name
 
 
 class TestVersion:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canoma import DecodeThresholds, ParameterError, ScenarioTable, zipf_cdf_at
+from canoma import ParameterError, ScenarioTable, zipf_cdf_at
 import canoma.content as content
 from canoma.content import _HEAD_FILES as HEAD
 from canoma.oracle import _class_weights
@@ -17,7 +17,6 @@ from reference import (
     place_cache,
     request_from_uniform,
     sample_request,
-    theta_for,
     zipf_profile,
 )
 
@@ -31,9 +30,15 @@ def masses(cdf):
     return np.diff(cdf, prepend=0.0)
 
 
+def library_zeta(zeta, convention):
+    """The library's zeta for the reference's ``convention``: the library
+    takes the reciprocal one, so a direct exponent s is its zeta = 1/s."""
+    return zeta if convention == "reciprocal" else 1.0 / zeta
+
+
 class TestZipfProfile:
     """The Zipf popularity that ``zipf_cdf_at`` reads, and the checks of its
-    catalog, zeta and convention (``content._zipf_exponent``)."""
+    catalog and zeta (``content._zipf_exponent``)."""
 
     def test_harmonic_case(self):
         cdf = zipf_cdf_at(3, 1.0, [1, 2, 3])
@@ -46,7 +51,8 @@ class TestZipfProfile:
         assert zipf_cdf_at(100, 1e-3, [1])[0] > 0.999
 
     def test_direct_convention_uses_plain_exponent(self):
-        cdf = zipf_cdf_at(3, 2.0, [1, 2, 3], convention="direct")
+        # the textbook exponent 2 is zeta = 1/2
+        cdf = zipf_cdf_at(3, library_zeta(2.0, "direct"), [1, 2, 3])
         np.testing.assert_allclose(masses(cdf), [36 / 49, 9 / 49, 4 / 49], rtol=1e-14)
 
     @pytest.mark.parametrize("t,zeta", [(0, 1.0), (3, 0.0), (3, -1.0), (3, math.nan)])
@@ -67,10 +73,6 @@ class TestZipfProfile:
         assert np.array_equal(zipf_cdf_at(np.int64(3), np.float64(1.0), [1, 2, 3]), want)
         assert np.array_equal(zipf_cdf_at(np.uint16(3), 1.0, [1, 2, 3]), want)
 
-    def test_rejects_unknown_convention(self):
-        with pytest.raises(ParameterError):
-            zipf_cdf_at(3, 1.0, [1], convention="zipfian")
-
     @pytest.mark.parametrize("zeta", [0.01, 0.5, 0.8, 1.0, 2.0])
     @pytest.mark.parametrize("convention", ["reciprocal", "direct"])
     def test_bits_equal_the_plain_expression(self, zeta, convention):
@@ -84,7 +86,8 @@ class TestZipfProfile:
             want = np.cumsum(head / total)
             if t == HEAD:
                 want[-1] = 1.0
-            assert np.array_equal(zipf_cdf_at(t, zeta, np.arange(1, HEAD + 1), convention), want)
+            cdf = zipf_cdf_at(t, library_zeta(zeta, convention), np.arange(1, HEAD + 1))
+            assert np.array_equal(cdf, want)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -121,16 +124,16 @@ class TestZipfCdfAt:
     @pytest.mark.parametrize("convention", ["reciprocal", "direct"])
     def test_matches_exact_sums(self, s, convention):
         mpmath = pytest.importorskip("mpmath")
-        zeta = 1.0 / s if convention == "reciprocal" else s
+        zeta = library_zeta(1.0 / s if convention == "reciprocal" else s, convention)
         for t in (HEAD, HEAD + 1, 10**5, 10**6, 10**9):
-            _, exponent = content._zipf_exponent(t, zeta, convention)
+            _, exponent = content._zipf_exponent(t, zeta)
             head = np.arange(1, min(t, HEAD) + 1, dtype=float) ** -exponent
             with mpmath.workdps(40):
                 total = exact_sum(mpmath, exponent, t)
                 assert abs(content._zipf_total(head, exponent, t) - total) <= 2e-15 * total
                 files = [1, 2, 10, 500, HEAD - 1, HEAD, HEAD + 1, HEAD + 2, t // 2, t - 1, t]
                 files = sorted({k for k in files if 1 <= k <= t})
-                for k, value in zip(files, zipf_cdf_at(t, zeta, files, convention)):
+                for k, value in zip(files, zipf_cdf_at(t, zeta, files)):
                     exact = exact_sum(mpmath, exponent, k) / total
                     # files 1..T0 are the profile's running sum
                     tol = running_sum_tol(k, float(exact)) if k <= HEAD else 2e-15
@@ -141,24 +144,20 @@ class TestZipfCdfAt:
     @pytest.mark.parametrize("convention", ["reciprocal", "direct"])
     def test_bits_equal_the_profile_up_to_the_head(self, t, zeta, convention):
         profile = zipf_profile(t, zeta, convention)
-        assert np.array_equal(zipf_cdf_at(t, zeta, np.arange(1, t + 1), convention), profile.cdf)
-        theta_of = {1: 0.5, 3: 2.0, t // 2 + 1: 4.0, t: 0.25}  # a later file wins
-        overrides = DecodeThresholds(1.0, tuple(theta_of.items()))
-        for capacities, thresholds in itertools.product(
-            [(0, 0), (min(2, t), min(5, t)), (t, t // 3)], [DecodeThresholds(), overrides]
-        ):
-            table = ScenarioTable.of(t, capacities, thresholds)
+        zeta = library_zeta(zeta, convention)
+        assert np.array_equal(zipf_cdf_at(t, zeta, np.arange(1, t + 1)), profile.cdf)
+        for capacities in [(0, 0), (min(2, t), min(5, t)), (t, t // 3), (t // 2, t - 1)]:
+            table = ScenarioTable.of(t, capacities)
             want = profile.cdf[table.starts - 2]
-            assert np.array_equal(table.cdf_at_starts(zeta, convention), want)
+            assert np.array_equal(table.cdf_at_starts(zeta), want)
 
     def test_large_catalog_agrees_with_the_profile(self):
         # the T-long profile's own running sum drifts from the exact CDF
         # (by 1.4e-14 at file 5e5 here), so it bounds the agreement
         t = 10**6
-        thresholds = DecodeThresholds(1.0, ((500_000, 2.0),))
-        table = ScenarioTable.of(t, (500, 2000), thresholds)
+        table = ScenarioTable.of(t, (500_000, 500))
         k = table.starts - 1
-        assert k.tolist() == [500, 2000, 499_999, 500_000]
+        assert k.tolist() == [500, 500_000]
         cdf = table.cdf_at_starts(0.8)
         long = zipf_profile(t, 0.8).cdf[k - 1]
         assert np.all(np.abs(cdf - long) <= running_sum_tol(k, long))
@@ -172,9 +171,10 @@ class TestZipfCdfAt:
          (1e300, "reciprocal"), (4.05, "direct")],
     )
     def test_ascending_and_within_0_1_at_any_catalog(self, zeta, convention):
+        zeta = library_zeta(zeta, convention)
         for t in (HEAD + 1, 10**6, 10**9, 2**53):
             files = sorted({1, 500, HEAD, HEAD + 1, (t + HEAD) // 2, t - 1, t})
-            cdf = zipf_cdf_at(t, zeta, files, convention)
+            cdf = zipf_cdf_at(t, zeta, files)
             assert np.all(np.isfinite(cdf)) and np.all(np.diff(cdf) >= 0)
             assert 0.0 < cdf[0] and cdf[-1] == 1.0
 
@@ -292,13 +292,11 @@ class TestClassifyScenario:
             classify_scenario((1, 2), (CacheContents(frozenset(), 0),))
 
 
-def class_probabilities(
-    t, zeta, capacities, thresholds=DecodeThresholds(), policy="by-gain", convention="reciprocal"
-):
+def class_probabilities(t, zeta, capacities, policy="by-gain"):
     """The scenario table of a t-file catalog and the probability of each
     of its class codes, as the oracle weights them."""
-    table = ScenarioTable.of(t, capacities, thresholds)
-    return table, _class_weights(table, table.cdf_at_starts(zeta, convention), policy)
+    table = ScenarioTable.of(t, capacities)
+    return table, _class_weights(table, table.cdf_at_starts(zeta), policy)
 
 
 def attribute_of(table, files):
@@ -310,13 +308,13 @@ def attribute_of(table, files):
 def vehicle_flags(table):
     """By class code: whether each vehicle's own cache holds its file."""
     pair = np.arange(table.size) // 2
-    a1, a2 = np.divmod(pair, len(table.theta))
+    a1, a2 = np.divmod(pair, len(table.held))
     return table.held[a1, 0], table.held[a2, 1]
 
 
 class TestScenarioDistribution:
-    """The class table's probabilities, flags and thresholds: what the
-    oracle weights and the engine classifies by."""
+    """The class table's probabilities and flags: what the oracle weights
+    and the engine classifies by."""
 
     def test_full_caches_always_self_hit(self):
         table, weight = class_probabilities(4, 0.7, (4, 4))
@@ -342,18 +340,17 @@ class TestScenarioDistribution:
     @pytest.mark.parametrize("t", [1, 2, 7])
     @pytest.mark.parametrize("convention", ["reciprocal", "direct"])
     def test_matches_pairwise_enumeration(self, t, convention):
-        # every request pair classified by set membership, its thresholds
-        # looked up per file, and its probability summed per class code
+        # every request pair classified by set membership, and its
+        # probability summed per class code
         profile = zipf_profile(t, 0.8, convention)
-        overrides = DecodeThresholds(1.0, ((1, 0.5), (3, 2.0), (4, 1.0), (9, 4.0)))
-        for (c1, c2), thresholds, policy in itertools.product(
-            [(0, 0), (0, t), (2, 5), (5, 2), (t, t)],
-            [DecodeThresholds(), overrides],
-            ["by-gain", "fixed"],
+        for (c1, c2), policy in itertools.product(
+            [(0, 0), (0, t), (2, 5), (5, 2), (t, t)], ["by-gain", "fixed"]
         ):
             if max(c1, c2) > t:
                 continue
-            table, weight = class_probabilities(t, 0.8, (c1, c2), thresholds, policy, convention)
+            table, weight = class_probabilities(
+                t, library_zeta(0.8, convention), (c1, c2), policy
+            )
             columns = np.array(table.columns())
             caches = (place_cache(profile, c1), place_cache(profile, c2))
             expected = np.zeros(table.size)
@@ -363,10 +360,8 @@ class TestScenarioDistribution:
                 p = profile.probs[r1 - 1] * profile.probs[r2 - 1]
                 # s = 1: vehicle 1 is the strong one
                 for s, (strong, weak) in ((1, (0, 1)), (0, (1, 0))):
-                    code = 2 * (a1 * len(table.theta) + a2) + s
+                    code = 2 * (a1 * len(table.held) + a2) + s
                     want = (
-                        theta_for(thresholds, scenario.requests[strong]),
-                        theta_for(thresholds, scenario.requests[weak]),
                         scenario.self_hit[strong],
                         scenario.self_hit[weak],
                         scenario.cross_cached(weak, strong),  # strong holds weak's file
@@ -395,7 +390,7 @@ class TestScenarioDistribution:
             assert tuple(table.held[a1[i]]) == (scenario.self_hit[0], scenario.cross[0][1])
             assert tuple(table.held[a2[i]]) == (scenario.cross[1][0], scenario.self_hit[1])
 
-        attributes = len(table.theta)
+        attributes = len(table.held)
         counts = np.bincount(a1 * attributes + a2, minlength=attributes**2)
         # a pair's probability is the sum over which vehicle is strong
         for pair, p in enumerate(weight.reshape(-1, 2).sum(axis=1)):

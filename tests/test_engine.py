@@ -37,23 +37,14 @@ from reference import (
     order_users,
     request_from_uniform,
     split_power,
-    threshold_table,
     zipf_profile,
 )
 
 
 SCHEMES = ("canoma", "noma", "oma-cache", "oma")
 
-
-def many_levels(k):
-    """Distinct per-file thresholds for files 1..k."""
-    return DecodeThresholds(1.0, tuple((f, 0.5 + f / 1000) for f in range(1, k + 1)))
-
-
-# the largest class table that runs: on 400 files with caches (60, 120),
-# files 1..180 are 180 (region, level) pairs and files 181..400 one more,
-# so A = 181 and 2 * A^2 = 65522 <= CHUNK classes
-MANY_LEVELS = {"thresholds": many_levels(180), "files": 400, "cache": (60, 120)}
+# a threshold other than the default, for every file
+THETA = {"thresholds": DecodeThresholds(0.5)}
 
 
 def config(**over):
@@ -112,7 +103,7 @@ BAD_FIELDS = [
     ("rho", -3.0),
     ("ordering", "sorted"),
     ("metric", "median"),
-    ("zipf_convention", "log"),
+    ("ordering", None),
     ("cache", 2.5),
     ("cache", True),
     ("cache", (2, 2.5)),
@@ -141,7 +132,6 @@ ORACLE_KEYWORDS = {
     "alpha": "alpha",
     "rho": "total",
     "ordering": "policy",
-    "zipf_convention": "zipf_convention",
     "thresholds": "thresholds",
     "link_specs": "link_specs",
 }
@@ -268,11 +258,7 @@ class TestRunPoint:
             assert run_point(cfg, workers=workers) == run_point(cfg, workers=1)
         assert sizes == 2 * pool_sizes
 
-    @pytest.mark.parametrize(
-        "over",
-        [{}, {"ordering": "fixed"}, MANY_LEVELS],
-        ids=["by-gain", "fixed", "many-levels"],
-    )
+    @pytest.mark.parametrize("over", [{}, {"ordering": "fixed"}], ids=["by-gain", "fixed"])
     def test_default_threads_give_the_serial_outcomes(self, monkeypatch, over):
         # one thread per chunk, on any machine
         monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
@@ -350,10 +336,9 @@ class TestRunPoint:
         assert abs(est.p_marg_product - res.p_marg_product) <= 4 * est.stderr_marg_product
 
     @pytest.mark.parametrize("ordering", ["by-gain", "fixed"])
-    def test_per_file_overrides_agree_with_oracle(self, ordering):
-        # overrides on a file in both caches and one in the larger only,
+    def test_non_default_threshold_agrees_with_oracle(self, ordering):
         # under unequal caches
-        thresholds = DecodeThresholds(1.0, ((1, 0.5), (3, 2.0)))
+        thresholds = DecodeThresholds(2.0)
         cfg = config(
             n_trials=1_000_000, seed=29, cache=(2, 4), thresholds=thresholds, ordering=ordering
         )
@@ -380,24 +365,6 @@ class TestRunPoint:
         ests = run_point_multi(config(cache=0), ("canoma", "noma"))
         assert ests["canoma"] == ests["noma"]
 
-    def test_idle_self_hit_power_agrees_with_oracle(self):
-        cfg = config(n_trials=200_000, cache=3, seed=13, self_hit_power="idle")
-        est = run_point(cfg)
-        res = success_prob(
-            "canoma",
-            catalog_t=cfg.files,
-            zeta=cfg.zeta,
-            capacities=cfg.capacities,
-            total=cfg.rho,
-            alpha=cfg.alpha,
-            link_specs=cfg.link_specs,
-            self_hit_power="idle",
-        )
-        assert abs(est.p_joint - res.p_joint) <= 4 * est.stderr_joint
-        # idling the released share can only hurt relative to reallocating
-        realloc = run_point(dataclasses.replace(cfg, self_hit_power="reallocate"))
-        assert est.p_joint <= realloc.p_joint
-
 
 class TestEngineMatchesScalarPath:
     """The engine's vectorised trials must reproduce the scalar modules.
@@ -412,23 +379,17 @@ class TestEngineMatchesScalarPath:
         "over",
         [
             {},
-            {"thresholds": DecodeThresholds(1.0, ((1, 0.5), (3, 2.0)))},
+            THETA,
             {"cache": (2, 5)},
             {"ordering": "fixed"},
-            {"self_hit_power": "idle"},
-            MANY_LEVELS,
             # files from 1723 on have probability 0 and the CDF rounds to
             # 1.0 from file 1 on, so every breakpoint ties with 1.0
             {"files": 2000, "zeta": 0.01, "cache": (1500, 3)},
             {"cache": 0},
             {"cache": 10},
-            {"thresholds": DecodeThresholds(1.0, ((1, 0.5), (10, 2.0)))},
-            {"thresholds": DecodeThresholds(1.0, ((4, 2.0), (11, 0.5)))},
-            {"thresholds": DecodeThresholds(1.0, ((4, 1.0),))},
         ],
-        ids=["default", "overrides", "unequal-caches", "fixed", "idle", "many-levels",
-             "zero-tail", "no-cache", "full-cache", "overrides-at-ends",
-             "override-beyond-catalog", "override-equal-to-default"],
+        ids=["default", "theta", "unequal-caches", "fixed", "zero-tail", "no-cache",
+             "full-cache"],
     )
     def test_all_schemes_elementwise(self, over):
         n = 1500
@@ -451,11 +412,6 @@ class TestEngineMatchesScalarPath:
         profile = zipf_profile(cfg.files, cfg.zeta)
         r1 = request_from_uniform(profile, u[:n, 0])
         r2 = request_from_uniform(profile, u[:n, 1])
-        if over is MANY_LEVELS:
-            # the largest table validate accepts, with over 100 of its levels requested
-            assert ScenarioTable.of(cfg.files, cfg.capacities, cfg.thresholds).size == 65522
-            requested = threshold_table(cfg.thresholds, cfg.files)[np.concatenate([r1, r2]) - 1]
-            assert len(set(requested)) > 100
         caches = tuple(
             CacheContents(frozenset(range(1, c + 1)), c) for c in cfg.capacities
         )
@@ -471,8 +427,7 @@ class TestEngineMatchesScalarPath:
             ordering = order_users(trial_gains, cfg.ordering)
             want = {
                 "canoma": decode_noma(
-                    trial_gains, alloc, cfg.thresholds, scenario, ordering,
-                    cache_aided=True, self_hit_power=cfg.self_hit_power,
+                    trial_gains, alloc, cfg.thresholds, scenario, ordering, cache_aided=True
                 ),
                 "noma": decode_noma(
                     trial_gains, alloc, cfg.thresholds, scenario, ordering, cache_aided=False
@@ -483,25 +438,6 @@ class TestEngineMatchesScalarPath:
             for scheme, outcome in want.items():
                 got = tuple(bool(v) for v in results[scheme][t])
                 assert got == outcome.ok, (scheme, t)
-
-
-class TestClassTableBound:
-    """``validate`` refuses a threshold table of more than CHUNK classes,
-    before any draw: one more level than ``MANY_LEVELS`` gives A = 182."""
-
-    def test_one_level_more_than_the_largest_table_is_refused(self, monkeypatch):
-        monkeypatch.setattr(engine, "_run_chunk", None)  # no chunk may run
-        cfg = config(**{**MANY_LEVELS, "thresholds": many_levels(181)})
-        with pytest.raises(ParameterError, match="66248 classes from A = 182") as exc:
-            run_point(cfg)
-        assert exc.value.field == "thresholds"
-
-    def test_sweep_names_the_grid_value_before_any_trial(self, monkeypatch):
-        # at 180 files the overrides of files 1..181 give A = 180, 64800 classes
-        monkeypatch.setattr(engine, "_run_chunk", None)
-        cfg = config(**{**MANY_LEVELS, "files": 180, "thresholds": many_levels(181)})
-        with pytest.raises(ParameterError, match="grid value 400 invalid for catalog_t"):
-            cli._grid_configs(cfg, "files", [180, 400])
 
 
 class TestClassesFromBreakpoints:
@@ -515,8 +451,7 @@ class TestClassesFromBreakpoints:
             return run_chunk(task, buffers)
 
         monkeypatch.setattr(engine, "_run_chunk", measured)
-        thresholds = DecodeThresholds(1.0, ((7, 0.5), (999_999, 2.0)))
-        cfg = config(n_trials=1000, files=1_000_000, cache=(1000, 300), thresholds=thresholds)
+        cfg = config(n_trials=1000, files=1_000_000, cache=(1000, 300))
         run_point_multi(cfg, SCHEMES)
         assert sizes and max(sizes) < 64 * 1024
 
@@ -637,13 +572,12 @@ class TestSweep:
     @pytest.mark.parametrize(
         "over",
         [
-            {"thresholds": DecodeThresholds(1.0, ((1, 0.5), (3, 2.0)))},
+            THETA,
             {"cache": (2, 5)},
             {"ordering": "fixed"},
-            {"self_hit_power": "idle"},
             {"link_specs": (LinkSpec.from_pairs([(1.0, 1.0)]), DEFAULT_LINK_SPEC)},
         ],
-        ids=["overrides", "unequal-caches", "fixed", "idle", "heterogeneous-links"],
+        ids=["theta", "unequal-caches", "fixed", "heterogeneous-links"],
     )
     def test_rows_equal_per_value_points(self, parameter, grid, over):
         cfg = config(n_trials=2 * CHUNK + 99, **over)

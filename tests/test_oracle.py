@@ -232,15 +232,14 @@ def class_thresholds(
     capacities=(0, 0),
     thresholds=UNIT_THETA,
     alpha=0.2,
-    self_hit_power="reallocate",
 ):
     """``gain_thresholds`` at total power 10 on the columns of a 10-file
     scenario table, at the class code of a request pair with vehicle
     ``strong`` (0 or 1) the strong one: that class's (a, b) by position."""
-    table = ScenarioTable.of(10, capacities, thresholds)
+    table = ScenarioTable.of(10, capacities)
     a1, a2 = table.attribute_of_cell[np.searchsorted(table.starts, requests, "right")]
-    code = 2 * (a1 * len(table.theta) + a2) + (strong == 0)
-    a, b = gain_thresholds(scheme, 10.0, alpha, *table.columns(), self_hit_power)
+    code = 2 * (a1 * len(table.held) + a2) + (strong == 0)
+    a, b = gain_thresholds(scheme, 10.0, alpha, thresholds.default, *table.columns())
     return a[code], b[code]
 
 
@@ -274,10 +273,6 @@ class TestReduceToGainEvent:
         assert class_thresholds("oma-cache", **self.ONE_HIT) == (0.0, pytest.approx(0.1))
         assert class_thresholds("oma", **self.ONE_HIT) == (0.0, pytest.approx(0.3))
 
-    def test_idle_self_hit_power_keeps_position_share(self):
-        a, b = class_thresholds("canoma", **self.ONE_HIT, self_hit_power="idle")
-        assert (a, b) == (0.0, pytest.approx(0.125))
-
     def test_canoma_cross_cache_branches(self):
         # strong (vehicle 1) holds weak's file at alpha=0.4: skips the 0.5 SIC cut
         a, b = class_thresholds("canoma", (9, 3), capacities=(4, 2), alpha=0.4)
@@ -292,14 +287,13 @@ class TestReduceToGainEvent:
         a, b = class_thresholds("canoma", **self.ONE_HIT, strong=1)
         assert (a, b) == (pytest.approx(0.1), 0.0)
 
-    def test_per_file_overrides_give_per_class_thresholds(self):
-        th = DecodeThresholds(default=1.0, overrides=((2, 0.5),))
-        # the strong vehicle's file carries 0.5: its own decode needs 0.5 / P_s
-        a, b = class_thresholds("noma", (2, 5), thresholds=th)
-        assert (a, b) == (pytest.approx(0.25), pytest.approx(1.0 / 6.0))
-        # the weak vehicle's file carries 0.5: SIC needs 0.5 / (P_w - 0.5 P_s)
-        a, b = class_thresholds("noma", (5, 2), thresholds=th)
-        assert (a, b) == (pytest.approx(0.5), pytest.approx(1.0 / 14.0))
+    def test_threshold_enters_every_class(self):
+        th = DecodeThresholds(default=0.5)
+        # the strong vehicle's own decode needs 0.5 / P_s, its SIC stage
+        # and the weak decode 0.5 / (P_w - 0.5 P_s)
+        for requests in ((2, 5), (5, 2)):
+            a, b = class_thresholds("noma", requests, thresholds=th)
+            assert (a, b) == (pytest.approx(0.25), pytest.approx(1.0 / 14.0))
 
 
 class TestConditionalSuccessProb:

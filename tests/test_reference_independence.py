@@ -37,7 +37,7 @@ REFERENCE_ONLY = top_level_names(REFERENCE)
 
 def test_the_library_neither_imports_nor_defines_the_reference():
     assert {
-        "decode_noma", "classify_scenario", "theta_for", "split_power", "PowerAllocation",
+        "decode_noma", "classify_scenario", "split_power", "PowerAllocation",
         "zipf_profile", "PopularityProfile", "request_from_uniform",
     } <= REFERENCE_ONLY
     for path in sorted(PACKAGE.glob("*.py")):
