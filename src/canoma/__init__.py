@@ -1,10 +1,8 @@
 """Cache-aided NOMA downlink for vehicular links: Monte Carlo simulator
 and semi-analytic success-probability oracle.
 
-The oracle's names are imported on first use.  Neither the Monte Carlo
-path nor the oracle's Bessel-K sum loads scipy; it loads only for a
-one-stage link's gamma CCDF and for the quadrature of a two-stage link
-without an integer-shaped stage.
+The oracle's names are imported on first use.  The package needs numpy
+only.
 """
 
 from .access import (

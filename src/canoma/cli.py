@@ -1,8 +1,8 @@
 """Command-line front end: run points, sweeps, and oracle checks as CSV.
 
 Output is a ``#``-prefixed manifest block (resolved configuration, tool
-version, seed, timestamp, the library versions, bit generator and block
-size the output bits depend on, and for ``oracle-check`` the largest
+version, seed, timestamp, the numpy version, sampler, bit generator and
+block size the output bits depend on, and for ``oracle-check`` the largest
 error bound of its oracle values) followed by a fixed-column CSV table;
 ``oracle-check`` ends with a ``# verdict:`` line after the table.
 Given the same command line and seed the data rows are byte-identical
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import functools
 import json
 import sys
 
@@ -266,15 +265,6 @@ def _configs(args, scheme: str, bare: bool = False):
     return configs, {"axes": axes}
 
 
-@functools.cache
-def _scipy_version() -> str:
-    """scipy's installed version, read from its metadata once per process
-    and without importing scipy."""
-    import importlib.metadata
-
-    return importlib.metadata.version("scipy")
-
-
 def _manifest(
     args, config: TrialConfig, schemes: tuple[str, ...], grid=None, axes=None
 ) -> list[str]:
@@ -308,7 +298,6 @@ def _manifest(
         "chunk": CHUNK,
         "numpy": np.__version__,
         "sampler": SAMPLER,
-        "scipy": _scipy_version(),
     }
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     return [
@@ -386,6 +375,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle_check(args) -> int:
     from .oracle import _success_prob  # only this command needs the oracle
 
+    if args.scheme is not None and args.schemes is not None:
+        raise UsageError("--scheme and --schemes both choose the schemes; give one")
     if args.schemes is not None:
         schemes = _parse_schemes(args.schemes)
     elif args.scheme is not None:

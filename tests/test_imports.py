@@ -1,6 +1,5 @@
-"""The Monte Carlo commands and the closed-form oracle never load scipy;
-the oracle module loads on first use, and scipy only for one-stage links
-and the quadrature.  Importing the CLI reads no package metadata."""
+"""No command and no oracle path loads scipy, and the oracle module loads
+on first use.  Importing the CLI reads no package metadata."""
 
 import ast
 import os
@@ -34,7 +33,6 @@ def loaded_scipy_modules(code: str) -> list[str]:
 
 
 def test_importing_the_cli_reads_no_package_metadata():
-    # the manifest reads scipy's version on its first use
     assert "importlib.metadata" not in loaded_modules("import canoma.cli")
 
 
@@ -68,18 +66,17 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert loaded_scipy_modules(code) == []
 
 
-def test_one_stage_ccdf_loads_the_special_functions():
-    loaded = loaded_scipy_modules("import canoma\ncanoma.gamma_ccdf(2.0, 1.0, 1.0)")
-    assert "scipy.special" in loaded
-    assert "scipy.integrate" not in loaded
+def test_one_stage_ccdf_loads_no_scipy():
+    assert loaded_scipy_modules("import canoma\ncanoma.gamma_ccdf(2.0, 1.0, 1.0)") == []
 
 
-def test_non_integer_two_stage_link_loads_the_quadrature():
+def test_non_integer_and_three_stage_links_load_no_scipy():
     code = """
 import canoma
 canoma.product_gain_ccdf(canoma.LinkSpec.from_pairs([(1.5, 1.0), (2.5, 1.0)]), 1.0)
+canoma.product_gain_ccdf(canoma.LinkSpec.from_pairs([(1, 1), (2, 2), (1.5, 1)]), 1.0)
 """
-    assert "scipy.integrate" in loaded_scipy_modules(code)
+    assert loaded_scipy_modules(code) == []
 
 
 def test_oracle_names_resolve_to_the_oracle():

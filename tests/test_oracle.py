@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gammaincc, kv, kve
 
@@ -19,7 +22,14 @@ from canoma import (
     sample_link_gain,
     success_prob,
 )
-from canoma.oracle import INFEASIBLE, _bessel_k_ccdf, _log_kve, _product_ccdf_two_stage
+from canoma.oracle import (
+    INFEASIBLE,
+    _bessel_k_ccdf,
+    _ccdf_abs_err,
+    _log_kve,
+    _mellin_tail,
+    _product_ccdf,
+)
 
 PAPER_LINK = LinkSpec.from_pairs([(1, 1), (2, 2)])
 EXP_LINK = LinkSpec.from_pairs([(1, 1)])
@@ -31,14 +41,91 @@ def bessel_closed_form(x: float) -> float:
     return float(2.0 * x * kv(2, 2.0 * math.sqrt(x)))
 
 
-def meijer_g_ccdf(link: tuple[tuple[float, float], ...], x: float, mpmath):
-    """P(G1*G2 > x) at 40 digits, independent of both the Bessel-K sum and
-    the quadrature: with y = x / (scale1 * scale2) the product's CCDF is
-    G^{3,0}_{1,3}(y | 1; m1, m2, 0) / (Gamma(m1) Gamma(m2))."""
-    (m1, w1), (m2, w2) = link
-    m1, w1, m2, w2 = (mpmath.mpf(v) for v in (m1, w1, m2, w2))
-    y = mpmath.mpf(x) * m1 * m2 / (w1 * w2)
-    return mpmath.meijerg([[], [1]], [[m1, m2, 0], []], y) / (mpmath.gamma(m1) * mpmath.gamma(m2))
+def unit_argument(link, x, mpmath):
+    """(shapes, y) of ``link``'s stages at working precision, y = x / prod
+    theta_k from the stages' float scales, exactly: the product's tail at x
+    is the tail at y of a product of unit-scale gammas."""
+    stages = LinkSpec.from_pairs(link).stages
+    y = mpmath.mpf(x)
+    for s in stages:
+        y /= mpmath.mpf(s.gamma_scale)
+    return [mpmath.mpf(s.gamma_shape) for s in stages], y
+
+
+def meijer_g_ccdf(link, x, mpmath, cdf=False):
+    """P(G1 * ... * GN > x), or P(... <= x) if ``cdf``, at the working
+    precision, independent of the oracle's kernels: at ``unit_argument``'s
+    y the product's CCDF is G^{N,0}_{1,N+1}(y | 1; m_1..m_N, 0) /
+    prod Gamma(m_k), and its CDF G^{N,1}_{1,N+1}(y | 1; m_1..m_N, 0) /
+    prod Gamma(m_k)."""
+    shapes, y = unit_argument(link, x, mpmath)
+    if cdf:
+        g = mpmath.meijerg([[1], []], [shapes, [0]], y)
+    else:
+        g = mpmath.meijerg([[], [1]], [shapes + [0], []], y)
+    for m in shapes:
+        g /= mpmath.gamma(m)
+    return g
+
+
+def mellin_barnes_tail(link, x, mpmath, cdf=False):
+    """``meijer_g_ccdf`` from the Meijer-G function's defining contour
+    integral, where its series needs more digits than can be carried
+    (y^(1/N) above a few hundred, as at shapes of 1e4 and up):
+    (1/pi) int_0^inf Re[y^-s prod Gamma(m_k + s) / Gamma(m_k) / s] dt on
+    the line s = c + i t through the real saddle, by mpmath's loggamma and
+    Gauss-Legendre rule on pieces of half the peak's width, until the
+    integrand is 1e-45 below its peak.  A tail whose Chernoff bound is
+    below every float is that bound.  Only the formula is shared with
+    the float kernel: not its saddle search, its nodes or its arithmetic."""
+    shapes, y = unit_argument(link, x, mpmath)
+    log_y = mpmath.log(y)
+
+    def slope(c):
+        return sum(mpmath.digamma(m + c) for m in shapes) - log_y - 1 / c
+
+    if cdf:  # the root lies in (-min m, 0)
+        edge = min(shapes)
+        lo = hi = -edge / 2
+        while slope(lo) > 0:
+            lo = (lo - edge) / 2
+        while slope(hi) < 0:
+            hi /= 2
+    else:
+        hi = mpmath.mpf(1)
+        while slope(hi) < 0:
+            hi *= 2
+        lo = hi / 2
+        while slope(lo) > 0:
+            lo /= 2
+    c = mpmath.findroot(slope, (lo, hi), solver="anderson")
+    log_norm = sum(mpmath.loggamma(m) for m in shapes)
+    # the tail is below y^-c E[Y^c] (Chernoff); below any float, that bound stands for it
+    bound = mpmath.exp(-c * log_y + sum(mpmath.loggamma(m + c) for m in shapes) - log_norm)
+    if bound < 1e-320:
+        return bound
+    width = 1 / mpmath.sqrt(sum(mpmath.psi(1, m + c) for m in shapes) + 1 / c**2)
+
+    def integrand(t):
+        s = c + 1j * t
+        return mpmath.exp(-s * log_y + sum(mpmath.loggamma(m + s) for m in shapes) - log_norm) / s
+
+    peak = abs(integrand(0))
+    cuts, step = [mpmath.mpf(0)], width / 2
+    while abs(integrand(cuts[-1])) > peak * mpmath.mpf(10) ** -45:
+        cuts.append(cuts[-1] + step)
+        step *= 1.05
+    value = mpmath.quad(lambda t: mpmath.re(integrand(t)), cuts, method="gauss-legendre")
+    return (-value if cdf else value) / mpmath.pi
+
+
+def reference_tail(link, x, mpmath, cdf=False):
+    """The smaller-tail reference: Meijer-G by mpmath's series where it
+    converges, and by its contour integral past that."""
+    shapes, y = unit_argument(link, x, mpmath)
+    if y ** (1 / mpmath.mpf(len(shapes))) <= 200:
+        return meijer_g_ccdf(link, x, mpmath, cdf)
+    return mellin_barnes_tail(link, x, mpmath, cdf)
 
 
 def series_integral_ccdf(m: float, x: float, mpmath):
@@ -47,8 +134,8 @@ def series_integral_ccdf(m: float, x: float, mpmath):
     ccdf(x/g) pdf(g) over the mode +- 16 standard deviations by
     Gauss-Legendre, with the incomplete gamma from its series
     P(a, z) = z^a e^-z 1F1(1; a+1; z) / Gamma(a+1).  Neither scipy nor the
-    saddle-point density takes part.  Returns (value, pdf mass outside
-    the window)."""
+    oracle's kernels take part.  Returns (value, pdf mass outside the
+    window)."""
     m, x = mpmath.mpf(m), mpmath.mpf(x)
 
     def lower(z):
@@ -124,8 +211,7 @@ class TestProductGainCcdf:
 
     @pytest.mark.parametrize("m", [1e8 + 0.5, 1e12 + 0.5])
     def test_quadrature_finds_the_spike_at_any_shape(self, m):
-        # log G1 + log G2 is nearly normal with variance 2/m at these
-        # shapes; a cut at the mode alone lost half the mass at m = 1e8
+        # log G1 + log G2 is nearly normal with variance 2/m at these shapes
         spec = LinkSpec.from_pairs([(m, 1)] * 2)
         for d in (-3.0, 0.0, 3.0):
             x = math.exp(d * math.sqrt(2.0 / m))
@@ -138,15 +224,22 @@ class TestProductGainCcdf:
         assert abs(product_gain_ccdf(DEFAULT_LINK_SPEC, x) - exact) <= 1e-14 * exact
 
     def test_overflowing_bessel_term_falls_back_to_quadrature(self):
-        # K_2(z) overflows at z = 2 sqrt(1e-320); the quadrature answers
-        value, abs_err = _product_ccdf_two_stage(DEFAULT_LINK_SPEC, 1e-320)
+        # K_2(z) overflows at z = 2 sqrt(1e-320); the Mellin-Barnes rule
+        # answers, with the rounding of 1 - P(Y <= x) as its error
+        value, abs_err = _product_ccdf(DEFAULT_LINK_SPEC, 1e-320)
         assert value == 1.0
-        assert abs_err > 0.0
+        assert 0.0 < abs_err <= 1e-300
 
-    def test_three_stages_unsupported(self):
-        spec = LinkSpec.from_pairs([(1, 1), (1, 1), (1, 1)])
-        with pytest.raises(OracleUnsupportedError):
-            product_gain_ccdf(spec, 1.0)
+    def test_three_stages_take_the_kernel(self):
+        mpmath = pytest.importorskip("mpmath")
+        link = ((1, 1), (1, 1), (1, 1))
+        spec = LinkSpec.from_pairs(link)
+        with mpmath.workdps(40):
+            for x in (0.01, 1.0, 30.0):
+                value, abs_err = _product_ccdf(spec, x)
+                exact = meijer_g_ccdf(link, x, mpmath)
+                assert abs(value - exact) <= min(abs_err, 1e-12 * exact), x
+                assert product_gain_ccdf(spec, x) == value
 
 
 class TestLogKve:
@@ -197,7 +290,7 @@ class TestMpmathReference:
         spec = LinkSpec.from_pairs(link)
         with mpmath.workdps(40):
             for x in self.XS:
-                value, abs_err = _product_ccdf_two_stage(spec, float(x))
+                value, abs_err = _product_ccdf(spec, float(x))
                 exact = meijer_g_ccdf(link, x, mpmath)
                 assert abs_err == 0.0
                 assert abs(value - exact) <= 1e-12 * exact, x
@@ -208,21 +301,108 @@ class TestMpmathReference:
         spec = LinkSpec.from_pairs(link)
         with mpmath.workdps(40):
             for x in self.XS:
-                value, abs_err = _product_ccdf_two_stage(spec, float(x))
+                value, abs_err = _product_ccdf(spec, float(x))
                 exact = meijer_g_ccdf(link, x, mpmath)
                 assert 0.0 < abs_err <= 1e-11 * exact, x
                 assert abs(value - exact) <= abs_err, x
 
     @pytest.mark.parametrize("m", [1e5 + 0.5, 1e6 + 0.5])
     def test_quadrature_at_huge_shape(self, m):
-        # at m = 1e6 + 0.5 an unsplit range returned 1.15e-15 with error 0
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             exact, outside = series_integral_ccdf(m, 1.0, mpmath)
         assert abs(outside) < 1e-20
-        value, abs_err = _product_ccdf_two_stage(LinkSpec.from_pairs([(m, 1)] * 2), 1.0)
+        value, abs_err = _product_ccdf(LinkSpec.from_pairs([(m, 1)] * 2), 1.0)
         assert 0.0 < abs_err <= 1e-11 * exact
         assert abs(value - exact) <= abs_err
+
+
+class TestMellinKernel:
+    """The Mellin-Barnes kernel against 40-digit mpmath: the smaller tail
+    within 1e-12, relative, and the gap within the reported bound."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(math.log(1e-3), math.log(1e6)).map(math.exp),
+                st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.floats(-4.0, 4.0),
+    )
+    def test_smaller_tail_within_1e_12_and_its_bound(self, link, spreads):
+        mpmath = pytest.importorskip("mpmath")
+        stages = LinkSpec.from_pairs(link).stages
+        shapes = tuple(s.gamma_shape for s in stages)
+        scales = tuple(s.gamma_scale for s in stages)
+        # x a few spreads of log Y from its mean, within the float range
+        with mpmath.workdps(30):
+            mean = sum(mpmath.digamma(m) + mpmath.log(t) for m, t in zip(shapes, scales))
+            spread = mpmath.sqrt(sum(mpmath.psi(1, m) for m in shapes))
+        x = math.exp(min(max(float(mean + spreads * spread), -690.0), 690.0))
+        tail, abs_err, upper = _mellin_tail(shapes, scales, x)
+        with mpmath.workdps(40):
+            exact = reference_tail(link, x, mpmath, cdf=not upper)
+        gap = float(abs(tail - exact))
+        assert gap <= abs_err, (tail, exact)
+        # below the float range only the bound can be checked
+        if exact > 1e-300:
+            assert gap <= 1e-12 * exact, (tail, exact)
+
+    def test_the_two_references_agree(self):
+        # the two references of the property test, where both converge
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for link, x in (([(100, 1)] * 2, 0.95), ([(30, 1), (50, 2), (3, 1)], 2.0)):
+                for cdf in (False, True):
+                    series = meijer_g_ccdf(link, x, mpmath, cdf)
+                    contour = mellin_barnes_tail(link, x, mpmath, cdf)
+                    assert abs(contour / series - 1) < 1e-30
+
+    def test_huge_shape_bound_covers_the_series_integral(self):
+        # at this shape the bound must cover cancellation of terms of size m log m
+        mpmath = pytest.importorskip("mpmath")
+        m, x = 1e6 + 0.5, 0.996
+        spec = LinkSpec.from_pairs([(m, 1)] * 2)
+        with mpmath.workdps(30):
+            exact, outside = series_integral_ccdf(m, x, mpmath)
+        assert abs(outside) < 1e-20
+        value = product_gain_ccdf(spec, x)
+        assert abs(value - exact) <= _ccdf_abs_err(spec, x) <= 1e-11
+
+    def test_bessel_range_exit_is_fast_and_within_its_bound(self):
+        # the Bessel-K sum leaves the float range at order 1e4, and the kernel answers
+        mpmath = pytest.importorskip("mpmath")
+        link = ((2, 2), (1e4, 1))
+        spec = LinkSpec.from_pairs(link)
+        seconds = []
+        for _ in range(3):  # unmemoized, the best of three
+            start = time.perf_counter()
+            value, abs_err = _product_ccdf.__wrapped__(spec, 1.0)
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 0.01
+        with mpmath.workdps(40):
+            exact = meijer_g_ccdf(link, 1.0, mpmath)
+        assert abs(value - exact) <= abs_err <= 1e-12
+
+    def test_huge_order_leaves_the_bessel_sum_without_its_grid(self):
+        # order 1e12 would need a grid of about 1e8 nodes.  The tail is
+        # E[exp(-1/G2)] = exp(-1) (1 - var/2) to O(var^2), var = 1e-12
+        assert math.isnan(_bessel_k_ccdf(1, 1.0, 1e12, 1e-12, 1.0))
+        value, abs_err = _product_ccdf(LinkSpec.from_pairs([(1, 1), (1e12, 1)]), 1.0)
+        assert abs(value - math.exp(-1.0) * (1.0 - 0.5e-12)) <= abs_err <= 1e-13
+
+    @pytest.mark.parametrize("pairs,x", [([(1e6, 1e-300)], 1e300), ([(7.5, 1e-300)], 1.7e308)])
+    def test_tail_far_below_the_float_range_is_zero(self, pairs, x):
+        # the saddle lies past the search's edge, where the Chernoff bound is below every float
+        assert _product_ccdf(LinkSpec.from_pairs(pairs), x) == (0.0, 0.0)
+
+    def test_one_stage_matches_the_incomplete_gamma(self):
+        for shape, x in ((1.0, 1.0), (2.0, 2.0), (0.5, 3.0), (40.0, 35.0), (1e-3, 1e-30)):
+            assert gamma_ccdf(shape, 1.0, x) == pytest.approx(gammaincc(shape, x), rel=1e-13)
 
 
 def class_thresholds(

@@ -10,17 +10,17 @@ beside the Monte Carlo one: the bare 480-row grid and a fixed-order
 cache sweep on heterogeneous links.
 
 The rows depend on numpy's ``Generator`` streams (SFC64, ``random``,
-``standard_gamma``) and on the sampler that draws from them; ``p_oracle`` also depends on the oracle's own Bessel-K
-kernel and, on the heterogeneous links, on scipy's special functions
-and quadrature.  All five files were last regenerated for a declared
-sampler change: a stage of integer shape m <= 3 drawn by inversion, as
--log of the product of m factors 1 - U, in place of the sum of m
-``standard_exponential`` draws; the ``p_oracle`` columns did not move.
-A numpy
-release that changes one of the streams, or a scipy release that moves a
-``p_oracle`` digit, starts a new output epoch too: the rows change with
-no fault here, and the files are regenerated in a change that says so
-and changes nothing else.
+``standard_gamma``) and on the sampler that draws from them; ``p_oracle``
+also depends on the oracle's own kernels, the Bessel-K sum and, on the
+heterogeneous link with no integer shape, the Mellin-Barnes integral,
+which took over from scipy's quadrature there without moving a digit.
+All five files were last regenerated for a declared sampler change: a
+stage of integer shape m <= 3 drawn by inversion, as -log of the product
+of m factors 1 - U, in place of the sum of m ``standard_exponential``
+draws; the ``p_oracle`` columns did not move.  A numpy release that
+changes one of the streams starts a new output epoch too: the rows change
+with no fault here, and the files are regenerated in a change that says
+so and changes nothing else.
 """
 
 import io
