@@ -20,11 +20,15 @@ every scheme):
   resource slice, the rest split the resource evenly at full power.
 * ``oma``      conventional OMA: every vehicle keeps a 1/2 slice.
 
-Two-vehicle decoding has one rule, :func:`gain_thresholds`: per scenario
-every decode condition reduces to "strong gain >= a and weak gain >= b".
-The Monte Carlo engine and the oracle both evaluate it.  The independent
-reference it is tested against -- scalar general-N decoders at SINR
-level -- lives with the tests, so neither path can import it.
+Two-vehicle decoding has one rule.  Per scenario class each position
+has a product c that does not depend on the total power rho
+(:func:`decode_products`, the SINR conditions at total power 1), and a
+position with gain x decodes iff fl(c / x) <= rho.  The Monte Carlo
+engine evaluates that division once per trial and compares it with
+every rho of a run; the oracle integrates the fading above the minimum
+gains c / rho of :func:`gain_thresholds`.  The independent reference
+the rule is tested against -- scalar general-N decoders at SINR level
+-- lives with the tests, so neither path can import it.
 """
 
 from __future__ import annotations
@@ -41,13 +45,21 @@ __all__ = [
     "SCHEMES",
     "DecodeThresholds",
     "INFEASIBLE",
+    "SELF_SERVED",
+    "decode_products",
     "gain_thresholds",
 ]
 
 SCHEMES = ("canoma", "noma", "oma-cache", "oma")
 
-# Marker for a decode stage no gain value can satisfy.
+# The product of a stage no gain can pass: c / x is inf, or NaN at x = inf,
+# and never <= rho.  It is also the minimum gain ``gain_thresholds``
+# reports for such a stage.
 INFEASIBLE = inf
+
+# The product of a self-served position: negative, so c / x <= 0 < rho for
+# every gain x >= +0, zero included (-1 / +0 is -inf).  Its minimum gain is 0.
+SELF_SERVED = -1.0
 
 
 def _is_positive_real(value) -> bool:
@@ -68,18 +80,20 @@ class DecodeThresholds:
             raise ParameterError(f"threshold must be a positive real, got {self.default!r}")
 
 
-def gain_thresholds(scheme: str, total, alpha, theta, hit_s, hit_w, cross_s, cross_w):
-    """Two-vehicle decode as minimum gains ``(a, b)``: the strong-ordered
-    vehicle succeeds iff its gain is >= a, the weak one iff its gain is >= b.
+def decode_products(scheme: str, alpha, theta, hit_s, hit_w, cross_s, cross_w):
+    """Two-vehicle decode as products ``(c_s, c_w)`` free of the total
+    power rho: the strong-ordered vehicle with gain x succeeds iff
+    fl(c_s / x) <= rho, the weak one iff fl(c_w / x) <= rho.
 
     ``theta`` is the SINR threshold of every file.  The flags are by
     ordered position: ``hit_s``/``hit_w`` are the strong/weak vehicle's
     self-cache flags, ``cross_s`` is True when the strong vehicle holds
     the weak vehicle's file and ``cross_w`` the reverse.  Scalars and
     broadcastable arrays both work; the results are arrays.  A
-    self-served vehicle gets 0 and a stage no gain can pass gets
-    ``INFEASIBLE``.  Every SINR condition p*X / (q*X + 1) >= theta
-    becomes X >= theta / (p - theta*q) when p > theta*q.
+    self-served position gets ``SELF_SERVED`` and a stage no gain can pass
+    ``INFEASIBLE``.  Every SINR condition p*X / (q*X + 1) >= theta, with
+    the powers p and q shares of rho, becomes X >= c / rho with
+    c = theta / (p - theta*q) at rho = 1 when p > theta*q.
     """
     if scheme not in SCHEMES:
         raise ParameterError(f"unknown scheme {scheme!r}")
@@ -88,17 +102,17 @@ def gain_thresholds(scheme: str, total, alpha, theta, hit_s, hit_w, cross_s, cro
     hit_s = np.asarray(hit_s, dtype=bool)
     hit_w = np.asarray(hit_w, dtype=bool)
 
-    # a threshold past the float range (tiny power, zero SIC margin) is
+    # a product past the float range (tiny power, zero SIC margin) is
     # infinite, which is exactly the infeasible marker
     with np.errstate(divide="ignore", over="ignore"):
         if scheme in ("oma-cache", "oma"):
             # equal slices at full power; no interference, so cross flags are moot
             served = 2.0 - hit_s - hit_w if scheme == "oma-cache" else 2.0
-            need = ((1.0 + theta) ** served - 1.0) / total
-            return np.where(hit_s, 0.0, need), np.where(hit_w, 0.0, need)
+            need = (1.0 + theta) ** served - 1.0
+            return np.where(hit_s, SELF_SERVED, need), np.where(hit_w, SELF_SERVED, need)
 
-        p_s = alpha * total
-        p_w = total - p_s
+        p_s = np.asarray(alpha, dtype=float)
+        p_w = 1.0 - p_s
         margin = p_w - theta * p_s
         # the weak message against the strong one as noise: the strong
         # vehicle's SIC stage and the weak vehicle's plain decode
@@ -106,12 +120,30 @@ def gain_thresholds(scheme: str, total, alpha, theta, hit_s, hit_w, cross_s, cro
         own_s = theta / p_s
         if scheme == "noma":
             # the BS is cache-blind: both messages are always on the air
-            return np.where(hit_s, 0.0, np.maximum(sic, own_s)), np.where(hit_w, 0.0, sic)
+            return (
+                np.where(hit_s, SELF_SERVED, np.maximum(sic, own_s)),
+                np.where(hit_w, SELF_SERVED, sic),
+            )
 
         # a lone active vehicle decodes interference-free at the full budget
-        solo = theta / total
+        solo = theta
         a = np.where(cross_s, own_s, np.maximum(sic, own_s))
         b = np.where(cross_w, theta / p_w, sic)
-        a = np.where(hit_s, 0.0, np.where(hit_w, solo, a))
-        b = np.where(hit_w, 0.0, np.where(hit_s, solo, b))
+        a = np.where(hit_s, SELF_SERVED, np.where(hit_w, solo, a))
+        b = np.where(hit_w, SELF_SERVED, np.where(hit_s, solo, b))
         return a, b
+
+
+def gain_thresholds(scheme: str, total, alpha, theta, hit_s, hit_w, cross_s, cross_w):
+    """Two-vehicle decode as minimum gains ``(a, b)`` at total power
+    ``total``: the strong-ordered vehicle succeeds iff its gain is >= a,
+    the weak one iff its gain is >= b.  ``a`` and ``b`` are c / total on
+    :func:`decode_products`' products, the rule's boundary for a
+    real-valued gain; arguments are as that function takes them.  A self-served
+    vehicle gets 0 and a stage no gain can pass gets ``INFEASIBLE``.
+    """
+    products = decode_products(scheme, alpha, theta, hit_s, hit_w, cross_s, cross_w)
+    # a minimum gain past the float range (a subnormal total) is the
+    # infeasible marker inf
+    with np.errstate(over="ignore"):
+        return tuple(np.where(c < 0.0, 0.0, c / total) for c in products)

@@ -138,8 +138,9 @@ def sample_link_gain(spec: LinkSpec, rng: np.random.Generator, size=None, out=No
     size) the gains are written there, bit-equal to the allocating call.
     A later stage is drawn in full into ``work``, an array like ``out``,
     and multiplied in; given ``work``, nothing of that size is allocated.
-    A gain past the float range is inf, which compares correctly with
-    every threshold, so the overflow is not reported.
+    A gain past the float range is inf, and the overflow is not reported:
+    under the decode rule fl(c / x) <= rho it decodes every feasible
+    position (c / inf = 0) and no infeasible one (inf / inf is NaN).
     """
     if out is None:
         out = np.empty(size)

@@ -66,6 +66,7 @@ _FIELD_FLAGS = {
     "zeta": "--zeta",
     "cache": "--cache",
     "alpha": "--alpha",
+    "workers": "--workers",
 }
 
 # criterion grid for a bare `oracle-check`, by axis as its manifest records it
@@ -227,8 +228,6 @@ def _configs(args, scheme: str, bare: bool = False):
     """
     sweep = getattr(args, "sweep", None)
     grid = None if sweep is None else _parse_grid(args.grid, sweep)
-    if args.workers is not None and args.workers < 1:
-        raise UsageError(f"--workers must be a positive integer, got {args.workers}")
     base = _parse_link_spec(args.link_spec, "--link-spec")
     link1 = _parse_link_spec(args.link_spec_1, "--link-spec-1") if args.link_spec_1 else base
     link2 = _parse_link_spec(args.link_spec_2, "--link-spec-2") if args.link_spec_2 else base
@@ -466,7 +465,7 @@ def main(argv=None) -> int:
         print(f"error: configuration outside oracle support: {exc}", file=sys.stderr)
         return 2
     except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_flag_error(exc)}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)

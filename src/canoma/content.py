@@ -172,13 +172,13 @@ class ScenarioTable:
     @classmethod
     def of(cls, files: int, capacities: tuple[int, int]) -> "ScenarioTable":
         c1, c2 = capacities
-        starts = np.unique([c1 + 1, c2 + 1])
-        starts = starts[(starts >= 2) & (starts <= files)]
+        starts = np.array(sorted({c + 1 for c in (c1, c2) if 2 <= c + 1 <= files}), dtype=np.int64)
         first = np.concatenate(([1], starts))
-        # under top-C placement (in 1, in 2) takes at most 3 of its 4 values
-        regions, attribute_of_cell = np.unique(
-            (first <= c1) + 2 * (first <= c2), return_inverse=True
-        )
+        # under top-C placement (in 1, in 2) takes at most 3 of its 4 values;
+        # each change point clears a flag, so the cells' regions strictly
+        # descend and attributes number them in ascending order
+        regions = ((first <= c1) + 2 * (first <= c2))[::-1]
+        attribute_of_cell = np.arange(len(first) - 1, -1, -1)
         held = np.column_stack((regions & 1 == 1, regions & 2 == 2))
         return cls(int(files), starts, attribute_of_cell, held)
 
@@ -194,8 +194,9 @@ class ScenarioTable:
         return zipf_cdf_at(self.files, zeta, self.starts - 1)
 
     def columns(self):
-        """``gain_thresholds``' position-ordered cache flags for every
-        class code: (hit_s, hit_w, cross_s, cross_w)."""
+        """The position-ordered cache flags that ``decode_products`` and
+        ``gain_thresholds`` take, for every class code: (hit_s, hit_w,
+        cross_s, cross_w)."""
         pair, strong_is_1 = np.divmod(np.arange(self.size), 2)
         a1, a2 = np.divmod(pair, len(self.held))
         strong_is_1 = strong_is_1 == 1

@@ -4,8 +4,9 @@ Trials are organised in fixed blocks of 65536; block c draws from an
 SFC64 stream keyed by SeedSequence((seed, c)), so any trial's variates
 are a deterministic function of (seed, trial index) and results are
 bit-identical for any worker count.  Blocks run on a pool of threads,
-one per available CPU by default (numpy releases the interpreter lock
-in the draws, the elementwise work and the counts); each thread works
+by default one per available CPU and per three blocks (numpy releases
+the interpreter lock in the draws, the elementwise work and the
+counts); each thread works
 in one set of arrays allocated once per run, so no block allocates
 anything block-sized.  Within a block the draw order is
 fixed -- request uniforms first, then the per-stage gamma variates of
@@ -26,9 +27,14 @@ covers -- every value of a sweep, every point of an oracle check -- and
 decodes each (configuration, scheme) from content's scenario-class table
 (cache regions and which vehicle is strong), so a sweep costs about one
 point.  A trial's class comes from its two uniforms by a branchless
-bisection over at most two CDF breakpoints.  Each (configuration,
-scheme) decodes its whole class table once per run, so a block gathers
-each trial's minimum gains by class code, compares and counts.
+bisection over at most two CDF breakpoints.  A position with gain x
+decodes iff fl(c / x) <= rho, c being its class's product
+(``access.decode_products``), which does not depend on rho.  The
+configurations of one scenario group that share alpha and theta share
+one product table per scheme, made once per run: a block gathers each
+trial's c by class code, divides it by the strong and by the weak gains
+once, and compares the ratios with each rho, so an SNR curve costs one
+division per trial and scheme plus a comparison per SNR value.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .access import SCHEMES, DecodeThresholds, _is_positive_real, gain_thresholds
+from .access import SCHEMES, DecodeThresholds, _is_positive_real, decode_products
 from .channel import LinkSpec, sample_link_gain
 from .content import _MAX_FILES, ScenarioTable, _by_position
 from .errors import ParameterError
@@ -63,6 +69,10 @@ __all__ = [
 
 CHUNK = 1 << 16
 _U_ROWS = 1 << 13  # request-uniform rows drawn per step of a chunk
+# A thread's fixed cost -- its start and a working set of fresh pages,
+# about 2.3 MB -- outweighs its share of fewer chunks than this: on a
+# 2-vCPU VM one thread ran 4 one-scheme chunks in 10.0 ms, two in 11.4 ms.
+_CHUNKS_PER_THREAD = 3
 BIT_GENERATOR = np.random.SFC64
 METRICS = ("marg-product", "joint")
 ORDERING_POLICIES = ("by-gain", "fixed")
@@ -248,10 +258,11 @@ def _bisection_table(breakpoints: np.ndarray) -> np.ndarray:
     return np.concatenate((breakpoints, np.full(size - len(breakpoints), np.inf)))
 
 
-def _count_below(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _count_below(table: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """How many entries of ``table`` lie strictly below each uniform of
     ``u``, i.e. ``np.searchsorted(table, u, "left")``, for a sorted table
-    of 2^k - 1 entries.
+    of 2^k - 1 entries, written into and returned as ``out``, an ``intp``
+    array like ``u``.
 
     A branchless bisection: k steps of one gather and one compare each,
     the first against a scalar.  Random keys defeat the branch predictor
@@ -259,13 +270,14 @@ def _count_below(table: np.ndarray, u: np.ndarray) -> np.ndarray:
     """
     step = (len(table) + 1) // 2
     if not step:
-        return np.zeros(len(u), dtype=np.intp)
-    count = np.multiply(u > table[step - 1], step, dtype=np.intp)
+        out.fill(0)
+        return out
+    np.multiply(u > table[step - 1], step, out=out)
     while step > 1:
         step //= 2
-        # table[count + step - 1], without forming the index
-        count += (u > table[step - 1 :].take(count)) * step
-    return count
+        # table[out + step - 1], without forming the index
+        out += (u > table[step - 1 :].take(out)) * step
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,9 +287,8 @@ class _ScenarioClasses:
     A uniform's cell is the number of the table's CDF values below it: a
     branchless bisection over a few CDF values (``_count_below``), never a
     search over the T-long CDF, and no request is ever formed.  Trials of
-    one class decode alike, so ``gain_thresholds`` runs once per run over
-    the table's at most 18 classes and each trial looks its (a, b) up by
-    code.
+    one class decode alike, so the rule runs once per run over the table's
+    at most 18 classes and each trial looks its products up by code.
     """
 
     table: ScenarioTable
@@ -293,32 +304,38 @@ class _ScenarioClasses:
             table.attribute_of_cell.astype(np.uint8),
         )
 
-    def pairs(self, u, out) -> None:
+    def pairs(self, u, out, cells) -> None:
         """Write each trial's attribute pair a1 * A + a2 from its two
         request uniforms into ``out``; its class code is twice that plus
         whether vehicle 1 is the strong one.  ``u`` is the leading rows of
-        a C-ordered (rows, 2) array, so it flattens without a copy."""
-        attribute = self.attribute_of_cell.take(_count_below(self.breakpoints, u.reshape(-1)))
+        a C-ordered (rows, 2) array, so it flattens without a copy, and
+        each uniform's cell goes through ``cells``, an ``intp`` row at
+        least as long."""
+        u = u.reshape(-1)
+        attribute = self.attribute_of_cell.take(_count_below(self.breakpoints, u, cells[: len(u)]))
         np.multiply(attribute[0::2], len(self.table.held), out=out, dtype=out.dtype)
         out += attribute[1::2]
 
 
-def _chunk_buffers(groups):
-    """One thread's working arrays for ``_run_chunk``: request uniforms for
-    one slice of rows, the two links' gains and a spare, the strong flags,
-    three outcome flags, each scenario group's attribute pairs (at most 9,
-    so a byte each), and one shared ``intp`` code row.
+def _chunk_buffers(groups, decoders):
+    """One thread's working arrays for ``_run_chunk``: the two links' gains
+    and a third row, which holds one slice of request uniforms at a time
+    before any gain is drawn and the ratios c / x after; the strong flags;
+    the weak position's outcome flags and the strong position's for each
+    SNR value of the largest decoder; each scenario group's attribute
+    pairs (at most 9, so a byte each); and one shared ``intp`` code row,
+    which holds the uniforms' cells until the codes are formed.
 
     The calling thread allocates them once per run, so no chunk allocates
     anything CHUNK-sized and the memory never lands in a worker thread's
     own malloc arena.  A group's codes are widened into the shared row, of
     ``intp``, the index type of ``np.take``, which would copy any other.
     """
+    most_points = max(len(points) for per_group in decoders.values() for _, points in per_group)
     return (
-        np.empty((_U_ROWS, 2)),
         np.empty((3, CHUNK)),
         np.empty(CHUNK, dtype=bool),
-        np.empty((3, CHUNK), dtype=bool),
+        np.empty((1 + most_points, CHUNK), dtype=bool),
         {key: np.empty(CHUNK, dtype=np.uint8) for key in groups},
         np.empty(CHUNK, dtype=np.intp),
     )
@@ -326,7 +343,8 @@ def _chunk_buffers(groups):
 
 def _run_chunk(task, buffers):
     seed, chunk, length, link_specs, ordering, groups, decoders, schemes, collect = task
-    u, gains, strong_is_1, (ok_s, ok_w, ok_both), pairs, code = buffers
+    gains, strong_is_1, ok, pairs, code = buffers
+    u = gains[2, : 2 * _U_ROWS].reshape(_U_ROWS, 2)
     rng = _chunk_generator(seed, chunk)
     # Full-size draws keep every trial's variates independent of n_trials;
     # rows drawn slice by slice are the rows of one (CHUNK, 2) draw.
@@ -335,21 +353,21 @@ def _run_chunk(task, buffers):
         if lo < length:
             rows = u[: length - lo]
             for key, group in groups.items():
-                group.pairs(rows, pairs[key][lo : lo + len(rows)])
+                group.pairs(rows, pairs[key][lo : lo + len(rows)], code)
     for spec, x in zip(link_specs, gains[:2]):
         sample_link_gain(spec, rng, out=x, work=gains[2])
     x1, x2, spare = gains[:, :length]
     strong_is_1 = strong_is_1[:length]
-    ok_s, ok_w, ok_both = ok_s[:length], ok_w[:length], ok_both[:length]
+    ok_w, *oks = ok[:, :length]
     code = code[:length]
     if ordering == "by-gain":
         np.greater_equal(x1, x2, out=strong_is_1)
         np.minimum(x1, x2, out=spare)
         np.maximum(x1, x2, out=x1)
-        xs, xw, limit = x1, spare, x2
+        xs, xw, ratio = x1, spare, x2
     else:
         strong_is_1.fill(True)
-        xs, xw, limit = x1, x2, spare
+        xs, xw, ratio = x1, x2, spare
 
     out = {}
     for key, group in groups.items():
@@ -360,19 +378,26 @@ def _run_chunk(task, buffers):
         # output, so the codes are checked here, once per group and chunk
         if code.max() >= group.table.size:
             raise IndexError(f"class code {code.max()} outside a table of {group.table.size}")
-        for i, tables in decoders[key]:
-            per_scheme = {}
+        for tables, points in decoders[key]:
             for scheme in schemes:
-                a, b = tables[scheme]
-                np.greater_equal(xs, np.take(a, code, out=limit, mode="clip"), out=ok_s)
-                np.greater_equal(xw, np.take(b, code, out=limit, mode="clip"), out=ok_w)
-                np.logical_and(ok_s, ok_w, out=ok_both)
-                counts = tuple(np.count_nonzero(ok) for ok in (ok_s, ok_w, ok_both))
-                outcomes = (
-                    np.column_stack(_by_position(strong_is_1, ok_s, ok_w)) if collect else None
-                )
-                per_scheme[scheme] = (counts, outcomes)
-            out[i] = per_scheme
+                c_s, c_w = tables[scheme]
+                # c / x once per trial and position for every rho below, the
+                # strong position's first; c / 0 = inf and inf / inf = NaN
+                # pass no rho, -1 / 0 = -inf passes every one
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    np.divide(np.take(c_s, code, out=ratio, mode="clip"), xs, out=ratio)
+                for (_, rho), ok_s in zip(points, oks):
+                    np.less_equal(ratio, rho, out=ok_s)
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    np.divide(np.take(c_w, code, out=ratio, mode="clip"), xw, out=ratio)
+                for (i, rho), ok_s in zip(points, oks):
+                    np.less_equal(ratio, rho, out=ok_w)
+                    outcomes = (
+                        np.column_stack(_by_position(strong_is_1, ok_s, ok_w)) if collect else None
+                    )
+                    n_s, n_w = np.count_nonzero(ok_s), np.count_nonzero(ok_w)
+                    both = np.count_nonzero(np.logical_and(ok_s, ok_w, out=ok_s))
+                    out.setdefault(i, {})[scheme] = ((n_s, n_w, both), outcomes)
     return out
 
 
@@ -388,6 +413,23 @@ def _scenario_groups(configs: Sequence[TrialConfig]):
     return groups, keyed
 
 
+def _decoders(groups, keyed_configs, schemes):
+    """Each scenario group's decoders, none of which depends on the chunk:
+    ``({scheme: (c_s, c_w)}, [(config index, rho), ...])``, one per alpha
+    and theta among the group's configs, whose every SNR value shares the
+    class products of ``decode_products``."""
+    columns = {key: group.table.columns() for key, group in groups.items()}
+    rules = {}
+    for i, (key, config) in enumerate(keyed_configs):
+        rule = (key, config.alpha, config.thresholds.default)
+        rules.setdefault(rule, []).append((i, config.rho))
+    decoders = {key: [] for key in groups}
+    for (key, alpha, theta), points in rules.items():
+        products = {s: decode_products(s, alpha, theta, *columns[key]) for s in schemes}
+        decoders[key].append((products, points))
+    return decoders
+
+
 def _available_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -395,12 +437,19 @@ def _available_cpus() -> int:
 
 
 def _thread_count(workers: int | None, n_trials: int) -> int:
-    """Threads a run of ``n_trials`` uses: ``workers``, or one per available
-    CPU when None, capped at the CPU and chunk counts (a thread more only
-    waits)."""
+    """Threads a run of ``n_trials`` uses: ``workers``, or when None one per
+    available CPU and per ``_CHUNKS_PER_THREAD`` chunks, capped at the CPU
+    and chunk counts (a thread more only waits).  Raises ParameterError
+    unless ``workers`` is None or a positive integer."""
+    if workers is not None and not (_is_int(workers) and workers >= 1):
+        raise ParameterError(
+            f"workers must be a positive integer or None, got {workers!r}", "workers"
+        )
     cpus = _available_cpus()
     n_chunks = (n_trials + CHUNK - 1) // CHUNK
-    return max(1, min(cpus if workers is None else workers, n_chunks, cpus))
+    if workers is None:
+        workers = n_chunks // _CHUNKS_PER_THREAD
+    return max(1, min(workers, n_chunks, cpus))
 
 
 def _draw_fields(config: TrialConfig):
@@ -419,9 +468,10 @@ def _simulate(
     n_trials, link_specs, ordering).  Each SFC64 block is drawn once,
     classified once per popularity and cache pair, and every (config,
     scheme) looks its trials up in that group's scenario-class table,
-    whose (a, b) it decodes once per run for every class.  Each group
-    reads the popularity CDF at its table's few change points only, so
-    no array is sized by the catalog or the caches.
+    whose products it decodes once per run for every class
+    (``_decoders``); a position decodes iff fl(c / x) <= rho.  Each
+    group reads the popularity CDF at its table's few change points
+    only, so no array is sized by the catalog or the caches.
     Chunks run on ``_thread_count(workers, n_trials)`` threads, each in
     buffers this thread allocates once.  Returns, per config,
     ``{scheme: (estimate, outcomes)}``, outcomes being an (n, 2)
@@ -444,24 +494,13 @@ def _simulate(
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ParameterError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    groups, keyed_configs = _scenario_groups(configs)
-    # a group's (a, b) tables do not depend on the chunk; each group's
-    # decoders are (config index, {scheme: (a, b)})
-    columns = {key: group.table.columns() for key, group in groups.items()}
-    decoders = {key: [] for key in groups}
-    for i, (key, config) in enumerate(keyed_configs):
-        tables = {
-            scheme: gain_thresholds(
-                scheme, config.rho, config.alpha, config.thresholds.default, *columns[key]
-            )
-            for scheme in schemes
-        }
-        decoders[key].append((i, tables))
-
     seed, n, link_specs, ordering = _draw_fields(configs[0])
-    n_chunks = (n + CHUNK - 1) // CHUNK
     threads = _thread_count(workers, n)
-    buffers = [_chunk_buffers(groups) for _ in range(threads)]
+    groups, keyed_configs = _scenario_groups(configs)
+    decoders = _decoders(groups, keyed_configs, schemes)
+
+    n_chunks = (n + CHUNK - 1) // CHUNK
+    buffers = [_chunk_buffers(groups, decoders) for _ in range(threads)]
     shared = (link_specs, ordering, groups, decoders, schemes, collect_outcomes)
 
     def run_share(i):

@@ -2,9 +2,12 @@
 
 The oracle reads the same scenario-class table as the Monte Carlo
 engine, :class:`~canoma.content.ScenarioTable`.  Each class's decode
-event reduces to a minimum-gain threshold on each ordered vehicle (or
-an infeasible marker) by the access layer's one rule,
-:func:`~canoma.access.gain_thresholds`, applied once to the whole table.
+event reduces to a minimum gain c / rho on each ordered vehicle (or an
+infeasible marker) by the access layer's one rule, c / x <= rho, which
+:func:`~canoma.access.gain_thresholds` applies once to the whole table.
+The oracle's gains are real numbers, never the inf of an overflowed
+float, so the infeasible marker inf has probability 0 here, as it has
+in the engine, which fails it for every gain.
 A class's probability is the product of its two attributes' request
 masses, read from the popularity CDF at the table's change points, and
 of the share of trials in which its vehicle is the strong one.

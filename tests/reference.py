@@ -2,10 +2,13 @@
 from one trial's requests and cache contents, and the T-long Zipf
 popularity they are drawn from.
 
-The library decodes two vehicles through one rule,
-``canoma.access.gain_thresholds``: per scenario class, "strong gain >= a
-and weak gain >= b".  The Monte Carlo engine and the oracle both apply
-it, so their agreement cannot catch a fault in the rule itself.  The
+The library decodes two vehicles through one rule in ``canoma.access``:
+per scenario class each position has a product c
+(``decode_products``), and a position with gain x decodes iff
+fl(c / x) <= rho.  The Monte Carlo engine divides by each trial's gains,
+the oracle integrates the fading above the minimum gains c / rho
+(``gain_thresholds``), so their agreement cannot catch a fault in the
+rule itself.  The
 scalar decoders here work at SINR level instead, from each vehicle's
 requested file, its cache contents and the power ladder, and the tests
 hold the rule (and through it both paths) to them.  The popularity here

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from canoma import SCHEMES, DecodeThresholds, ParameterError, gain_thresholds
+from canoma.access import INFEASIBLE, SELF_SERVED, decode_products
 from reference import (
     CacheContents,
     classify_scenario,
@@ -493,3 +494,48 @@ class TestDecodeInvariants:
                 for i in range(n):
                     if scenario.self_hit[i]:
                         assert out.ok[i]
+
+
+TINY = np.nextafter(0.0, 1.0)  # the least subnormal
+
+
+def decodes(c, x, total):
+    """The rule itself: fl(c / x) <= total."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
+        return np.asarray(c, dtype=float) / x <= total
+
+
+class TestDecodeProducts:
+    """The rho-free products c of the rule fl(c / x) <= rho."""
+
+    FLAGS = np.array(list(np.ndindex(2, 2, 2, 2)), dtype=bool).T  # every class
+
+    @pytest.mark.parametrize("total", [TINY, 1e-300, 0.3, 1.0, 1e300])
+    def test_markers_decide_every_gain(self, total):
+        gains = np.array([0.0, TINY, 1e-310, 1.0, 1e300, np.inf])
+        # a self-served position passes at every gain, 0 and inf included;
+        # an infeasible stage fails at every gain, an overflowed inf included
+        assert decodes(SELF_SERVED, gains, total).all()
+        assert not decodes(INFEASIBLE, gains, total).any()
+        assert not decodes([SELF_SERVED, INFEASIBLE, 1.0], np.nan, total).any()
+
+    def test_self_served_exactly_where_the_position_hits_its_own_cache(self):
+        hit_s, hit_w, cross_s, cross_w = self.FLAGS
+        for scheme in SCHEMES:
+            c_s, c_w = decode_products(scheme, 0.2, 1.0, *self.FLAGS)
+            np.testing.assert_array_equal(c_s == SELF_SERVED, hit_s)
+            np.testing.assert_array_equal(c_w == SELF_SERVED, hit_w)
+            assert np.all((c_s > 0.0) | hit_s) and np.all((c_w > 0.0) | hit_w)
+
+    @pytest.mark.parametrize("total", [TINY, 0.5, 10.0, 1e300])
+    def test_gain_thresholds_divide_the_products_by_the_power(self, total):
+        for scheme in SCHEMES:
+            for alpha, theta in ((0.2, 1.0), (0.5, 1.0), (0.1, 3.0)):
+                products = decode_products(scheme, alpha, theta, *self.FLAGS)
+                thresholds = gain_thresholds(scheme, total, alpha, theta, *self.FLAGS)
+                for c, a in zip(products, thresholds):
+                    with np.errstate(over="ignore"):
+                        want = np.where(c == SELF_SERVED, 0.0, c / total)
+                    np.testing.assert_array_equal(a, want)
+                    # an infeasible stage stays infeasible at every power
+                    assert np.all(a[c == INFEASIBLE] == INFEASIBLE)

@@ -279,10 +279,12 @@ class TestReproducibility:
         assert data_rows(out_a) == data_rows(out_b)
 
     @pytest.mark.parametrize(
-        "extra,threads", [([], 3), (["--workers", "2"], 2), (["--trials", "20000"], 1)]
+        "extra,threads",
+        [(["--trials", "600000"], 3), (["--workers", "2"], 2), (["--trials", "20000"], 1), ([], 1)],
     )
     def test_manifest_records_the_thread_count(self, monkeypatch, extra, threads):
-        # 140000 trials are 3 chunks, and a thread never waits without a chunk
+        # by default a thread takes three chunks: 600000 trials are 10 chunks,
+        # 140000 are 3; and a thread never waits without a chunk
         monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
         _, out, _ = run_cli(["point", "--trials", "140000", *extra])
         assert manifest_entry(out, "config")["workers"] == threads
@@ -295,7 +297,38 @@ class TestReproducibility:
         assert len(digits) <= 9
 
 
+class TestSweepEqualsPoints:
+    """An SNR sweep divides c by each gain once and compares the ratio
+    with every rho; a point compares it with its one rho.  Their rows
+    agree byte for byte."""
+
+    @pytest.mark.parametrize("workers", [["--workers", "1"], ["--workers", "2"]])
+    def test_snr_sweep_rows_equal_point_rows(self, workers):
+        common = ["--trials", "262144", "--seed", "5", *workers]
+        grid = ["0", "5", "10", "15", "20"]
+        code, out, _ = run_cli(["sweep", "--sweep", "snr_db", "--grid", ",".join(grid), *common])
+        assert code == 0
+        points = []
+        for snr in grid:
+            code, point, _ = run_cli(["point", "--snr-db", snr, *common])
+            assert code == 0
+            points += data_rows(point)[1:]
+        assert data_rows(out)[1:] == points
+
+
 class TestOracleCheck:
+    def test_overflowed_gains_never_pass_an_infeasible_stage(self):
+        # at alpha 0.5 the SIC margin is 0, so no gain decodes, and on this
+        # link every gain overflows to inf: inf / inf is NaN, which fails
+        code, out, _ = run_cli(
+            ["oracle-check", "--alpha", "0.5", "--link-spec", "1,1e300,2,1e300", "--scheme",
+             "noma", "--snr-db", "10", "--trials", "65536"]
+        )
+        assert code == 0
+        rows = data_rows(out)[1:]
+        assert rows and all(row.endswith(",pass") for row in rows)
+        assert all(row.split(",")[6:8] == ["0", "0"] for row in rows)
+
     def test_small_grid_passes(self):
         code, out, _ = run_cli(
             ["oracle-check", "--schemes", "canoma,oma", "--sweep", "snr_db",

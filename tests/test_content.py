@@ -189,6 +189,29 @@ class TestZipfCdfAt:
             zipf_cdf_at(catalog, 0.8, [1])
 
 
+def unique_built_table(files, capacities):
+    """``ScenarioTable.of``'s arrays as ``np.unique`` builds them."""
+    c1, c2 = capacities
+    starts = np.unique([c1 + 1, c2 + 1])
+    starts = starts[(starts >= 2) & (starts <= files)]
+    first = np.concatenate(([1], starts))
+    regions, attribute_of_cell = np.unique((first <= c1) + 2 * (first <= c2), return_inverse=True)
+    return starts, attribute_of_cell, np.column_stack((regions & 1 == 1, regions & 2 == 2))
+
+
+@pytest.mark.parametrize("files", [1, 2, 3, 7, 2**53])
+def test_scenario_table_arrays_equal_the_unique_construction(files):
+    caps = sorted(c for c in {0, 1, 2, 3, 6, 7, files - 1, files} if 0 <= c <= files)
+    for capacities in itertools.product(caps, repeat=2):
+        table = ScenarioTable.of(files, capacities)
+        for got, want in zip(
+            (table.starts, table.attribute_of_cell, table.held),
+            unique_built_table(files, capacities),
+        ):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
 class TestPlaceCache:
     def test_top_two(self):
         cache = place_cache(zipf_profile(5, 1.0), 2)

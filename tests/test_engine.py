@@ -254,9 +254,18 @@ class TestRunPoint:
         monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(engine, "_available_cpus", lambda: cpus)
         cfg = config(n_trials=3 * CHUNK)
+        # three chunks are too few for a second default thread
         for workers in (100_000, None):
             assert run_point(cfg, workers=workers) == run_point(cfg, workers=1)
-        assert sizes == 2 * pool_sizes
+        assert sizes == pool_sizes
+
+    @pytest.mark.parametrize(
+        "chunks,cpus,threads", [(1, 8, 1), (5, 8, 1), (6, 8, 2), (16, 8, 5), (16, 2, 2), (16, 1, 1)]
+    )
+    def test_default_threads_take_three_chunks_each(self, monkeypatch, chunks, cpus, threads):
+        monkeypatch.setattr(engine, "_available_cpus", lambda: cpus)
+        assert engine._thread_count(None, chunks * CHUNK) == threads
+        assert engine._thread_count(None, chunks * CHUNK - 1) == threads
 
     @pytest.mark.parametrize("over", [{}, {"ordering": "fixed"}], ids=["by-gain", "fixed"])
     def test_default_threads_give_the_serial_outcomes(self, monkeypatch, over):
@@ -291,6 +300,13 @@ class TestRunPoint:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert got == want
+
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2"])
+    def test_a_bad_worker_count_is_refused_before_any_draw(self, monkeypatch, workers):
+        monkeypatch.setattr(engine, "_run_chunk", None)  # no chunk may run
+        with pytest.raises(ParameterError, match="workers must be a positive integer") as exc:
+            run_point(TrialConfig(n_trials=200_000), workers=workers)
+        assert exc.value.field == "workers"
 
     def test_chunks_allocate_nothing_chunk_sized(self):
         # the working arrays are allocated once per run, not per chunk
@@ -490,7 +506,8 @@ class TestFixedMemory:
 
 def _cells(breakpoints, u):
     table = engine._bisection_table(np.asarray(breakpoints, dtype=float))
-    return engine._count_below(table, np.asarray(u, dtype=float))
+    u = np.asarray(u, dtype=float)
+    return engine._count_below(table, u, np.empty(u.shape, dtype=np.intp))
 
 
 class TestBisection:
@@ -550,17 +567,116 @@ def sweep(cfg, parameter, grid, schemes=("canoma",)):
 
 
 class TestDecodeTablesOncePerRun:
-    def test_sweep_decodes_each_config_and_scheme_once(self, monkeypatch):
+    """One product table per (scenario group, alpha, theta, scheme) of a
+    run, shared by every SNR value of it, and none per chunk."""
+
+    def count_tables(self, monkeypatch, argv):
+        """The (scheme, class) product tables the engine makes over one command."""
         calls = []
-        decode = engine.gain_thresholds
+        decode = engine.decode_products
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args[0])
-            return decode(*args, **kwargs)
+            return decode(*args)
 
-        monkeypatch.setattr(engine, "gain_thresholds", counted)
-        assert run_cli([*SNR_SWEEP, "--trials", str(3 * CHUNK)])[0] == 0
-        assert len(calls) == 5 * len(SCHEMES)
+        monkeypatch.setattr(engine, "decode_products", counted)
+        assert run_cli([*argv, "--trials", str(3 * CHUNK)])[0] == 0
+        return len(calls)
+
+    def test_snr_sweep_divides_by_one_product_table_per_scheme(self, monkeypatch):
+        assert self.count_tables(monkeypatch, SNR_SWEEP) == len(SCHEMES)
+
+    def test_sweep_decodes_each_config_and_scheme_once(self, monkeypatch):
+        # each cache value is a scenario group of its own
+        argv = ["sweep", "--sweep", "cache", "--grid", "0,2,5", "--schemes", ",".join(SCHEMES)]
+        assert self.count_tables(monkeypatch, argv) == 3 * len(SCHEMES)
+
+    def test_bare_oracle_grid_shares_one_table_per_group_and_scheme(self, monkeypatch):
+        # 12 scenario groups, each holding 5 SNR values
+        assert self.count_tables(monkeypatch, ["oracle-check"]) == 12 * len(SCHEMES)
+
+
+def decodes(c, x, rho):
+    """The rule itself: fl(c / x) <= rho."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
+        return c / x <= rho
+
+
+def edge_gains(configs):
+    """Gains that probe every decode boundary of ``configs``: 0, subnormals,
+    three floats either side of each class's minimum gain fl(c / rho), inf
+    and NaN."""
+    pool = [0.0, np.nextafter(0.0, 1.0), 1e-310, 1.0, np.inf, np.nan]
+    for cfg in configs:
+        for scheme in SCHEMES:
+            for c in engine.decode_products(
+                scheme, cfg.alpha, cfg.thresholds.default, *cfg.table.columns()
+            ):
+                for x in c[(c > 0.0) & (c < np.inf)] / cfg.rho:
+                    down = up = x
+                    pool.append(x)
+                    for _ in range(3):
+                        down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+                        pool += [down, up]
+    return np.array(pool)
+
+
+class TestDecodeFollowsTheDivision:
+    """Every trial's outcome is fl(c / x) <= rho on its class's products,
+    at each SNR value of a run, for every gain, the edges of the float
+    range included, and serial and threaded runs agree."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        alpha=st.floats(1e-3, 0.999),
+        theta=st.floats(1e-3, 1e3),
+        snr_db=st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
+        cache=st.sampled_from([0, 2, (2, 5), (5, 2), 10]),
+        ordering=st.sampled_from(["by-gain", "fixed"]),
+    )
+    def test_trial_by_trial(self, alpha, theta, snr_db, cache, ordering):
+        n = CHUNK + 1000
+        cfgs = [
+            config(n_trials=n, alpha=alpha, rho=db_to_linear(db), cache=cache, ordering=ordering,
+                   thresholds=DecodeThresholds(theta))
+            for db in snr_db
+        ]
+        pool = edge_gains(cfgs)
+        drawn = []
+
+        def edge_sampler(spec, rng, size=None, out=None, work=None):
+            out[...] = pool[rng.integers(len(pool), size=out.shape)]
+            drawn.append(out.copy())
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "sample_link_gain", edge_sampler)
+            serial = engine._simulate(cfgs, SCHEMES, 1, collect_outcomes=True)
+            threaded = engine._simulate(cfgs, SCHEMES, 2, collect_outcomes=True)
+        # a serial run draws chunk by chunk, link 1 before link 2
+        x1 = np.concatenate(drawn[0:4:2])[:n]
+        x2 = np.concatenate(drawn[1:4:2])[:n]
+        table = cfgs[0].table
+        u = np.concatenate([engine._chunk_generator(11, k).random((CHUNK, 2)) for k in (0, 1)])[:n]
+        a1, a2 = table.attribute_of_cell[np.searchsorted(table.cdf_at_starts(0.8), u, "left")].T
+        if ordering == "by-gain":
+            # the strong position holds the larger gain; a NaN leaves both NaN
+            strong_is_1 = x1 >= x2
+            xs, xw = np.maximum(x1, x2), np.minimum(x1, x2)
+        else:
+            strong_is_1 = np.ones(n, dtype=bool)
+            xs, xw = x1, x2
+        code = 2 * (a1 * len(table.held) + a2) + strong_is_1
+        for scheme in SCHEMES:
+            c_s, c_w = engine.decode_products(scheme, alpha, theta, *table.columns())
+            for cfg, got, again in zip(cfgs, serial, threaded):
+                ok_s, ok_w = decodes(c_s[code], xs, cfg.rho), decodes(c_w[code], xw, cfg.rho)
+                want = np.column_stack(
+                    (np.where(strong_is_1, ok_s, ok_w), np.where(strong_is_1, ok_w, ok_s))
+                )
+                np.testing.assert_array_equal(got[scheme][1], want)
+                np.testing.assert_array_equal(again[scheme][1], want)
+                assert got[scheme][0] == again[scheme][0]
 
 
 class TestSweep:

@@ -1,8 +1,10 @@
 """The SINR-level reference in ``tests/reference.py`` stays independent of
 the rule it pins.
 
-Engine and oracle both decode through ``access.gain_thresholds``; their
-agreement cannot catch a fault in that rule.  The reference can, only as
+Engine and oracle both decode by the one rule of ``access``, fl(c / x)
+<= rho on the products of ``access.decode_products``: the engine divides
+by each gain, the oracle integrates above ``access.gain_thresholds``'
+c / rho.  Their agreement cannot catch a fault in that rule.  The reference can, only as
 long as no library module uses it and it uses nothing of the library but
 data types and errors.
 """
