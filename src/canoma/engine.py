@@ -3,12 +3,14 @@
 Trials are organised in fixed blocks of 65536; block c draws from an
 SFC64 stream keyed by SeedSequence((seed, c)), so any trial's variates
 are a deterministic function of (seed, trial index) and results are
-bit-identical for any worker count.  Blocks run on a pool of threads,
-by default one per available CPU and per three blocks (numpy releases
-the interpreter lock in the draws, the elementwise work and the
-counts); each thread works
-in one set of arrays allocated once per run, so no block allocates
-anything block-sized.  Within a block the draw order is
+bit-identical for any worker count.  Blocks run on threads, by default
+one per available CPU and per two blocks (numpy releases the interpreter
+lock in the draws, the elementwise work and the counts): the calling
+thread and the workers of one pool, which the process keeps from its
+first threaded run on and a forked child starts afresh.  Each thread
+works in one set of arrays allocated once per run and freed when it
+returns, so no block allocates anything block-sized and no call leaves
+block-sized memory behind.  Within a block the draw order is
 fixed -- request uniforms first, then the per-stage gamma variates of
 each link -- which makes runs over different grid values consume the
 same randomness per trial (common random numbers): sweeping SNR, cache
@@ -26,9 +28,9 @@ A run therefore draws each block once for all the configurations it
 covers -- every value of a sweep, every point of an oracle check -- and
 decodes each (configuration, scheme) from content's scenario-class table
 (cache regions and which vehicle is strong), so a sweep costs about one
-point.  A trial's class comes from its two uniforms by a branchless
-bisection over at most two CDF breakpoints.  A position with gain x
-decodes iff fl(c / x) <= rho, c being its class's product
+point.  A trial's class comes from its two uniforms, each compared with
+the CDF at the table's change points (at most two).  A position with
+gain x decodes iff fl(c / x) <= rho, c being its class's product
 (``access.decode_products``), which does not depend on rho.  The
 configurations of one scenario group that share alpha and theta share
 one product table per scheme, made once per run: a block gathers each
@@ -41,7 +43,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
@@ -68,11 +71,20 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16
-_U_ROWS = 1 << 13  # request-uniform rows drawn per step of a chunk
-# A thread's fixed cost -- its start and a working set of fresh pages,
-# about 2.3 MB -- outweighs its share of fewer chunks than this: on a
-# 2-vCPU VM one thread ran 4 one-scheme chunks in 10.0 ms, two in 11.4 ms.
-_CHUNKS_PER_THREAD = 3
+# Request-uniform rows drawn per step of a chunk: as many as the spare
+# gains row holds.  Threads trade the interpreter lock at every numpy
+# call, so fewer, larger steps keep two threads busier.
+_U_ROWS = CHUNK // 2
+# A thread's fixed cost -- about 2.3 MB of fresh pages, which every
+# threaded call faults in again, and trading the interpreter lock at each
+# numpy call -- outweighs its share of fewer chunks than this.  On a
+# 2-vCPU VM, perfbench's large-catalog op (4 one-scheme chunks) took
+# 10.4 ms serially under the former three-chunk rule and 8.5 ms on two
+# threads (medians of 10 alternating 30 s runs); in one process, 2
+# one-scheme chunks took 5.2 ms on one thread and 6.1 ms on two.  Whether
+# two threads win varies with the VM's load: in some minutes one thread
+# won even at 4 chunks.
+_CHUNKS_PER_THREAD = 2
 BIT_GENERATOR = np.random.SFC64
 METRICS = ("marg-product", "joint")
 ORDERING_POLICIES = ("by-gain", "fixed")
@@ -252,79 +264,55 @@ def _chunk_generator(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(BIT_GENERATOR(np.random.SeedSequence((seed, chunk))))
 
 
-def _bisection_table(breakpoints: np.ndarray) -> np.ndarray:
-    """``breakpoints`` padded with +inf to the fewest 2^k - 1 entries."""
-    size = (1 << len(breakpoints).bit_length()) - 1
-    return np.concatenate((breakpoints, np.full(size - len(breakpoints), np.inf)))
-
-
-def _count_below(table: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """How many entries of ``table`` lie strictly below each uniform of
-    ``u``, i.e. ``np.searchsorted(table, u, "left")``, for a sorted table
-    of 2^k - 1 entries, written into and returned as ``out``, an ``intp``
-    array like ``u``.
-
-    A branchless bisection: k steps of one gather and one compare each,
-    the first against a scalar.  Random keys defeat the branch predictor
-    of ``searchsorted``'s binary search; no step here branches on data.
-    """
-    step = (len(table) + 1) // 2
-    if not step:
-        out.fill(0)
-        return out
-    np.multiply(u > table[step - 1], step, out=out)
-    while step > 1:
-        step //= 2
-        # table[out + step - 1], without forming the index
-        out += (u > table[step - 1 :].take(out)) * step
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class _ScenarioClasses:
     """A ``content.ScenarioTable`` ready to classify trials.
 
-    A uniform's cell is the number of the table's CDF values below it: a
-    branchless bisection over a few CDF values (``_count_below``), never a
-    search over the T-long CDF, and no request is ever formed.  Trials of
-    one class decode alike, so the rule runs once per run over the table's
-    at most 18 classes and each trial looks its products up by code.
+    A table numbers its cells' attributes in descending order
+    (``ScenarioTable.attribute_of_cell``), and a uniform's cell is the
+    number of the table's CDF values below it, so its attribute is the
+    number of those values at or above it: one comparison per change
+    point (at most two), never a search over the T-long CDF, and no
+    request is ever formed.  Trials of one class decode alike, so the
+    rule runs once per run over the table's at most 18 classes and each
+    trial looks its products up by code.
     """
 
     table: ScenarioTable
-    breakpoints: np.ndarray  # the table's CDF values, +inf padded
-    attribute_of_cell: np.ndarray  # the table's, one byte each
+    cdf: np.ndarray  # the table's CDF values at its change points
 
     @classmethod
     def of(cls, config: TrialConfig) -> "_ScenarioClasses":
-        table = config.table
-        return cls(
-            table,
-            _bisection_table(table.cdf_at_starts(config.zeta)),
-            table.attribute_of_cell.astype(np.uint8),
-        )
+        return cls(config.table, config.table.cdf_at_starts(config.zeta))
 
-    def pairs(self, u, out, cells) -> None:
+    def pairs(self, u, out, scratch) -> None:
         """Write each trial's attribute pair a1 * A + a2 from its two
         request uniforms into ``out``; its class code is twice that plus
         whether vehicle 1 is the strong one.  ``u`` is the leading rows of
         a C-ordered (rows, 2) array, so it flattens without a copy, and
-        each uniform's cell goes through ``cells``, an ``intp`` row at
-        least as long."""
+        ``scratch`` is a byte row at least twice as long as ``u``."""
         u = u.reshape(-1)
-        attribute = self.attribute_of_cell.take(_count_below(self.breakpoints, u, cells[: len(u)]))
-        np.multiply(attribute[0::2], len(self.table.held), out=out, dtype=out.dtype)
+        if not len(self.cdf):
+            out.fill(0)
+            return
+        attribute, at_or_above = scratch[: len(u)], scratch[len(u) : 2 * len(u)]
+        np.less_equal(u, self.cdf[0], out=attribute.view(np.bool_))
+        for value in self.cdf[1:]:
+            np.less_equal(u, value, out=at_or_above.view(np.bool_))
+            attribute += at_or_above
+        np.multiply(attribute[0::2], len(self.table.held), out=out)
         out += attribute[1::2]
 
 
 def _chunk_buffers(groups, decoders):
     """One thread's working arrays for ``_run_chunk``: the two links' gains
-    and a third row, which holds one slice of request uniforms at a time
-    before any gain is drawn and the ratios c / x after; the strong flags;
-    the weak position's outcome flags and the strong position's for each
-    SNR value of the largest decoder; each scenario group's attribute
-    pairs (at most 9, so a byte each); and one shared ``intp`` code row,
-    which holds the uniforms' cells until the codes are formed.
+    and a third row, which holds half a chunk's request uniforms at a
+    time before any gain is drawn and the ratios c / x after; the strong
+    flags; the weak position's outcome flags and the strong position's
+    for each SNR value of the largest decoder; each scenario group's
+    attribute pairs (at most 9, so a byte each); and one shared ``intp``
+    code row, whose bytes hold the uniforms' comparisons until the codes
+    are formed.
 
     The calling thread allocates them once per run, so no chunk allocates
     anything CHUNK-sized and the memory never lands in a worker thread's
@@ -353,7 +341,7 @@ def _run_chunk(task, buffers):
         if lo < length:
             rows = u[: length - lo]
             for key, group in groups.items():
-                group.pairs(rows, pairs[key][lo : lo + len(rows)], code)
+                group.pairs(rows, pairs[key][lo : lo + len(rows)], code.view(np.uint8))
     for spec, x in zip(link_specs, gains[:2]):
         sample_link_gain(spec, rng, out=x, work=gains[2])
     x1, x2, spare = gains[:, :length]
@@ -436,6 +424,37 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# The worker pool kept for the life of the process, as (workers, pool):
+# a threaded run would otherwise pay for starting its threads.  A forked
+# child has none of its parent's threads, so it forgets the pool and the
+# lock, which another thread may have held at the fork.
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _reset_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_pool)
+
+
+def _submit_shares(run_share, threads: int):
+    """Futures of ``run_share(i)`` for i in 1..threads - 1 on the kept
+    pool, which a run needing more workers replaces with a larger one;
+    the replaced pool's threads finish the work queued on them, then end."""
+    global _pool
+    workers = threads - 1
+    with _pool_lock:
+        if _pool is None or _pool[0] < workers:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (workers, ThreadPoolExecutor(workers))
+        return [_pool[1].submit(run_share, i) for i in range(1, threads)]
+
+
 def _thread_count(workers: int | None, n_trials: int) -> int:
     """Threads a run of ``n_trials`` uses: ``workers``, or when None one per
     available CPU and per ``_CHUNKS_PER_THREAD`` chunks, capped at the CPU
@@ -472,8 +491,9 @@ def _simulate(
     (``_decoders``); a position decodes iff fl(c / x) <= rho.  Each
     group reads the popularity CDF at its table's few change points
     only, so no array is sized by the catalog or the caches.
-    Chunks run on ``_thread_count(workers, n_trials)`` threads, each in
-    buffers this thread allocates once.  Returns, per config,
+    Chunks run on ``_thread_count(workers, n_trials)`` threads -- this one
+    and workers of the kept pool -- each in buffers this thread allocates
+    once per call.  Returns, per config,
     ``{scheme: (estimate, outcomes)}``, outcomes being an (n, 2)
     vehicle-indexed boolean array when requested and None otherwise.
     """
@@ -510,11 +530,13 @@ def _simulate(
             for c in range(i, n_chunks, threads)
         ]
 
-    if threads == 1:
+    # the calling thread runs share 0 while the kept pool runs the others
+    futures = _submit_shares(run_share, threads) if threads > 1 else []
+    try:
         shares = [run_share(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            shares = list(pool.map(run_share, range(threads)))
+    finally:
+        wait(futures)
+    shares += [f.result() for f in futures]
     chunk_results = [shares[c % threads][c // threads] for c in range(n_chunks)]
 
     results = []
@@ -537,9 +559,10 @@ def run_point(
     """Monte Carlo estimate for one configuration.
 
     Deterministic for a given (seed, config) and invariant to
-    ``workers``, the number of threads the chunks run on (one per
-    available CPU when None).  With ``return_outcomes`` the per-trial, per-vehicle
-    success booleans come back alongside the estimate.
+    ``workers``, the number of threads the chunks run on (when None, one
+    per available CPU and per two chunks).  With ``return_outcomes`` the
+    per-trial, per-vehicle success booleans come back alongside the
+    estimate.
     """
     return run_point_multi(config, (config.scheme,), workers, return_outcomes)[config.scheme]
 

@@ -280,10 +280,10 @@ class TestReproducibility:
 
     @pytest.mark.parametrize(
         "extra,threads",
-        [(["--trials", "600000"], 3), (["--workers", "2"], 2), (["--trials", "20000"], 1), ([], 1)],
+        [(["--trials", "400000"], 3), (["--workers", "2"], 2), (["--trials", "20000"], 1), ([], 1)],
     )
     def test_manifest_records_the_thread_count(self, monkeypatch, extra, threads):
-        # by default a thread takes three chunks: 600000 trials are 10 chunks,
+        # by default a thread takes two chunks: 400000 trials are 7 chunks,
         # 140000 are 3; and a thread never waits without a chunk
         monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
         _, out, _ = run_cli(["point", "--trials", "140000", *extra])

@@ -1,11 +1,13 @@
 import dataclasses
 import io
 import math
+import multiprocessing
 import pickle
 import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import Future
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -233,23 +235,23 @@ class TestRunPoint:
         assert est1 == est3
         np.testing.assert_array_equal(out1, out3)
 
-    @pytest.mark.parametrize("cpus,pool_sizes", [(8, [3]), (2, [2]), (1, [])])
+    @pytest.mark.parametrize("cpus,pool_sizes", [(8, [2]), (2, [1]), (1, [])])
     def test_worker_pool_is_capped(self, monkeypatch, cpus, pool_sizes):
-        # a serial stand-in for the pool: records its size, starts no thread
+        # a serial stand-in for the kept pool: records its size, starts no
+        # thread; the calling thread runs a share itself
         sizes = []
 
         class SerialPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def shutdown(self, wait=True):
+                pass
 
         monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(engine, "_available_cpus", lambda: cpus)
@@ -260,9 +262,10 @@ class TestRunPoint:
         assert sizes == pool_sizes
 
     @pytest.mark.parametrize(
-        "chunks,cpus,threads", [(1, 8, 1), (5, 8, 1), (6, 8, 2), (16, 8, 5), (16, 2, 2), (16, 1, 1)]
+        "chunks,cpus,threads",
+        [(1, 8, 1), (4, 8, 2), (5, 8, 2), (6, 8, 3), (16, 8, 8), (16, 2, 2), (16, 1, 1)],
     )
-    def test_default_threads_take_three_chunks_each(self, monkeypatch, chunks, cpus, threads):
+    def test_default_threads_take_two_chunks_each(self, monkeypatch, chunks, cpus, threads):
         monkeypatch.setattr(engine, "_available_cpus", lambda: cpus)
         assert engine._thread_count(None, chunks * CHUNK) == threads
         assert engine._thread_count(None, chunks * CHUNK - 1) == threads
@@ -300,6 +303,77 @@ class TestRunPoint:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert got == want
+
+    @pytest.mark.parametrize("workers", [(2, 2), (2, 3)])
+    def test_concurrent_threaded_callers_get_the_serial_results(self, monkeypatch, workers):
+        # the second pair's larger caller replaces the pool the other may be using
+        monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
+        cfgs = [config(n_trials=3 * CHUNK + 7, seed=s) for s in (7, 8)]
+        want = [run_point_multi(c, SCHEMES, workers=1) for c in cfgs]
+        got = [None, None]
+        start = threading.Barrier(2, timeout=60)
+
+        def call(i):
+            start.wait()
+            got[i] = run_point_multi(cfgs[i], SCHEMES, workers=workers[i])
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == want
+
+    def test_the_pool_is_kept_and_grows_on_demand(self, monkeypatch):
+        monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
+        cfg = config(n_trials=4 * CHUNK)
+        run_point(cfg, workers=2)
+        workers, first = engine._pool
+        run_point(cfg, workers=2)
+        assert workers == 1 and engine._pool[1] is first
+        run_point(cfg, workers=4)
+        assert engine._pool[0] == 3 and engine._pool[1] is not first
+        run_point(cfg, workers=2)
+        assert engine._pool[0] == 3
+
+    def test_a_forked_child_starts_its_own_pool(self, monkeypatch):
+        # the kept pool's threads do not exist in a forked child
+        monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
+        cfg = config(n_trials=2 * CHUNK + 5)
+        want = run_point(cfg, workers=2)
+        fork = multiprocessing.get_context("fork")
+        receiver, sender = fork.Pipe(duplex=False)
+        child = fork.Process(target=lambda: sender.send(run_point(cfg, workers=2)))
+        child.start()
+        try:
+            assert receiver.poll(timeout=60), "a forked child's threaded run did not return"
+            assert receiver.recv() == want
+        finally:
+            child.kill()
+            child.join()
+            receiver.close()
+            sender.close()
+
+    def test_threaded_runs_keep_nothing_chunk_sized(self, monkeypatch):
+        # the pool started here outlives the runs, but no buffer of one does
+        monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
+        cfg = config(n_trials=4 * CHUNK)
+        run_point_multi(cfg, SCHEMES, workers=1)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                run_point_multi(cfg, SCHEMES, workers=2)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 * 1024
+        assert peak < 6 * 2**20
 
     @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2"])
     def test_a_bad_worker_count_is_refused_before_any_draw(self, monkeypatch, workers):
@@ -504,40 +578,55 @@ class TestFixedMemory:
                 assert seconds < 1.0, (files, cache, seconds)
 
 
-def _cells(breakpoints, u):
-    table = engine._bisection_table(np.asarray(breakpoints, dtype=float))
-    u = np.asarray(u, dtype=float)
-    return engine._count_below(table, u, np.empty(u.shape, dtype=np.intp))
+def _pairs_by_search(table, cdf, u):
+    """Each row's attribute pair a1 * A + a2, each uniform's attribute
+    being that of the cell ``np.searchsorted`` finds among the CDF values."""
+    a1, a2 = table.attribute_of_cell[np.searchsorted(cdf, u, "left")].T
+    return a1 * len(table.held) + a2
+
+
+def _pairs_by_comparison(table, cdf, u):
+    out = np.empty(len(u), dtype=np.uint8)
+    engine._ScenarioClasses(table, cdf).pairs(u, out, np.empty(2 * u.size, dtype=np.uint8))
+    return out
 
 
 class TestBisection:
+    """Trials classified by comparison, one per change point, fall in the
+    cells a bisection over the table's CDF values finds."""
+
+    # cache pairs of 0, 1 and 2 change points in a 10-file catalog
+    CACHES = [(0, 0), (3, 3), (3, 0), (2, 6), (6, 2)]
+
     @pytest.mark.parametrize("n", range(71))
     def test_counts_like_searchsorted(self, n):
         rng = np.random.default_rng(n)
-        # duplicates, and a tail of entries equal to 1.0 as in the zero-tail case
-        pool = np.concatenate((rng.random(max(1, n // 3)), [0.5, 1.0]))
-        breakpoints = np.sort(rng.choice(pool, n))
-        u = np.concatenate(
-            ([0.0, np.nextafter(1.0, 0.0)], breakpoints[breakpoints < 1.0], rng.random(500))
-        )
-        want = np.searchsorted(breakpoints, u, "left")
-        assert np.array_equal(_cells(breakpoints, u), want)
+        table = ScenarioTable.of(10, self.CACHES[n % len(self.CACHES)])
+        # ties, and values of 0.0 and 1.0 as at extreme popularities
+        pool = np.concatenate((rng.random(2), [0.0, 0.5, 1.0]))
+        cdf = np.sort(rng.choice(pool, len(table.starts)))
+        # each uniform exactly at a change point, in both columns
+        at = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cdf[cdf < 1.0]))
+        u = np.concatenate((np.repeat(at, 2), rng.choice(at, 100), rng.random(500)))
+        u = rng.permutation(u).reshape(-1, 2)
+        assert np.array_equal(_pairs_by_comparison(table, cdf, u), _pairs_by_search(table, cdf, u))
 
     @settings(max_examples=200, deadline=None)
     @given(
-        breakpoints=st.lists(
-            st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0.0, 0.25, 1.0]),
-            max_size=70,
-        ),
+        data=st.data(),
+        files=st.integers(1, 30) | st.integers(1, 2**53),
+        zeta=st.floats(0.05, 4.0),
         extra=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=20),
     )
-    def test_property_counts_like_searchsorted(self, breakpoints, extra):
-        breakpoints = np.sort(np.asarray(breakpoints, dtype=float))
-        u = np.concatenate(
-            ([0.0, np.nextafter(1.0, 0.0)], breakpoints[breakpoints < 1.0], extra)
-        )
-        want = np.searchsorted(breakpoints, u, "left")
-        assert np.array_equal(_cells(breakpoints, u), want)
+    def test_property_counts_like_searchsorted(self, data, files, zeta, extra):
+        caps = (data.draw(st.integers(0, files)), data.draw(st.integers(0, files)))
+        table = ScenarioTable.of(files, caps)
+        # so a uniform's attribute is the number of CDF values at or above it
+        assert np.array_equal(table.attribute_of_cell, np.arange(len(table.starts), -1, -1))
+        cdf = table.cdf_at_starts(zeta)
+        at = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cdf[cdf < 1.0]))
+        u = np.concatenate((np.repeat(at, 2), extra, extra[::-1])).reshape(-1, 2)
+        assert np.array_equal(_pairs_by_comparison(table, cdf, u), _pairs_by_search(table, cdf, u))
 
 
 def run_cli(argv):
