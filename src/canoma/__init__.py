@@ -18,12 +18,10 @@ from .channel import (
 )
 from .content import ScenarioTable, zipf_cdf_at
 from .engine import (
-    METRICS,
     DEFAULT_LINK_SPEC,
     Estimate,
     TrialConfig,
     db_to_linear,
-    run_point,
     run_point_multi,
     summarize,
 )
@@ -60,13 +58,11 @@ __all__ = [
     # oracle, imported on first use
     *_ORACLE_NAMES,
     # engine
-    "METRICS",
     "DEFAULT_LINK_SPEC",
     "TrialConfig",
     "Estimate",
     "db_to_linear",
     "summarize",
-    "run_point",
     "run_point_multi",
 ]
 

@@ -93,10 +93,11 @@ def decode_products(scheme: str, alpha, theta, hit_s, hit_w, cross_s, cross_w):
     self-served position gets ``SELF_SERVED`` and a stage no gain can pass
     ``INFEASIBLE``.  Every SINR condition p*X / (q*X + 1) >= theta, with
     the powers p and q shares of rho, becomes X >= c / rho with
-    c = theta / (p - theta*q) at rho = 1 when p > theta*q.
+    c = theta / (p - theta*q) at rho = 1 when p > theta*q.  An unknown
+    ``scheme`` raises ParameterError naming the field ``scheme``.
     """
     if scheme not in SCHEMES:
-        raise ParameterError(f"unknown scheme {scheme!r}")
+        raise ParameterError(f"scheme must be one of {SCHEMES}, got {scheme!r}", "scheme")
     # an array, so that a zero SIC margin divides to inf, not ZeroDivisionError
     theta = np.asarray(theta, dtype=float)
     hit_s = np.asarray(hit_s, dtype=bool)

@@ -28,7 +28,6 @@ from .channel import SAMPLER, LinkSpec
 from .engine import (
     BIT_GENERATOR,
     CHUNK,
-    METRICS,
     TrialConfig,
     _simulate,
     _standard_errors,
@@ -41,6 +40,10 @@ __all__ = ["main", "entry"]
 
 _HEADER = "param,value,scheme,metric,p_joint,p_marg_product,p1,p2,stderr_joint,trials,seed"
 _ORACLE_HEADER = "snr_db,zeta,files,cache,scheme,metric,p_mc,p_oracle,stderr,z,status"
+
+# --metric's choices, a label only: point and sweep rows print it in their
+# metric column beside both estimates, and oracle-check checks both
+METRICS = ("marg-product", "joint")
 
 
 def _integral(value) -> int:
@@ -134,7 +137,8 @@ def _add_model_flags(sp: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker threads (default: every available CPU; never changes results)",
+        help="worker threads (default: one per available CPU and per two 65536-trial "
+        "blocks; never changes results)",
     )
 
 
@@ -162,16 +166,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="compare Monte Carlo against the semi-analytic oracle "
         "(bare invocation runs the full default grid)",
     )
-    p_check.add_argument("--scheme", choices=list(SCHEMES), default=None)
     p_check.add_argument("--schemes", default=None, help="comma-separated scheme list")
     p_check.add_argument("--sweep", choices=sorted(_AXES), default=None)
     p_check.add_argument("--grid", default=None, help="comma-separated grid values")
-    p_check.add_argument(
-        "--oracle-alpha",
-        type=float,
-        default=None,
-        help="verification hook: feed this alpha to the oracle side only",
-    )
     _add_model_flags(p_check)
     p_check.set_defaults(func=_cmd_oracle_check)
 
@@ -216,7 +213,7 @@ def _grid_configs(config: TrialConfig, sweep: str, grid) -> list[TrialConfig]:
     return configs
 
 
-def _configs(args, scheme: str, bare: bool = False):
+def _configs(args, bare: bool = False):
     """The command's configurations, each checked once, and the
     ``_manifest`` keywords that record the grid they span: the flags'
     own configuration; under ``--sweep``, one per grid value in grid
@@ -237,12 +234,10 @@ def _configs(args, scheme: str, bare: bool = False):
     config = TrialConfig(
         n_trials=args.trials,
         seed=args.seed,
-        scheme=scheme,
         alpha=args.alpha,
         thresholds=_blame("--theta", DecodeThresholds, args.theta),
         link_specs=(link1, link2),
         ordering=args.ordering,
-        metric=args.metric,
         **{name: value for name, value in model.items() if value is not None},
     )
     if grid is not None:
@@ -281,7 +276,7 @@ def _manifest(
         "trials": config.n_trials,
         "seed": config.seed,
         "ordering": config.ordering,
-        "metric": config.metric,
+        "metric": args.metric,
         "link_spec_1": [[s.m, s.omega] for s in config.link_specs[0].stages],
         "link_spec_2": [[s.m, s.omega] for s in config.link_specs[1].stages],
         "workers": _thread_count(args.workers, config.n_trials),
@@ -329,7 +324,7 @@ def _write_table(args, param: str, values, configs, schemes: tuple[str, ...], **
                         param,
                         _fmt(value),
                         scheme,
-                        config.metric,
+                        args.metric,
                         _fmt(est.p_joint),
                         _fmt(est.p_marg_product),
                         _fmt(est.p1),
@@ -344,7 +339,7 @@ def _write_table(args, param: str, values, configs, schemes: tuple[str, ...], **
 
 
 def _cmd_point(args) -> int:
-    (config,), _ = _configs(args, args.scheme)
+    (config,), _ = _configs(args)
     value = config.snr_db if args.snr_db is None else args.snr_db
     _write_table(args, "snr_db", [value], [config], (args.scheme,))
     return 0
@@ -366,7 +361,7 @@ def _parse_grid(text: str, cli_param: str) -> list:
 
 def _cmd_sweep(args) -> int:
     schemes = _parse_schemes(args.schemes)
-    configs, recorded = _configs(args, schemes[0])
+    configs, recorded = _configs(args)
     _write_table(args, _AXES[args.sweep][0], recorded["grid"], configs, schemes, **recorded)
     return 0
 
@@ -374,34 +369,23 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle_check(args) -> int:
     from .oracle import _success_prob  # only this command needs the oracle
 
-    if args.scheme is not None and args.schemes is not None:
-        raise UsageError("--scheme and --schemes both choose the schemes; give one")
-    if args.schemes is not None:
-        schemes = _parse_schemes(args.schemes)
-    elif args.scheme is not None:
-        schemes = (args.scheme,)
-    else:
-        schemes = SCHEMES
+    schemes = SCHEMES if args.schemes is None else _parse_schemes(args.schemes)
     if args.sweep is not None and args.grid is None:
         raise UsageError("--sweep needs --grid")
     if args.grid is not None and args.sweep is None:
         raise UsageError("--grid needs --sweep")
-    given = (args.sweep, args.snr_db, args.zeta, args.files, args.cache, args.scheme, args.schemes)
-    configs, recorded = _configs(args, schemes[0], bare=all(v is None for v in given))
-    oracle_configs = configs
-    if args.oracle_alpha is not None:  # refused before any trial runs
-        oracle_configs = [dataclasses.replace(c, alpha=args.oracle_alpha) for c in configs]
-        _blame("--oracle-alpha", oracle_configs[0].validate)
+    given = (args.sweep, args.snr_db, args.zeta, args.files, args.cache, args.schemes)
+    configs, recorded = _configs(args, bare=all(v is None for v in given))
     rows = []
     fails = 0
     worst = None  # (z, the row's key fields) of the largest z
     max_abs_err = 0.0
     # one pass over the trials decodes every configuration
     results = _simulate(configs, schemes, args.workers)
-    for config, oracle_config, estimates in zip(configs, oracle_configs, results):
+    for config, estimates in zip(configs, results):
         for scheme in schemes:
             est = estimates[scheme][0]
-            oracle = _success_prob(oracle_config, scheme)
+            oracle = _success_prob(config, scheme)
             max_abs_err = max(max_abs_err, oracle.abs_err)
             # a Monte Carlo count of 0 or n has stderr 0; such a row is
             # judged by the stderr the oracle's probabilities give n trials

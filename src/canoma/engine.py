@@ -52,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .access import SCHEMES, DecodeThresholds, _is_positive_real, decode_products
+from .access import DecodeThresholds, _is_positive_real, decode_products
 from .channel import LinkSpec, sample_link_gain
 from .content import _MAX_FILES, ScenarioTable, _by_position
 from .errors import ParameterError
@@ -60,13 +60,11 @@ from .errors import ParameterError
 __all__ = [
     "CHUNK",
     "BIT_GENERATOR",
-    "METRICS",
     "DEFAULT_LINK_SPEC",
     "TrialConfig",
     "Estimate",
     "db_to_linear",
     "summarize",
-    "run_point",
     "run_point_multi",
 ]
 
@@ -86,12 +84,9 @@ _U_ROWS = CHUNK // 2
 # won even at 4 chunks.
 _CHUNKS_PER_THREAD = 2
 BIT_GENERATOR = np.random.SFC64
-METRICS = ("marg-product", "joint")
 ORDERING_POLICIES = ("by-gain", "fixed")
 
 DEFAULT_LINK_SPEC = LinkSpec.from_pairs([(1.0, 1.0), (2.0, 2.0)])
-
-_Z95 = 1.959963984540054
 
 
 def db_to_linear(db: float) -> float:
@@ -112,7 +107,8 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Everything one Monte Carlo run depends on.
+    """The model and the draws of one Monte Carlo run; the schemes a run
+    decodes them under are given beside it.
 
     ``rho`` is the total transmit SNR in linear scale (noise variance is
     1, so it equals the total transmit power); dB values are converted
@@ -122,7 +118,6 @@ class TrialConfig:
 
     n_trials: int = 1_000_000
     seed: int = 1
-    scheme: str = "canoma"
     files: int = 10
     zeta: float = 0.8
     cache: int | tuple[int, int] = 0
@@ -131,7 +126,6 @@ class TrialConfig:
     thresholds: DecodeThresholds = field(default_factory=DecodeThresholds)
     link_specs: tuple[LinkSpec, LinkSpec] = (DEFAULT_LINK_SPEC, DEFAULT_LINK_SPEC)
     ordering: str = "by-gain"
-    metric: str = "marg-product"
 
     @property
     def capacities(self) -> tuple[int, int]:
@@ -158,8 +152,6 @@ class TrialConfig:
             raise bad("n_trials", "be a positive integer")
         if not _is_int(self.seed) or not (0 <= self.seed < 2**64):
             raise bad("seed", "be a 64-bit unsigned integer")
-        if self.scheme not in SCHEMES:
-            raise bad("scheme", f"be one of {SCHEMES}")
         if not _is_int(self.files) or not 1 <= self.files <= _MAX_FILES:
             raise bad("files", "be an integer in 1..2**53")
         if not _is_positive_real(self.zeta):
@@ -174,8 +166,6 @@ class TrialConfig:
             raise bad("rho", "be a positive real")
         if self.ordering not in ORDERING_POLICIES:
             raise bad("ordering", f"be one of {ORDERING_POLICIES}")
-        if self.metric not in METRICS:
-            raise bad("metric", f"be one of {METRICS}")
         specs = self.link_specs
         if not (
             isinstance(specs, Sequence)
@@ -189,20 +179,15 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class Estimate:
-    """Monte Carlo estimate with 95% normal-approximation interval.
+    """Monte Carlo estimate of the joint and marginal-product success
+    probabilities with their standard errors.
 
     ``p1``/``p2`` are the per-position marginals (strong/weak under
-    by-gain ordering, vehicle 1/2 under fixed ordering); ``p_hat`` is
-    the selected metric's value and the interval belongs to it.  The
+    by-gain ordering, vehicle 1/2 under fixed ordering).  The
     marginal-product standard error comes from the delta method with the
     empirical covariance of the two marginals.
     """
 
-    metric: str
-    p_hat: float
-    stderr: float
-    ci_low: float
-    ci_high: float
     n: int
     p1: float
     p2: float
@@ -227,10 +212,8 @@ def _standard_errors(p1: float, p2: float, p_joint: float, n: int) -> tuple[floa
     return se_joint, math.sqrt(max(var_mp, 0.0))
 
 
-def summarize(successes: Sequence[int], n: int, metric: str = "marg-product") -> Estimate:
+def summarize(successes: Sequence[int], n: int) -> Estimate:
     """Aggregate (strong, weak, joint) success counts into an Estimate."""
-    if metric not in METRICS:
-        raise ParameterError(f"metric must be one of {METRICS}, got {metric!r}")
     if not _is_int(n) or n < 1:
         raise ParameterError(f"trial count must be a positive integer, got {n!r}")
     n = int(n)
@@ -241,23 +224,8 @@ def summarize(successes: Sequence[int], n: int, metric: str = "marg-product") ->
     p1 = s1 / n
     p2 = s2 / n
     p_joint = s_joint / n
-    p_mp = p1 * p2
     se_joint, se_mp = _standard_errors(p1, p2, p_joint, n)
-    p_hat, se = (p_joint, se_joint) if metric == "joint" else (p_mp, se_mp)
-    return Estimate(
-        metric=metric,
-        p_hat=p_hat,
-        stderr=se,
-        ci_low=max(0.0, p_hat - _Z95 * se),
-        ci_high=min(1.0, p_hat + _Z95 * se),
-        n=n,
-        p1=p1,
-        p2=p2,
-        p_joint=p_joint,
-        p_marg_product=p_mp,
-        stderr_joint=se_joint,
-        stderr_marg_product=se_mp,
-    )
+    return Estimate(n, p1, p2, p_joint, p1 * p2, se_joint, se_mp)
 
 
 def _chunk_generator(seed: int, chunk: int) -> np.random.Generator:
@@ -405,7 +373,8 @@ def _decoders(groups, keyed_configs, schemes):
     """Each scenario group's decoders, none of which depends on the chunk:
     ``({scheme: (c_s, c_w)}, [(config index, rho), ...])``, one per alpha
     and theta among the group's configs, whose every SNR value shares the
-    class products of ``decode_products``."""
+    class products of ``decode_products``, which refuses an unknown
+    scheme before any chunk is drawn."""
     columns = {key: group.table.columns() for key, group in groups.items()}
     rules = {}
     for i, (key, config) in enumerate(keyed_configs):
@@ -424,11 +393,13 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# The worker pool kept for the life of the process, as (workers, pool):
-# a threaded run would otherwise pay for starting its threads.  A forked
-# child has none of its parent's threads, so it forgets the pool and the
-# lock, which another thread may have held at the fork.
-_pool: tuple[int, ThreadPoolExecutor] | None = None
+# The worker pool kept for the life of the process, one worker per
+# available CPU besides the calling thread's, as many as _thread_count
+# ever asks for: a threaded run would otherwise pay for starting its
+# threads, and the executor starts a worker only when work waits for one.
+# A forked child has none of its parent's threads, so it forgets the pool
+# and the lock, which another thread may have held at the fork.
+_pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
 
@@ -443,16 +414,12 @@ if hasattr(os, "register_at_fork"):
 
 def _submit_shares(run_share, threads: int):
     """Futures of ``run_share(i)`` for i in 1..threads - 1 on the kept
-    pool, which a run needing more workers replaces with a larger one;
-    the replaced pool's threads finish the work queued on them, then end."""
+    pool, which the first threaded run makes."""
     global _pool
-    workers = threads - 1
     with _pool_lock:
-        if _pool is None or _pool[0] < workers:
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = (workers, ThreadPoolExecutor(workers))
-        return [_pool[1].submit(run_share, i) for i in range(1, threads)]
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_available_cpus() - 1)
+        return [_pool.submit(run_share, i) for i in range(1, threads)]
 
 
 def _thread_count(workers: int | None, n_trials: int) -> int:
@@ -511,9 +478,6 @@ def _simulate(
             raise ParameterError(
                 "configs of one run must share seed, n_trials, link_specs and ordering"
             )
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ParameterError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     seed, n, link_specs, ordering = _draw_fields(configs[0])
     threads = _thread_count(workers, n)
     groups, keyed_configs = _scenario_groups(configs)
@@ -546,25 +510,9 @@ def _simulate(
             pieces = [res[i][scheme] for res in chunk_results]
             counts = np.sum([c for c, _ in pieces], axis=0).tolist()
             outcomes = np.concatenate([o for _, o in pieces]) if collect_outcomes else None
-            out[scheme] = (summarize(counts, n, config.metric), outcomes)
+            out[scheme] = (summarize(counts, n), outcomes)
         results.append(out)
     return results
-
-
-def run_point(
-    config: TrialConfig,
-    workers: int | None = None,
-    return_outcomes: bool = False,
-):
-    """Monte Carlo estimate for one configuration.
-
-    Deterministic for a given (seed, config) and invariant to
-    ``workers``, the number of threads the chunks run on (when None, one
-    per available CPU and per two chunks).  With ``return_outcomes`` the
-    per-trial, per-vehicle success booleans come back alongside the
-    estimate.
-    """
-    return run_point_multi(config, (config.scheme,), workers, return_outcomes)[config.scheme]
 
 
 def run_point_multi(
@@ -573,7 +521,14 @@ def run_point_multi(
     workers: int | None = None,
     return_outcomes: bool = False,
 ):
-    """Like :func:`run_point` but decodes the same sampled trials under
-    several schemes at once (the schemes share all randomness)."""
+    """Monte Carlo estimates for one configuration, ``{scheme: estimate}``,
+    decoding the same sampled trials under every scheme (the schemes
+    share all randomness).
+
+    Deterministic for a given (seed, config) and invariant to
+    ``workers``, the number of threads the chunks run on (when None, one
+    per available CPU and per two chunks).  With ``return_outcomes`` each
+    estimate comes with the per-trial, per-vehicle success booleans.
+    """
     results = _simulate([config], schemes, workers, return_outcomes)[0]
     return {s: r if return_outcomes else r[0] for s, r in results.items()}

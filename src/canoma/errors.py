@@ -7,7 +7,8 @@ class CanomaError(Exception):
 
 class ParameterError(CanomaError, ValueError):
     """A parameter is outside its documented domain; ``field`` names the
-    ``TrialConfig`` field to blame, if any."""
+    ``TrialConfig`` field or the argument (``scheme``, ``schemes``,
+    ``workers``, ``configs``) to blame, if any."""
 
     def __init__(self, message: str, field: str | None = None) -> None:
         super().__init__(message)

@@ -527,9 +527,10 @@ def success_prob(
     checked as its ``validate`` checks them, so a bad value raises the
     engine's ``ParameterError`` naming the same field: ``catalog_t`` sets
     ``files``, ``capacities`` (any two-item sequence) sets ``cache``,
-    ``total`` sets ``rho``, ``policy`` sets ``ordering``, and ``scheme``,
-    ``zeta``, ``alpha``, ``thresholds`` (None for the default) and
-    ``link_specs`` set the fields of their own names.
+    ``total`` sets ``rho``, ``policy`` sets ``ordering``, and ``zeta``,
+    ``alpha``, ``thresholds`` (None for the default) and ``link_specs``
+    set the fields of their own names.  An unknown ``scheme`` raises the
+    same error, naming ``scheme``, from ``gain_thresholds``.
 
     Every class of the scenario table is reduced to gain thresholds and
     weighted by its probability (``_class_weights``).  The marginal
@@ -538,7 +539,6 @@ def success_prob(
     and both are reported.
     """
     config = TrialConfig(
-        scheme=scheme,
         files=catalog_t,
         zeta=zeta,
         cache=tuple(capacities),

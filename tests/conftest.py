@@ -13,4 +13,4 @@ def fresh_worker_pool():
     kept = engine._pool
     engine._reset_pool()
     if kept is not None:
-        kept[1].shutdown()
+        kept.shutdown()

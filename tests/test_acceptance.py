@@ -16,7 +16,6 @@ from canoma import (
     TrialConfig,
     db_to_linear,
     product_gain_ccdf,
-    run_point,
     run_point_multi,
     sample_link_gain,
     success_prob,
@@ -37,11 +36,16 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 def base_config(**over):
     cfg = dict(
-        n_trials=N_TRIALS, seed=SEED, scheme="canoma", files=10, zeta=0.8,
+        n_trials=N_TRIALS, seed=SEED, files=10, zeta=0.8,
         cache=2, alpha=0.2, rho=10.0,
     )
     cfg.update(over)
     return TrialConfig(**cfg)
+
+
+def run_scheme(scheme: str, cfg: TrialConfig, **kw):
+    """``cfg``'s estimate under ``scheme`` alone, as run_point_multi gives it."""
+    return run_point_multi(cfg, (scheme,), **kw)[scheme]
 
 
 def oracle_for(scheme: str, cfg: TrialConfig, alpha=None):
@@ -127,7 +131,7 @@ def test_criterion_4_cache_and_catalog_trends():
     for files in (10, 50):
         for cache in range(0, 11):
             cfg = base_config(files=files, cache=cache)
-            _, out = run_point(cfg, return_outcomes=True)
+            _, out = run_scheme("canoma", cfg, return_outcomes=True)
             joint[(files, cache)] = out
     cache_flips = sum(
         int((joint[(files, c)] & ~joint[(files, c + 1)]).sum())
@@ -148,7 +152,7 @@ def test_criterion_5_popularity_and_snr_trends():
     zeta_flips = 0
     prev = None
     for zeta in (0.2, 0.4, 0.8, 1.6, 3.2):
-        _, out = run_point(base_config(zeta=zeta), return_outcomes=True)
+        _, out = run_scheme("canoma", base_config(zeta=zeta), return_outcomes=True)
         if prev is not None:
             zeta_flips += int((out & ~prev).sum())
         prev = out
@@ -172,8 +176,8 @@ def test_criterion_5_popularity_and_snr_trends():
 def test_criterion_6_infeasibility_boundary():
     ok = True
     for snr_db in SNR_GRID_DB:
-        cfg = base_config(cache=0, alpha=0.5, rho=db_to_linear(snr_db), scheme="noma")
-        est = run_point(cfg)
+        cfg = base_config(cache=0, alpha=0.5, rho=db_to_linear(snr_db))
+        est = run_scheme("noma", cfg)
         oracle = oracle_for("noma", cfg)
         ok = ok and est.p2 == 0.0 and oracle.p2 == 0.0
     report(6, ok, "infeasibility boundary: alpha=0.5, C=0 -> weak-vehicle marginal "

@@ -376,8 +376,9 @@ class TestClosedFormAgreement:
         assert rule_outcome(*args) == scalar_outcome(*args)
 
     def test_rejects_unknown_scheme(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as exc:
             gain_thresholds("tdma", 10.0, 0.2, 1.0, False, False, False, False)
+        assert exc.value.field == "scheme"
 
 
 class TestDecodeInvariants:

@@ -129,6 +129,11 @@ class TestPoint:
         code, _, _ = run_cli(["point", "--scheme", "tdma"])
         assert code == 2
 
+    def test_unknown_metric_is_usage_error(self):
+        code, out, err = run_cli(["point", "--metric", "median"])
+        assert code == 2 and out == ""
+        assert "--metric" in err
+
 
 class TestSweep:
     def test_cache_sweep_rows_and_monotonicity(self):
@@ -297,6 +302,33 @@ class TestReproducibility:
         assert len(digits) <= 9
 
 
+class TestMetricIsALabel:
+    """``--metric`` is a label: point and sweep rows print it in their
+    metric column beside both estimates, and oracle-check checks both."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["point", "--scheme", "noma"],
+         ["sweep", "--sweep", "cache", "--grid", "0,2", "--schemes", "canoma,oma"]],
+        ids=["point", "sweep"],
+    )
+    def test_rows_differ_in_the_metric_column_only(self, argv):
+        common = [*argv, "--trials", "20000", "--seed", "7"]
+        default = [r.split(",") for r in data_rows(run_cli(common)[1])]
+        joint = [r.split(",") for r in data_rows(run_cli([*common, "--metric", "joint"])[1])]
+        assert len(joint) == len(default) > 1
+        assert joint[0] == default[0]
+        for a, b in zip(joint[1:], default[1:]):
+            assert (a[3], b[3]) == ("joint", "marg-product")
+            assert a[:3] + a[4:] == b[:3] + b[4:]
+
+    def test_oracle_check_rows_are_the_same(self):
+        argv = ["oracle-check", "--sweep", "snr_db", "--grid", "0,10", "--trials", "20000"]
+        code, default, _ = run_cli(argv)
+        assert code == 0
+        assert data_rows(run_cli([*argv, "--metric", "joint"])[1]) == data_rows(default)
+
+
 class TestSweepEqualsPoints:
     """An SNR sweep divides c by each gain once and compares the ratio
     with every rho; a point compares it with its one rho.  Their rows
@@ -321,7 +353,7 @@ class TestOracleCheck:
         # at alpha 0.5 the SIC margin is 0, so no gain decodes, and on this
         # link every gain overflows to inf: inf / inf is NaN, which fails
         code, out, _ = run_cli(
-            ["oracle-check", "--alpha", "0.5", "--link-spec", "1,1e300,2,1e300", "--scheme",
+            ["oracle-check", "--alpha", "0.5", "--link-spec", "1,1e300,2,1e300", "--schemes",
              "noma", "--snr-db", "10", "--trials", "65536"]
         )
         assert code == 0
@@ -418,7 +450,7 @@ class TestOracleCheck:
             oracle, "_success_prob", lambda *a, **k: oracle.OracleResult(0.99, 0.99, 0.99, 0.9801)
         )
         code, out, _ = run_cli(
-            ["oracle-check", "--scheme", "canoma", "--snr-db", "300", "--trials", "65536"]
+            ["oracle-check", "--schemes", "canoma", "--snr-db", "300", "--trials", "65536"]
         )
         assert code == 3
         rows = [r.split(",") for r in data_rows(out)[1:]]
@@ -445,7 +477,7 @@ class TestOracleCheck:
             warnings.simplefilter("error")
             code, out, err = run_cli(
                 ["oracle-check", "--link-spec", "1,1e300,2,1e300", "--snr-db", "10",
-                 "--scheme", "canoma", "--trials", "65536"]
+                 "--schemes", "canoma", "--trials", "65536"]
             )
         assert code == 0 and err == ""
         rows = [r.split(",") for r in data_rows(out)[1:]]
@@ -454,7 +486,7 @@ class TestOracleCheck:
 
     def test_three_stage_cascade_passes(self):
         code, out, err = run_cli(
-            ["oracle-check", "--link-spec", "1,1,2,2,1.5,1", "--snr-db", "10", "--scheme",
+            ["oracle-check", "--link-spec", "1,1,2,2,1.5,1", "--snr-db", "10", "--schemes",
              "canoma", "--trials", "65536"]
         )
         assert code == 0, err
@@ -464,15 +496,22 @@ class TestOracleCheck:
 
     def test_quadrature_error_is_reported(self):
         _, out, _ = run_cli(
-            ["oracle-check", "--scheme", "noma", "--link-spec", "1.5,1,2.5,1", "--trials", "1000"]
+            ["oracle-check", "--schemes", "noma", "--link-spec", "1.5,1,2.5,1", "--trials", "1000"]
         )
         (line,) = [x for x in out.splitlines() if x.startswith("# oracle max abs_err: ")]
         assert 0.0 < float(line.split(": ")[1]) < 1e-9
 
-    def test_corrupted_oracle_alpha_fails(self):
+    def test_corrupted_oracle_alpha_fails(self, monkeypatch):
+        # an oracle that reads every config at the wrong alpha must be caught
+        success_prob = oracle._success_prob
+        monkeypatch.setattr(
+            oracle,
+            "_success_prob",
+            lambda config, scheme: success_prob(dataclasses.replace(config, alpha=0.35), scheme),
+        )
         code, out, _ = run_cli(
-            ["oracle-check", "--scheme", "canoma", "--trials", "60000", "--seed", "9",
-             "--zeta", "0.8", "--files", "10", "--cache", "0", "--oracle-alpha", "0.35"]
+            ["oracle-check", "--schemes", "canoma", "--trials", "60000", "--seed", "9",
+             "--zeta", "0.8", "--files", "10", "--cache", "0"]
         )
         assert code == 3
         rows = data_rows(out)[1:]
@@ -483,9 +522,7 @@ class TestOracleCheck:
 
     @pytest.mark.parametrize(
         "argv,flag",
-        [(["--grid", "1,2"], "--grid"), (["--sweep", "cache"], "--grid"),
-         (["--scheme", "canoma", "--oracle-alpha", "1.5"], "--oracle-alpha"),
-         (["--scheme", "canoma", "--oracle-alpha", "nan"], "--oracle-alpha")],
+        [(["--grid", "1,2"], "--grid"), (["--sweep", "cache"], "--grid")],
     )
     def test_refused_before_any_trial(self, monkeypatch, argv, flag):
         def no_trials(*args, **kwargs):
@@ -496,16 +533,9 @@ class TestOracleCheck:
         assert code == 2
         assert flag in err
 
-    def test_scheme_and_schemes_together_are_refused(self, monkeypatch):
-        # both flags choose the schemes, so neither may win silently
-        monkeypatch.setattr(cli, "_simulate", None)  # no trial may run
-        code, out, err = run_cli(["oracle-check", "--scheme", "noma", "--schemes", "canoma"])
-        assert code == 2 and out == ""
-        assert "--scheme " in err and "--schemes" in err
-
     def test_heterogeneous_links_by_gain_unsupported(self):
         code, _, err = run_cli(
-            ["oracle-check", "--scheme", "noma", "--link-spec-1", "1,1",
+            ["oracle-check", "--schemes", "noma", "--link-spec-1", "1,1",
              "--link-spec-2", "1,1,2,2", "--trials", "1000"]
         )
         assert code == 2
@@ -513,7 +543,7 @@ class TestOracleCheck:
 
     def test_fixed_ordering_supports_heterogeneous_links(self):
         code, out, _ = run_cli(
-            ["oracle-check", "--scheme", "noma", "--link-spec-1", "1,1",
+            ["oracle-check", "--schemes", "noma", "--link-spec-1", "1,1",
              "--link-spec-2", "1,1,2,2", "--ordering", "fixed",
              "--trials", "60000", "--seed", "2", "--cache", "2"]
         )
@@ -547,7 +577,6 @@ def test_one_scenario_table_per_config(monkeypatch, argv, tables):
 FIELD_ARGV = {
     "n_trials": ["--trials", "5000"],
     "seed": ["--seed", "9"],
-    "scheme": ["--scheme", "noma"],
     "files": ["--files", "20"],
     "zeta": ["--zeta", "1.6"],
     "cache": ["--cache", "3"],
@@ -556,14 +585,13 @@ FIELD_ARGV = {
     "thresholds": ["--theta", "2"],
     "link_specs": ["--link-spec", "1,1,3,3"],
     "ordering": ["--ordering", "fixed"],
-    "metric": ["--metric", "joint"],
 }
 
 
 def resolved_config(argv):
     """The configuration a `point` command runs."""
     args = cli._build_parser().parse_args(["point", *argv])
-    (config,), _ = cli._configs(args, args.scheme)
+    (config,), _ = cli._configs(args)
     return config
 
 

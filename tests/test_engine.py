@@ -23,7 +23,6 @@ from canoma import (
     ScenarioTable,
     TrialConfig,
     db_to_linear,
-    run_point,
     run_point_multi,
     success_prob,
     summarize,
@@ -50,29 +49,23 @@ THETA = {"thresholds": DecodeThresholds(0.5)}
 
 
 def config(**over):
-    base = dict(n_trials=100_000, seed=11, scheme="canoma", files=10, zeta=0.8,
+    base = dict(n_trials=100_000, seed=11, files=10, zeta=0.8,
                 cache=2, alpha=0.2, rho=10.0)
     base.update(over)
     return TrialConfig(**base)
 
 
+def run_scheme(scheme, cfg, **kw):
+    """``cfg``'s estimate under ``scheme`` alone, as run_point_multi gives it."""
+    return run_point_multi(cfg, (scheme,), **kw)[scheme]
+
+
 class TestSummarize:
     def test_binomial_arithmetic(self):
-        est = summarize((600_000, 700_000, 500_000), 1_000_000, metric="joint")
-        assert est.p_hat == 0.5
-        assert est.stderr == pytest.approx(0.0005)
+        est = summarize((600_000, 700_000, 500_000), 1_000_000)
         assert est.p_joint == 0.5
+        assert est.stderr_joint == pytest.approx(0.0005)
         assert est.p_marg_product == pytest.approx(0.42)
-
-    def test_zero_successes_clip_low(self):
-        est = summarize((0, 0, 0), 1000, metric="joint")
-        assert est.p_hat == 0.0
-        assert est.ci_low == 0.0
-
-    def test_full_successes_clip_high(self):
-        est = summarize((1000, 1000, 1000), 1000, metric="joint")
-        assert est.p_hat == 1.0
-        assert est.ci_high == 1.0
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ParameterError):
@@ -93,26 +86,26 @@ class TestSummarize:
         assert est.stderr_marg_product == pytest.approx(math.sqrt(var), rel=1e-12)
 
 
-# one bad value per line, with the TrialConfig field it must be blamed on
+# one bad value per line, with the TrialConfig field it must be blamed on;
+# a tuple value's test id is its index here (and in the oracle's share of
+# the list), so an edit keeps the tuples' indices
 BAD_FIELDS = [
     ("n_trials", 0),
     ("seed", -1),
-    ("scheme", "tdma"),
+    ("files", True),
     ("files", 0),
     ("zeta", 0.0),
     ("cache", 11),
     ("alpha", 1.0),
     ("rho", -3.0),
     ("ordering", "sorted"),
-    ("metric", "median"),
+    ("n_trials", True),
     ("ordering", None),
     ("cache", 2.5),
     ("cache", True),
     ("cache", (2, 2.5)),
     ("cache", (True, 1)),
     ("cache", (1, 2, 3)),
-    ("files", True),
-    ("n_trials", True),
     ("zeta", None),
     ("zeta", True),
     ("zeta", "0.8"),
@@ -127,7 +120,6 @@ BAD_FIELDS = [
 
 # TrialConfig field -> the success_prob keyword that sets it
 ORACLE_KEYWORDS = {
-    "scheme": "scheme",
     "files": "catalog_t",
     "zeta": "zeta",
     "cache": "capacities",
@@ -183,6 +175,11 @@ class TestConfigValidation:
             success_prob(**oracle_kwargs(**{ORACLE_KEYWORDS[field]: value}))
         assert exc.value.field == field
 
+    def test_success_prob_refuses_an_unknown_scheme(self):
+        with pytest.raises(ParameterError, match="scheme must be one of") as exc:
+            success_prob(**oracle_kwargs(scheme="tdma"))
+        assert exc.value.field == "scheme"
+
     def test_success_prob_computes_a_catalog_beyond_memory(self):
         small = success_prob(**oracle_kwargs(catalog_t=10**12, capacities=(500, 500)))
         large = success_prob(**oracle_kwargs(catalog_t=10**12, capacities=(10**9, 10**9)))
@@ -212,7 +209,7 @@ class TestConfigValidation:
         numpy_ints = config(
             files=np.int64(10), cache=np.int64(2), n_trials=np.int64(100_000), seed=np.uint64(11)
         )
-        assert run_point(numpy_ints) == run_point(config())
+        assert run_scheme("canoma", numpy_ints) == run_scheme("canoma", config())
 
     def test_db_conversion_round_trip(self):
         assert db_to_linear(10.0) == pytest.approx(10.0)
@@ -221,21 +218,21 @@ class TestConfigValidation:
 
 class TestRunPoint:
     def test_same_seed_is_bit_identical(self):
-        a = run_point(config())
-        b = run_point(config())
+        a = run_scheme("canoma", config())
+        b = run_scheme("canoma", config())
         assert a == b
 
     def test_different_seed_differs(self):
-        assert run_point(config()) != run_point(config(seed=12))
+        assert run_scheme("canoma", config()) != run_scheme("canoma", config(seed=12))
 
     def test_worker_count_never_changes_results(self):
         cfg = config(n_trials=150_000)
-        est1, out1 = run_point(cfg, workers=1, return_outcomes=True)
-        est3, out3 = run_point(cfg, workers=3, return_outcomes=True)
+        est1, out1 = run_scheme("canoma", cfg, workers=1, return_outcomes=True)
+        est3, out3 = run_scheme("canoma", cfg, workers=3, return_outcomes=True)
         assert est1 == est3
         np.testing.assert_array_equal(out1, out3)
 
-    @pytest.mark.parametrize("cpus,pool_sizes", [(8, [2]), (2, [1]), (1, [])])
+    @pytest.mark.parametrize("cpus,pool_sizes", [(8, [7]), (2, [1]), (1, [])])
     def test_worker_pool_is_capped(self, monkeypatch, cpus, pool_sizes):
         # a serial stand-in for the kept pool: records its size, starts no
         # thread; the calling thread runs a share itself
@@ -258,7 +255,7 @@ class TestRunPoint:
         cfg = config(n_trials=3 * CHUNK)
         # three chunks are too few for a second default thread
         for workers in (100_000, None):
-            assert run_point(cfg, workers=workers) == run_point(cfg, workers=1)
+            assert run_scheme("canoma", cfg, workers=workers) == run_scheme("canoma", cfg, workers=1)
         assert sizes == pool_sizes
 
     @pytest.mark.parametrize(
@@ -306,7 +303,7 @@ class TestRunPoint:
 
     @pytest.mark.parametrize("workers", [(2, 2), (2, 3)])
     def test_concurrent_threaded_callers_get_the_serial_results(self, monkeypatch, workers):
-        # the second pair's larger caller replaces the pool the other may be using
+        # the callers share the kept pool, the second pair's unequally
         monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
         cfgs = [config(n_trials=3 * CHUNK + 7, seed=s) for s in (7, 8)]
         want = [run_point_multi(c, SCHEMES, workers=1) for c in cfgs]
@@ -330,26 +327,25 @@ class TestRunPoint:
         assert not any(t.is_alive() for t in callers)
         assert got == want
 
-    def test_the_pool_is_kept_and_grows_on_demand(self, monkeypatch):
+    def test_the_pool_is_made_once_and_kept(self, monkeypatch):
         monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
         cfg = config(n_trials=4 * CHUNK)
-        run_point(cfg, workers=2)
-        workers, first = engine._pool
-        run_point(cfg, workers=2)
-        assert workers == 1 and engine._pool[1] is first
-        run_point(cfg, workers=4)
-        assert engine._pool[0] == 3 and engine._pool[1] is not first
-        run_point(cfg, workers=2)
-        assert engine._pool[0] == 3
+        run_scheme("canoma", cfg, workers=1)
+        assert engine._pool is None
+        run_scheme("canoma", cfg, workers=2)
+        first = engine._pool
+        for workers in (4, 2, None):
+            run_scheme("canoma", cfg, workers=workers)
+            assert engine._pool is first
 
     def test_a_forked_child_starts_its_own_pool(self, monkeypatch):
         # the kept pool's threads do not exist in a forked child
         monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
         cfg = config(n_trials=2 * CHUNK + 5)
-        want = run_point(cfg, workers=2)
+        want = run_scheme("canoma", cfg, workers=2)
         fork = multiprocessing.get_context("fork")
         receiver, sender = fork.Pipe(duplex=False)
-        child = fork.Process(target=lambda: sender.send(run_point(cfg, workers=2)))
+        child = fork.Process(target=lambda: sender.send(run_scheme("canoma", cfg, workers=2)))
         child.start()
         try:
             assert receiver.poll(timeout=60), "a forked child's threaded run did not return"
@@ -379,7 +375,7 @@ class TestRunPoint:
     def test_a_bad_worker_count_is_refused_before_any_draw(self, monkeypatch, workers):
         monkeypatch.setattr(engine, "_run_chunk", None)  # no chunk may run
         with pytest.raises(ParameterError, match="workers must be a positive integer") as exc:
-            run_point(TrialConfig(n_trials=200_000), workers=workers)
+            run_scheme("canoma", TrialConfig(n_trials=200_000), workers=workers)
         assert exc.value.field == "workers"
 
     def test_chunks_allocate_nothing_chunk_sized(self):
@@ -400,19 +396,19 @@ class TestRunPoint:
 
     def test_vanishing_threshold_saturates(self):
         cfg = config(thresholds=DecodeThresholds(default=1e-12), cache=0)
-        est = run_point(cfg)
+        est = run_scheme("canoma", cfg)
         assert est.p_joint > 0.999
 
     def test_outcome_counts_match_estimate(self):
-        est, out = run_point(config(), return_outcomes=True)
+        est, out = run_scheme("canoma", config(), return_outcomes=True)
         assert out.shape == (100_000, 2)
         assert out.dtype == bool
         assert int(out.all(axis=1).sum()) == round(est.p_joint * est.n)
 
     @pytest.mark.parametrize("scheme", ["canoma", "noma", "oma-cache", "oma"])
     def test_agrees_with_oracle(self, scheme):
-        cfg = config(n_trials=200_000, scheme=scheme, seed=5)
-        est = run_point(cfg)
+        cfg = config(n_trials=200_000, seed=5)
+        est = run_scheme(scheme, cfg)
         res = success_prob(
             scheme,
             catalog_t=cfg.files,
@@ -508,7 +504,7 @@ class TestEngineMatchesScalarPath:
         alloc = split_power(cfg.rho, cfg.alpha, 2)
 
         results = {
-            scheme: run_point(dataclasses.replace(cfg, scheme=scheme), return_outcomes=True)[1]
+            scheme: run_scheme(scheme, cfg, return_outcomes=True)[1]
             for scheme in SCHEMES
         }
         for t in range(n):
@@ -565,7 +561,7 @@ class TestFixedMemory:
         cfg = config(n_trials=CHUNK, files=files, cache=cache)
         kwargs = oracle_kwargs(catalog_t=files, capacities=(cache, cache))
         return (
-            self.traced(lambda: run_point(cfg, workers=1)),
+            self.traced(lambda: run_scheme("canoma", cfg, workers=1)),
             self.traced(lambda: success_prob(**kwargs)),
         )
 
@@ -809,6 +805,13 @@ class TestSweep:
             run_point_multi(TrialConfig(n_trials=1 << 22), schemes)
         assert exc.value.field == "schemes"
 
+    @pytest.mark.parametrize("schemes", [("canoma", "tdma"), ("tdma",), ["noma", "CANOMA"]])
+    def test_an_unknown_scheme_is_refused_before_any_draw(self, monkeypatch, schemes):
+        monkeypatch.setattr(engine, "_run_chunk", None)  # no chunk may run
+        with pytest.raises(ParameterError, match="scheme must be one of") as exc:
+            run_point_multi(TrialConfig(n_trials=1 << 22), schemes)
+        assert exc.value.field == "scheme"
+
     def test_no_config_is_refused_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(engine, "_run_chunk", None)  # no chunk may run
         with pytest.raises(ParameterError, match="at least one TrialConfig") as exc:
@@ -882,5 +885,5 @@ class TestMetricsCoincideWithoutCaching:
         cfg = config(
             n_trials=200_000, files=10_000, cache=0, ordering="fixed", seed=31
         )
-        est = run_point(cfg)
+        est = run_scheme("canoma", cfg)
         assert abs(est.p_joint - est.p_marg_product) <= 4 * est.stderr_joint

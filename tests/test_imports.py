@@ -124,13 +124,11 @@ def test_public_surface():
         "product_gain_ccdf",
         "conditional_success_prob",
         "success_prob",
-        "METRICS",
         "DEFAULT_LINK_SPEC",
         "TrialConfig",
         "Estimate",
         "db_to_linear",
         "summarize",
-        "run_point",
         "run_point_multi",
     ]
     for name in canoma.__all__:
