@@ -29,7 +29,6 @@ from .errors import CanomaError, OracleUnsupportedError, ParameterError
 
 _ORACLE_NAMES = (
     "OracleResult",
-    "gamma_ccdf",
     "product_gain_ccdf",
     "conditional_success_prob",
     "success_prob",

@@ -6,7 +6,7 @@ block size the output bits depend on, and for ``oracle-check`` the largest
 error bound of its oracle values) followed by a fixed-column CSV table;
 ``oracle-check`` ends with a ``# verdict:`` line after the table.
 Given the same command line and seed the data rows are byte-identical
-across runs and worker counts; only the manifest timestamp varies.
+across runs and thread counts; only the manifest timestamp varies.
 
 Exit codes: 0 success, 1 internal error, 2 usage or validation error,
 3 oracle-check failure.
@@ -69,7 +69,6 @@ _FIELD_FLAGS = {
     "zeta": "--zeta",
     "cache": "--cache",
     "alpha": "--alpha",
-    "workers": "--workers",
 }
 
 # criterion grid for a bare `oracle-check`, by axis as its manifest records it
@@ -133,28 +132,26 @@ def _add_model_flags(sp: argparse.ArgumentParser) -> None:
     )
     sp.add_argument("--link-spec-1", default=None, help="override the first link's stages")
     sp.add_argument("--link-spec-2", default=None, help="override the second link's stages")
-    sp.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker threads (default: one per available CPU and per two 65536-trial "
-        "blocks; never changes results)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # every parser refuses a flag's prefix, which could name another
+    # command's flag; a subparser does not inherit the setting
     parser = argparse.ArgumentParser(
         prog="canoma",
         description="Cache-aided NOMA downlink: Monte Carlo study with a semi-analytic oracle.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_point = sub.add_parser("point", help="estimate one configuration, emit one CSV row")
+    p_point = sub.add_parser(
+        "point", help="estimate one configuration, emit one CSV row", allow_abbrev=False
+    )
     p_point.add_argument("--scheme", choices=list(SCHEMES), default="canoma")
     _add_model_flags(p_point)
     p_point.set_defaults(func=_cmd_point)
 
-    p_sweep = sub.add_parser("sweep", help="sweep one parameter over a grid")
+    p_sweep = sub.add_parser("sweep", help="sweep one parameter over a grid", allow_abbrev=False)
     p_sweep.add_argument("--schemes", default="canoma", help="comma-separated scheme list")
     p_sweep.add_argument("--sweep", choices=sorted(_AXES), required=True)
     p_sweep.add_argument("--grid", required=True, help="comma-separated grid values")
@@ -165,6 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "oracle-check",
         help="compare Monte Carlo against the semi-analytic oracle "
         "(bare invocation runs the full default grid)",
+        allow_abbrev=False,
     )
     p_check.add_argument("--schemes", default=None, help="comma-separated scheme list")
     p_check.add_argument("--sweep", choices=sorted(_AXES), default=None)
@@ -172,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_check)
     p_check.set_defaults(func=_cmd_oracle_check)
 
-    p_version = sub.add_parser("version", help="print the tool version")
+    p_version = sub.add_parser("version", help="print the tool version", allow_abbrev=False)
     p_version.set_defaults(func=_cmd_version)
     return parser
 
@@ -279,7 +277,7 @@ def _manifest(
         "metric": args.metric,
         "link_spec_1": [[s.m, s.omega] for s in config.link_specs[0].stages],
         "link_spec_2": [[s.m, s.omega] for s in config.link_specs[1].stages],
-        "workers": _thread_count(args.workers, config.n_trials),
+        "workers": _thread_count(config.n_trials),
     }
     if grid is not None:
         del resolved[args.sweep]
@@ -312,7 +310,7 @@ def _write_table(args, param: str, values, configs, schemes: tuple[str, ...], **
     ``param``, in one pass, and write a row per value and scheme, sorted
     by value, then scheme."""
     points = sorted(zip(map(float, values), configs), key=lambda point: point[0])
-    results = _simulate([config for _, config in points], schemes, args.workers)
+    results = _simulate([config for _, config in points], schemes)
     lines = _manifest(args, configs[0], schemes, **recorded)
     lines.append(_HEADER)
     for (value, config), estimates in zip(points, results):
@@ -381,7 +379,7 @@ def _cmd_oracle_check(args) -> int:
     worst = None  # (z, the row's key fields) of the largest z
     max_abs_err = 0.0
     # one pass over the trials decodes every configuration
-    results = _simulate(configs, schemes, args.workers)
+    results = _simulate(configs, schemes)
     for config, estimates in zip(configs, results):
         for scheme in schemes:
             est = estimates[scheme][0]
@@ -390,11 +388,13 @@ def _cmd_oracle_check(args) -> int:
             # a Monte Carlo count of 0 or n has stderr 0; such a row is
             # judged by the stderr the oracle's probabilities give n trials
             null_se = _standard_errors(oracle.p1, oracle.p2, oracle.p_joint, est.n)
-            for metric, p_mc, se, se_if_0 in (
-                ("joint", est.p_joint, est.stderr_joint, null_se[0]),
-                ("marg-product", est.p_marg_product, est.stderr_marg_product, null_se[1]),
+            for metric, p_mc, p_or, se, se_if_0 in zip(
+                ("joint", "marg-product"),
+                (est.p_joint, est.p_marg_product),
+                (oracle.p_joint, oracle.p_marg_product),
+                (est.stderr_joint, est.stderr_marg_product),
+                null_se,
             ):
-                p_or = oracle.value(metric)
                 delta = abs(p_mc - p_or)
                 se = se if se > 0 else se_if_0
                 ok = delta <= 4.0 * se

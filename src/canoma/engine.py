@@ -3,8 +3,8 @@
 Trials are organised in fixed blocks of 65536; block c draws from an
 SFC64 stream keyed by SeedSequence((seed, c)), so any trial's variates
 are a deterministic function of (seed, trial index) and results are
-bit-identical for any worker count.  Blocks run on threads, by default
-one per available CPU and per two blocks (numpy releases the interpreter
+bit-identical for any thread count.  Blocks run on threads, one per CPU
+the process may use and per two blocks (numpy releases the interpreter
 lock in the draws, the elementwise work and the counts): the calling
 thread and the workers of one pool, which the process keeps from its
 first threaded run on and a forked child starts afresh.  Each thread
@@ -422,20 +422,11 @@ def _submit_shares(run_share, threads: int):
         return [_pool.submit(run_share, i) for i in range(1, threads)]
 
 
-def _thread_count(workers: int | None, n_trials: int) -> int:
-    """Threads a run of ``n_trials`` uses: ``workers``, or when None one per
-    available CPU and per ``_CHUNKS_PER_THREAD`` chunks, capped at the CPU
-    and chunk counts (a thread more only waits).  Raises ParameterError
-    unless ``workers`` is None or a positive integer."""
-    if workers is not None and not (_is_int(workers) and workers >= 1):
-        raise ParameterError(
-            f"workers must be a positive integer or None, got {workers!r}", "workers"
-        )
-    cpus = _available_cpus()
+def _thread_count(n_trials: int) -> int:
+    """Threads a run of ``n_trials`` uses: one per available CPU and per
+    ``_CHUNKS_PER_THREAD`` chunks, and at least one."""
     n_chunks = (n_trials + CHUNK - 1) // CHUNK
-    if workers is None:
-        workers = n_chunks // _CHUNKS_PER_THREAD
-    return max(1, min(workers, n_chunks, cpus))
+    return max(1, min(n_chunks // _CHUNKS_PER_THREAD, _available_cpus()))
 
 
 def _draw_fields(config: TrialConfig):
@@ -445,7 +436,6 @@ def _draw_fields(config: TrialConfig):
 def _simulate(
     configs: Sequence[TrialConfig],
     schemes: Sequence[str],
-    workers: int | None = None,
     collect_outcomes: bool = False,
 ):
     """Draw every trial once and decode it under each config and scheme.
@@ -458,9 +448,9 @@ def _simulate(
     (``_decoders``); a position decodes iff fl(c / x) <= rho.  Each
     group reads the popularity CDF at its table's few change points
     only, so no array is sized by the catalog or the caches.
-    Chunks run on ``_thread_count(workers, n_trials)`` threads -- this one
-    and workers of the kept pool -- each in buffers this thread allocates
-    once per call.  Returns, per config,
+    Chunks run on ``_thread_count(n_trials)`` threads -- this one and
+    workers of the kept pool -- each in buffers this thread allocates once
+    per call.  Returns, per config,
     ``{scheme: (estimate, outcomes)}``, outcomes being an (n, 2)
     vehicle-indexed boolean array when requested and None otherwise.
     """
@@ -479,7 +469,7 @@ def _simulate(
                 "configs of one run must share seed, n_trials, link_specs and ordering"
             )
     seed, n, link_specs, ordering = _draw_fields(configs[0])
-    threads = _thread_count(workers, n)
+    threads = _thread_count(n)
     groups, keyed_configs = _scenario_groups(configs)
     decoders = _decoders(groups, keyed_configs, schemes)
 
@@ -518,17 +508,15 @@ def _simulate(
 def run_point_multi(
     config: TrialConfig,
     schemes: Sequence[str],
-    workers: int | None = None,
     return_outcomes: bool = False,
 ):
     """Monte Carlo estimates for one configuration, ``{scheme: estimate}``,
     decoding the same sampled trials under every scheme (the schemes
     share all randomness).
 
-    Deterministic for a given (seed, config) and invariant to
-    ``workers``, the number of threads the chunks run on (when None, one
-    per available CPU and per two chunks).  With ``return_outcomes`` each
-    estimate comes with the per-trial, per-vehicle success booleans.
+    Deterministic for a given (seed, config) and invariant to the number
+    of threads the chunks run on.  With ``return_outcomes`` each estimate
+    comes with the per-trial, per-vehicle success booleans.
     """
-    results = _simulate([config], schemes, workers, return_outcomes)[0]
+    results = _simulate([config], schemes, return_outcomes)[0]
     return {s: r if return_outcomes else r[0] for s, r in results.items()}

@@ -47,7 +47,6 @@ from .errors import OracleUnsupportedError, ParameterError
 __all__ = [
     "INFEASIBLE",
     "OracleResult",
-    "gamma_ccdf",
     "product_gain_ccdf",
     "conditional_success_prob",
     "success_prob",
@@ -121,28 +120,6 @@ class OracleResult:
     p_joint: float
     p_marg_product: float
     abs_err: float = 0.0
-
-    def value(self, metric: str) -> float:
-        if metric == "joint":
-            return self.p_joint
-        if metric == "marg-product":
-            return self.p_marg_product
-        raise ParameterError(f"unknown metric {metric!r}")
-
-
-def gamma_ccdf(shape: float, scale: float, x: float) -> float:
-    """P(G > x) for G ~ Gamma(shape, scale), by the Mellin-Barnes kernel."""
-    if not (math.isfinite(shape) and shape > 0):
-        raise ParameterError(f"gamma shape must be positive, got {shape!r}")
-    if not (math.isfinite(scale) and scale > 0):
-        raise ParameterError(f"gamma scale must be positive, got {scale!r}")
-    if math.isnan(x) or x < 0:
-        raise ParameterError(f"x must be >= 0, got {x!r}")
-    if x == 0.0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    return _mellin_ccdf((shape,), (scale,), x)[0]
 
 
 def _horner(coefs, y):

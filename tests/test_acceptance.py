@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+import canoma.engine as engine
 from canoma import (
     LinkSpec,
     TrialConfig,
@@ -99,11 +100,12 @@ def test_criterion_2_dual_method_agreement():
                 for scheme in SCHEMES:
                     est = estimates[scheme]
                     oracle = oracle_for(scheme, cfg)
-                    for metric, p_mc, se in (
-                        ("joint", est.p_joint, est.stderr_joint),
-                        ("marg-product", est.p_marg_product, est.stderr_marg_product),
+                    for metric, p_mc, p_or, se in (
+                        ("joint", est.p_joint, oracle.p_joint, est.stderr_joint),
+                        ("marg-product", est.p_marg_product, oracle.p_marg_product,
+                         est.stderr_marg_product),
                     ):
-                        delta = abs(p_mc - oracle.value(metric))
+                        delta = abs(p_mc - p_or)
                         checks += 1
                         assert delta <= 4.0 * se, (snr_db, zeta, files, cache, scheme, metric)
                         z = delta / se if se > 0 else (0.0 if delta == 0.0 else math.inf)
@@ -197,7 +199,7 @@ def test_criterion_7_saturation():
     assert ok
 
 
-def test_criterion_8_reproducibility():
+def test_criterion_8_reproducibility(monkeypatch):
     import io
     from contextlib import redirect_stdout
 
@@ -207,17 +209,21 @@ def test_criterion_8_reproducibility():
         "--cache", "2", "--trials", "200000", "--seed", "7",
     ]
 
-    def run(extra):
+    def run():
         buf = io.StringIO()
         with redirect_stdout(buf):
-            code = cli_main([*args, *extra])
+            code = cli_main(args)
         assert code == 0
         return [l for l in buf.getvalue().splitlines() if not l.startswith("#")]
 
-    rows_a = run(["--workers", "1"])
-    rows_b = run(["--workers", "1"])
-    rows_c = run(["--workers", "4"])
+    monkeypatch.setattr(engine, "_available_cpus", lambda: 1)
+    rows_a = run()
+    rows_b = run()
+    # 200000 trials are 4 chunks: one thread each
+    monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
+    monkeypatch.setattr(engine, "_CHUNKS_PER_THREAD", 1)
+    rows_c = run()
     ok = rows_a == rows_b == rows_c
-    report(8, ok, "reproducibility: sweep re-run and 4-worker run emit "
+    report(8, ok, "reproducibility: sweep re-run and 4-thread run emit "
                   "byte-identical CSV data rows")
     assert ok

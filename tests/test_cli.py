@@ -87,7 +87,7 @@ class TestPoint:
     @pytest.mark.parametrize(
         "flag,value",
         [("--zeta", "0"), ("--files", "0"), ("--theta", "-1"), ("--trials", "0"),
-         ("--cache", "99"), ("--seed", "-4"), ("--workers", "0"),
+         ("--cache", "99"), ("--seed", "-4"),
          ("--snr-db", "4000"), ("--snr-db", "-4000"), ("--snr-db", "nan"),
          ("--zeta", "inf"), ("--theta", "inf")],
     )
@@ -276,20 +276,27 @@ class TestReproducibility:
         _, out_b, _ = run_cli(args)
         assert data_rows(out_a) == data_rows(out_b)
 
-    def test_worker_count_does_not_change_rows(self):
+    def test_worker_count_does_not_change_rows(self, monkeypatch):
         args = ["sweep", "--sweep", "snr_db", "--grid", "0,10", "--trials", "140000",
                 "--seed", "3", "--cache", "2"]
-        _, out_a, _ = run_cli([*args, "--workers", "1"])
-        _, out_b, _ = run_cli([*args, "--workers", "2"])
+        monkeypatch.setattr(engine, "_available_cpus", lambda: 1)
+        _, out_a, _ = run_cli(args)
+        assert manifest_entry(out_a, "config")["workers"] == 1
+        # one thread per chunk: three threads
+        monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
+        monkeypatch.setattr(engine, "_CHUNKS_PER_THREAD", 1)
+        _, out_b, _ = run_cli(args)
+        assert manifest_entry(out_b, "config")["workers"] == 3
         assert data_rows(out_a) == data_rows(out_b)
 
     @pytest.mark.parametrize(
         "extra,threads",
-        [(["--trials", "400000"], 3), (["--workers", "2"], 2), (["--trials", "20000"], 1), ([], 1)],
+        [(["--trials", "400000"], 3), (["--trials", "262144"], 2), (["--trials", "20000"], 1),
+         ([], 1)],
     )
     def test_manifest_records_the_thread_count(self, monkeypatch, extra, threads):
-        # by default a thread takes two chunks: 400000 trials are 7 chunks,
-        # 140000 are 3; and a thread never waits without a chunk
+        # a thread takes two chunks: 400000 trials are 7 chunks, 262144
+        # are 4, 140000 are 3; and a thread never waits without a chunk
         monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
         _, out, _ = run_cli(["point", "--trials", "140000", *extra])
         assert manifest_entry(out, "config")["workers"] == threads
@@ -334,9 +341,11 @@ class TestSweepEqualsPoints:
     with every rho; a point compares it with its one rho.  Their rows
     agree byte for byte."""
 
-    @pytest.mark.parametrize("workers", [["--workers", "1"], ["--workers", "2"]])
-    def test_snr_sweep_rows_equal_point_rows(self, workers):
-        common = ["--trials", "262144", "--seed", "5", *workers]
+    @pytest.mark.parametrize("cpus", [1, 8], ids=["serial", "default"])
+    def test_snr_sweep_rows_equal_point_rows(self, monkeypatch, cpus):
+        # 262144 trials are 4 chunks: one thread, or two
+        monkeypatch.setattr(engine, "_available_cpus", lambda: cpus)
+        common = ["--trials", "262144", "--seed", "5"]
         grid = ["0", "5", "10", "15", "20"]
         code, out, _ = run_cli(["sweep", "--sweep", "snr_db", "--grid", ",".join(grid), *common])
         assert code == 0
@@ -381,14 +390,15 @@ class TestOracleCheck:
         assert len(rows) == 1 + 480
         assert all(r.endswith("pass") for r in rows[1:])
 
-    def test_bare_serial_run_passes_and_peaks_below_6_mib(self):
+    def test_bare_serial_run_passes_and_peaks_below_6_mib(self, monkeypatch):
         # each scenario group keeps its class codes in uint8 and widens
         # them into one shared intp row; one CHUNK-long intp row for
         # each of the 12 groups would take this run's peak to 9 MiB
-        run_cli(["oracle-check", "--workers", "1", "--trials", "1000"])  # first-call allocations
+        monkeypatch.setattr(engine, "_available_cpus", lambda: 1)
+        run_cli(["oracle-check", "--trials", "1000"])  # first-call allocations
         tracemalloc.start()
         try:
-            code, out, _ = run_cli(["oracle-check", "--workers", "1"])
+            code, out, _ = run_cli(["oracle-check"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -605,6 +615,29 @@ def test_each_flag_moves_its_field_only(field):
     base, moved = resolved_config([]), resolved_config(FIELD_ARGV[field])
     for name in FIELD_ARGV:
         assert (getattr(moved, name) != getattr(base, name)) == (name == field), name
+
+
+class TestUnknownFlags:
+    """A flag a command does not have is refused before any trial, and so
+    is a prefix of one: prefix matching would run ``--scheme`` as
+    oracle-check's and sweep's ``--schemes``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["oracle-check", "--scheme", "noma"],
+         ["sweep", "--sweep", "cache", "--grid", "0", "--scheme", "noma"],
+         ["point", "--snr", "10"],
+         ["point", "--workers", "2"],
+         ["sweep", "--sweep", "cache", "--grid", "0", "--workers", "2"],
+         ["oracle-check", "--workers", "2"]],
+        ids=["oracle-check-scheme", "sweep-scheme", "point-snr", "point-workers",
+             "sweep-workers", "oracle-check-workers"],
+    )
+    def test_is_usage_error(self, argv):
+        code, out, err = run_cli([*argv, "--trials", "1000"])
+        assert code == 2
+        assert "unrecognized arguments" in err
+        assert out == ""
 
 
 class TestVersion:

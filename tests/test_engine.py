@@ -60,6 +60,20 @@ def run_scheme(scheme, cfg, **kw):
     return run_point_multi(cfg, (scheme,), **kw)[scheme]
 
 
+def run_serially(call, *args, **kw):
+    """``call(*args, **kw)`` with the engine seeing one available CPU, so
+    on one thread; the CPU count it saw before is restored after."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_available_cpus", lambda: 1)
+        return call(*args, **kw)
+
+
+def thread_per_chunk(monkeypatch, cpus=8):
+    """Let the engine see ``cpus`` CPUs and give each thread one chunk."""
+    monkeypatch.setattr(engine, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(engine, "_CHUNKS_PER_THREAD", 1)
+
+
 class TestSummarize:
     def test_binomial_arithmetic(self):
         est = summarize((600_000, 700_000, 500_000), 1_000_000)
@@ -225,10 +239,11 @@ class TestRunPoint:
     def test_different_seed_differs(self):
         assert run_scheme("canoma", config()) != run_scheme("canoma", config(seed=12))
 
-    def test_worker_count_never_changes_results(self):
+    def test_worker_count_never_changes_results(self, monkeypatch):
         cfg = config(n_trials=150_000)
-        est1, out1 = run_scheme("canoma", cfg, workers=1, return_outcomes=True)
-        est3, out3 = run_scheme("canoma", cfg, workers=3, return_outcomes=True)
+        est1, out1 = run_serially(run_scheme, "canoma", cfg, return_outcomes=True)
+        thread_per_chunk(monkeypatch)  # three threads on the three chunks
+        est3, out3 = run_scheme("canoma", cfg, return_outcomes=True)
         assert est1 == est3
         np.testing.assert_array_equal(out1, out3)
 
@@ -251,11 +266,15 @@ class TestRunPoint:
                 pass
 
         monkeypatch.setattr(engine, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(engine, "_available_cpus", lambda: cpus)
         cfg = config(n_trials=3 * CHUNK)
-        # three chunks are too few for a second default thread
-        for workers in (100_000, None):
-            assert run_scheme("canoma", cfg, workers=workers) == run_scheme("canoma", cfg, workers=1)
+        want = run_serially(run_scheme, "canoma", cfg)
+        # three chunks are too few for a second thread at two chunks each
+        monkeypatch.setattr(engine, "_available_cpus", lambda: cpus)
+        assert run_scheme("canoma", cfg) == want
+        assert sizes == []
+        # at one chunk each, three threads at most, but the pool is sized by the CPUs
+        thread_per_chunk(monkeypatch, cpus)
+        assert run_scheme("canoma", cfg) == want
         assert sizes == pool_sizes
 
     @pytest.mark.parametrize(
@@ -264,15 +283,15 @@ class TestRunPoint:
     )
     def test_default_threads_take_two_chunks_each(self, monkeypatch, chunks, cpus, threads):
         monkeypatch.setattr(engine, "_available_cpus", lambda: cpus)
-        assert engine._thread_count(None, chunks * CHUNK) == threads
-        assert engine._thread_count(None, chunks * CHUNK - 1) == threads
+        assert engine._thread_count(chunks * CHUNK) == threads
+        assert engine._thread_count(chunks * CHUNK - 1) == threads
 
     @pytest.mark.parametrize("over", [{}, {"ordering": "fixed"}], ids=["by-gain", "fixed"])
     def test_default_threads_give_the_serial_outcomes(self, monkeypatch, over):
         # one thread per chunk, on any machine
         monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
         cfg = config(n_trials=3 * CHUNK + 17, **over)
-        serial = run_point_multi(cfg, SCHEMES, workers=1, return_outcomes=True)
+        serial = run_serially(run_point_multi, cfg, SCHEMES, return_outcomes=True)
         threaded = run_point_multi(cfg, SCHEMES, return_outcomes=True)
         for scheme in SCHEMES:
             assert threaded[scheme][0] == serial[scheme][0]
@@ -282,7 +301,7 @@ class TestRunPoint:
         # five threads per caller, more than this machine may have cores
         monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
         cfgs = [config(n_trials=4 * CHUNK + 3, seed=s) for s in (5, 6)]
-        want = [run_point_multi(c, SCHEMES, workers=1) for c in cfgs]
+        want = [run_serially(run_point_multi, c, SCHEMES) for c in cfgs]
         got = [None, None]
 
         def call(i):
@@ -303,16 +322,18 @@ class TestRunPoint:
 
     @pytest.mark.parametrize("workers", [(2, 2), (2, 3)])
     def test_concurrent_threaded_callers_get_the_serial_results(self, monkeypatch, workers):
-        # the callers share the kept pool, the second pair's unequally
+        # the callers share the kept pool, the second pair's unequally: a
+        # caller of 2w chunks, the last one short, runs on w threads
         monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
-        cfgs = [config(n_trials=3 * CHUNK + 7, seed=s) for s in (7, 8)]
-        want = [run_point_multi(c, SCHEMES, workers=1) for c in cfgs]
+        cfgs = [config(n_trials=(2 * w - 1) * CHUNK + 7, seed=s) for w, s in zip(workers, (7, 8))]
+        assert [engine._thread_count(c.n_trials) for c in cfgs] == list(workers)
+        want = [run_serially(run_point_multi, c, SCHEMES) for c in cfgs]
         got = [None, None]
         start = threading.Barrier(2, timeout=60)
 
         def call(i):
             start.wait()
-            got[i] = run_point_multi(cfgs[i], SCHEMES, workers=workers[i])
+            got[i] = run_point_multi(cfgs[i], SCHEMES)
 
         callers = [threading.Thread(target=call, args=(i,)) for i in (0, 1)]
         interval = sys.getswitchinterval()
@@ -328,24 +349,25 @@ class TestRunPoint:
         assert got == want
 
     def test_the_pool_is_made_once_and_kept(self, monkeypatch):
-        monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
         cfg = config(n_trials=4 * CHUNK)
-        run_scheme("canoma", cfg, workers=1)
+        run_serially(run_scheme, "canoma", cfg)
         assert engine._pool is None
-        run_scheme("canoma", cfg, workers=2)
+        monkeypatch.setattr(engine, "_available_cpus", lambda: 8)
+        run_scheme("canoma", cfg)  # two threads
         first = engine._pool
-        for workers in (4, 2, None):
-            run_scheme("canoma", cfg, workers=workers)
+        for per_thread in (1, 2):  # four threads, then two
+            monkeypatch.setattr(engine, "_CHUNKS_PER_THREAD", per_thread)
+            run_scheme("canoma", cfg)
             assert engine._pool is first
 
     def test_a_forked_child_starts_its_own_pool(self, monkeypatch):
         # the kept pool's threads do not exist in a forked child
-        monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
+        thread_per_chunk(monkeypatch, cpus=2)
         cfg = config(n_trials=2 * CHUNK + 5)
-        want = run_scheme("canoma", cfg, workers=2)
+        want = run_scheme("canoma", cfg)
         fork = multiprocessing.get_context("fork")
         receiver, sender = fork.Pipe(duplex=False)
-        child = fork.Process(target=lambda: sender.send(run_scheme("canoma", cfg, workers=2)))
+        child = fork.Process(target=lambda: sender.send(run_scheme("canoma", cfg)))
         child.start()
         try:
             assert receiver.poll(timeout=60), "a forked child's threaded run did not return"
@@ -360,31 +382,26 @@ class TestRunPoint:
         # the pool started here outlives the runs, but no buffer of one does
         monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
         cfg = config(n_trials=4 * CHUNK)
-        run_point_multi(cfg, SCHEMES, workers=1)  # numpy's first-call allocations
+        run_serially(run_point_multi, cfg, SCHEMES)  # numpy's first-call allocations
         tracemalloc.start()
         try:
             for _ in range(5):
-                run_point_multi(cfg, SCHEMES, workers=2)
+                run_point_multi(cfg, SCHEMES)  # two threads
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert kept < 64 * 1024
         assert peak < 6 * 2**20
 
-    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2"])
-    def test_a_bad_worker_count_is_refused_before_any_draw(self, monkeypatch, workers):
-        monkeypatch.setattr(engine, "_run_chunk", None)  # no chunk may run
-        with pytest.raises(ParameterError, match="workers must be a positive integer") as exc:
-            run_scheme("canoma", TrialConfig(n_trials=200_000), workers=workers)
-        assert exc.value.field == "workers"
-
-    def test_chunks_allocate_nothing_chunk_sized(self):
+    def test_chunks_allocate_nothing_chunk_sized(self, monkeypatch):
         # the working arrays are allocated once per run, not per chunk
+        monkeypatch.setattr(engine, "_available_cpus", lambda: 1)
+
         def peak(n_trials):
             cfg = config(n_trials=n_trials)
             tracemalloc.start()
             try:
-                run_point_multi(cfg, SCHEMES, workers=1)
+                run_point_multi(cfg, SCHEMES)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -561,7 +578,7 @@ class TestFixedMemory:
         cfg = config(n_trials=CHUNK, files=files, cache=cache)
         kwargs = oracle_kwargs(catalog_t=files, capacities=(cache, cache))
         return (
-            self.traced(lambda: run_scheme("canoma", cfg, workers=1)),
+            self.traced(lambda: run_scheme("canoma", cfg)),
             self.traced(lambda: success_prob(**kwargs)),
         )
 
@@ -736,8 +753,9 @@ class TestDecodeFollowsTheDivision:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "sample_link_gain", edge_sampler)
-            serial = engine._simulate(cfgs, SCHEMES, 1, collect_outcomes=True)
-            threaded = engine._simulate(cfgs, SCHEMES, 2, collect_outcomes=True)
+            serial = run_serially(engine._simulate, cfgs, SCHEMES, collect_outcomes=True)
+            thread_per_chunk(patch)  # two threads on the two chunks
+            threaded = engine._simulate(cfgs, SCHEMES, collect_outcomes=True)
         # a serial run draws chunk by chunk, link 1 before link 2
         x1 = np.concatenate(drawn[0:4:2])[:n]
         x2 = np.concatenate(drawn[1:4:2])[:n]

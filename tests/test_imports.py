@@ -79,7 +79,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 
 
 def test_one_stage_ccdf_loads_no_scipy():
-    assert loaded_scipy_modules("import canoma\ncanoma.gamma_ccdf(2.0, 1.0, 1.0)") == []
+    code = "import canoma\ncanoma.product_gain_ccdf(canoma.LinkSpec.from_pairs([(2.0, 2.0)]), 1.0)"
+    assert loaded_scipy_modules(code) == []
 
 
 def test_non_integer_and_three_stage_links_load_no_scipy():
@@ -120,7 +121,6 @@ def test_public_surface():
         "INFEASIBLE",
         "gain_thresholds",
         "OracleResult",
-        "gamma_ccdf",
         "product_gain_ccdf",
         "conditional_success_prob",
         "success_prob",

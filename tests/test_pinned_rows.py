@@ -2,9 +2,10 @@
 
 Each file under ``tests/data`` holds the data rows, without the ``#``
 manifest, that its command printed when it was pinned.  A refactor must
-reproduce them byte for byte, with one worker thread and with the
-default thread count.  The commands cover by-gain ordering, fixed
-ordering and heterogeneous links, each over three 65536-trial blocks,
+reproduce them byte for byte, on one thread (the engine seeing one
+available CPU) and with the default thread count.  The commands cover
+by-gain ordering, fixed ordering and heterogeneous links, each over
+three 65536-trial blocks,
 and two ``oracle-check`` commands pin the oracle's ``p_oracle`` column
 beside the Monte Carlo one: the bare 480-row grid and a fixed-order
 cache sweep on heterogeneous links.
@@ -29,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+import canoma.engine as engine
 from canoma.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -46,11 +48,13 @@ COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("workers", [["--workers", "1"], []], ids=["serial", "default"])
+@pytest.mark.parametrize("serial", [True, False], ids=["serial", "default"])
 @pytest.mark.parametrize("name", COMMANDS)
-def test_data_rows_are_pinned(name, workers):
+def test_data_rows_are_pinned(monkeypatch, name, serial):
+    if serial:
+        monkeypatch.setattr(engine, "_available_cpus", lambda: 1)
     out = io.StringIO()
     with redirect_stdout(out):
-        assert main(COMMANDS[name].split() + workers) == 0
+        assert main(COMMANDS[name].split()) == 0
     rows = "".join(f"{line}\n" for line in out.getvalue().splitlines() if not line.startswith("#"))
     assert rows == (DATA / f"{name}.csv").read_text()
